@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, gammainc
@@ -378,6 +380,30 @@ def stopping_threshold(code: LinearCode, n0: float, target_pe: float, safety: fl
     return 0.5 * n0 * noncentral_chi2_ppf(quantile, code.n, lam)
 
 
+class _CodeParams(NamedTuple):
+    """The parameters of a code that the stopping rule reads (n, rate,
+    d_min); a hashable stand-in for LinearCode in normal_approx_pe and
+    stopping_threshold."""
+
+    n: int
+    k: int
+    d_min: int
+
+    @property
+    def rate(self) -> float:
+        return self.k / self.n
+
+
+@lru_cache(maxsize=256)
+def _stopping_rule_values(params: _CodeParams, n0: float, safety: float) -> tuple[float, float]:
+    """(target_pe, eta) of the early stop.  Both depend on the observation
+    only through N0, and their quadrature and bisection take about half the
+    time of a short-code decode, so they are computed once per operating
+    point."""
+    target_pe = normal_approx_pe(params, n0)
+    return target_pe, stopping_threshold(params, n0, target_pe, safety)
+
+
 @dataclass
 class DecodeResult:
     """Outcome of one adaptive-rank decoding run."""
@@ -417,18 +443,18 @@ def ttdec(
     """Adaptive-rank TT decoding of one observation.
 
     The cached log-APP cores are completed with a fresh first core, the
-    stopping threshold is evaluated from the normal approximation, and the
-    Taylor-initialization rank walks the schedule: at each step marginals
-    are inferred, bits decided, the candidate re-encoded and scored by its
-    squared distance to y.  The best candidate is kept; the loop stops
-    early as soon as its score drops below the threshold.  A failed
-    inference step scores as +inf and the loop continues.
+    stopping threshold is taken from the normal approximation (computed once
+    per code and N_0), and the Taylor-initialization rank walks the
+    schedule: at each step marginals are inferred, bits decided, the
+    candidate re-encoded and scored by its squared distance to y.  The best
+    candidate is kept; the loop stops early as soon as its score drops below
+    the threshold.  A failed inference step scores as +inf and the loop
+    continues.
     """
     schedule = tuple(int(r) for r in schedule)
     if not schedule:
         raise ValueError("rank schedule must be nonempty")
-    target_pe = normal_approx_pe(code, n0)
-    eta = stopping_threshold(code, n0, target_pe, safety)
+    target_pe, eta = _stopping_rule_values(_CodeParams(code.n, code.k, code.d_min), n0, safety)
     rule = StoppingRule(threshold=eta, target_pe=target_pe, lam=8.0 * code.d_min / n0, schedule=schedule)
     metric = build_code_logapp_tt(code, y, n0, trunc_tol)
     lp = LogPosterior(metric, BIT_ALPHABET)

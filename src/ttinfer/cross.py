@@ -165,7 +165,8 @@ def maxvol(
         perm[i], perm[p] = perm[p], perm[i]
     rows = perm[:r].copy()
     # B = M @ M[rows]^-1; row j of the selected set maps to unit vector e_j.
-    b = scipy.linalg.solve(m[rows].T, m.T, check_finite=False).T
+    # numpy's solve, not scipy's: scipy's bundled BLAS stalls in this pipeline.
+    b = np.linalg.solve(m[rows].T, m.T).T
     history: list[float] = []
     for _ in range(max_iters):
         i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
@@ -428,7 +429,8 @@ class _CrossEngine:
         """Rows J via maxvol and the factor basis @ basis[J]^-1 (rows J give
         the identity, making the core exact at its pivots)."""
         rows = maxvol(basis)
-        factor = scipy.linalg.solve(basis[rows].T, basis.T, check_finite=False).T
+        # numpy's solve, not scipy's: scipy's bundled BLAS stalls in this pipeline.
+        factor = np.linalg.solve(basis[rows].T, basis.T).T
         return rows, factor
 
     def _probe_converged(self) -> bool:

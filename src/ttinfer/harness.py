@@ -13,6 +13,7 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,8 +238,8 @@ def code_exact_bitwise_map(y: np.ndarray, code: LinearCode, n0: float):
     bits = _information_bits(code.k)
     table = np.empty((code.k, 2))
     for i in range(code.k):
-        one_mass = float(weights[bits[:, i] == 1].sum())
-        table[i] = (weights.sum() - one_mass, one_mass)
+        ones = bits[:, i] == 1
+        table[i] = (weights[~ones].sum(), weights[ones].sum())
     table /= table.sum(axis=1, keepdims=True)
     marginals = MarginalTable(table)
     u_hat = map_decision(marginals, np.array([0.0, 1.0])).astype(np.int64)
@@ -391,62 +392,61 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
     symbols_per_trial = 2 * cfg.nt_complex if cfg.scenario == "mimo" else (code.k if code else 0)
     result = SweepResult()
     dump_rows: list[tuple] = []
-    for point, snr_db in enumerate(cfg.snr_grid):
-        start = time.perf_counter()
-        agg = {
-            det: {"errors": 0, "blocks": 0, "early": 0, "failed": 0, "rmax": []}
-            for det in cfg.detectors
-        }
-        trials_done = 0
-        while trials_done < cfg.max_trials:
-            batch = min(cfg.batch_size, cfg.max_trials - trials_done)
-            jobs = [
-                (cfg, code, snr_db, point, trials_done + i) for i in range(batch)
-            ]
-            if cfg.workers > 1:
-                with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                    records = list(pool.map(_run_trial, jobs))
-            else:
-                records = [_run_trial(job) for job in jobs]
-            for rec in records:
-                for det in cfg.detectors:
-                    r = rec[det]
-                    agg[det]["errors"] += r["errors"]
-                    agg[det]["blocks"] += r["block"]
-                    agg[det]["early"] += r["early"]
-                    agg[det]["failed"] += r["failed"]
-                    agg[det]["rmax"].append(r["rmax"])
-                    if cfg.trial_dump:
-                        dump_rows.append(
-                            (det, snr_db, rec["trial"], r["errors"], r["rmax"], r["early"])
-                        )
-            trials_done += batch
-            if agg[reference]["blocks"] >= cfg.min_block_errors:
-                break
-        wall_ms = 1e3 * (time.perf_counter() - start)
-        for det in cfg.detectors:
-            ranks = np.asarray(agg[det]["rmax"], dtype=np.int64)
-            tt_based = det in ("sample", "sweep")
-            row = SweepRow(
-                detector=det,
-                snr_db=snr_db,
-                trials=trials_done,
-                sym_errors=agg[det]["errors"],
-                blk_errors=agg[det]["blocks"],
-                rate=agg[det]["errors"] / (trials_done * symbols_per_trial),
-                mean_rmax=float(ranks.mean()) if tt_based else 0.0,
-                median_rmax=float(np.median(ranks)) if tt_based else 0.0,
-                max_rmax=int(ranks.max()) if tt_based else 0,
-                early_stop_rate=agg[det]["early"] / trials_done,
-                wall_ms=wall_ms,
-            )
-            result.rows.append(row)
-            result.inference_failures += agg[det]["failed"]
-        if log is not None:
-            log(
-                f"point {snr_db:g} dB: {trials_done} trials, "
-                f"{agg[reference]['blocks']} reference block errors, {wall_ms:.0f} ms"
-            )
+    # One pool for the whole sweep: starting workers for every batch made
+    # workers=2 slower than serial.
+    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    with pool or nullcontext():
+        run_jobs = pool.map if pool else map
+        for point, snr_db in enumerate(cfg.snr_grid):
+            start = time.perf_counter()
+            agg = {
+                det: {"errors": 0, "blocks": 0, "early": 0, "failed": 0, "rmax": []}
+                for det in cfg.detectors
+            }
+            trials_done = 0
+            while trials_done < cfg.max_trials:
+                batch = min(cfg.batch_size, cfg.max_trials - trials_done)
+                jobs = [(cfg, code, snr_db, point, trials_done + i) for i in range(batch)]
+                records = list(run_jobs(_run_trial, jobs))
+                for rec in records:
+                    for det in cfg.detectors:
+                        r = rec[det]
+                        agg[det]["errors"] += r["errors"]
+                        agg[det]["blocks"] += r["block"]
+                        agg[det]["early"] += r["early"]
+                        agg[det]["failed"] += r["failed"]
+                        agg[det]["rmax"].append(r["rmax"])
+                        if cfg.trial_dump:
+                            dump_rows.append(
+                                (det, snr_db, rec["trial"], r["errors"], r["rmax"], r["early"])
+                            )
+                trials_done += batch
+                if agg[reference]["blocks"] >= cfg.min_block_errors:
+                    break
+            wall_ms = 1e3 * (time.perf_counter() - start)
+            for det in cfg.detectors:
+                ranks = np.asarray(agg[det]["rmax"], dtype=np.int64)
+                tt_based = det in ("sample", "sweep")
+                row = SweepRow(
+                    detector=det,
+                    snr_db=snr_db,
+                    trials=trials_done,
+                    sym_errors=agg[det]["errors"],
+                    blk_errors=agg[det]["blocks"],
+                    rate=agg[det]["errors"] / (trials_done * symbols_per_trial),
+                    mean_rmax=float(ranks.mean()) if tt_based else 0.0,
+                    median_rmax=float(np.median(ranks)) if tt_based else 0.0,
+                    max_rmax=int(ranks.max()) if tt_based else 0,
+                    early_stop_rate=agg[det]["early"] / trials_done,
+                    wall_ms=wall_ms,
+                )
+                result.rows.append(row)
+                result.inference_failures += agg[det]["failed"]
+            if log is not None:
+                log(
+                    f"point {snr_db:g} dB: {trials_done} trials, "
+                    f"{agg[reference]['blocks']} reference block errors, {wall_ms:.0f} ms"
+                )
     if cfg.out_path:
         with open(cfg.out_path, "w", newline="") as fh:
             fh.write(result.to_csv())

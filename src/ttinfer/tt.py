@@ -319,7 +319,8 @@ def _orthogonalize_lr(cores: list[np.ndarray]) -> list[np.ndarray]:
         rl, n, rr = out[i].shape
         q, rmat = np.linalg.qr(out[i].reshape(rl * n, rr))
         out[i] = q.reshape(rl, n, q.shape[1])
-        out[i + 1] = np.einsum("ab,bkc->akc", rmat, out[i + 1])
+        nxt = out[i + 1]
+        out[i + 1] = (rmat @ nxt.reshape(rr, -1)).reshape(-1, *nxt.shape[1:])
     return out
 
 
@@ -355,7 +356,8 @@ def tt_truncate(a: TensorTrain, tol: float, max_rank: int | None = None) -> Tens
         if max_rank is not None:
             r = min(r, max_rank)
         cores[i] = vt[:r].reshape(r, n, rr)
-        cores[i - 1] = np.einsum("akb,br->akr", cores[i - 1], u[:, :r] * s[:r])
+        left = cores[i - 1]
+        cores[i - 1] = (left.reshape(-1, rl) @ (u[:, :r] * s[:r])).reshape(*left.shape[:2], r)
     return TensorTrain(cores, copy=False)
 
 

@@ -8,6 +8,8 @@ rank-1 compressibility case.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttinfer import (
     CapacityError,
@@ -32,6 +34,7 @@ from ttinfer import (
     tt_truncate,
     zeros_tt,
 )
+from ttinfer.tt import _orthogonalize_lr
 
 
 def random_instance(rng, max_order=8, max_dim=4, max_rank=6):
@@ -317,6 +320,42 @@ class TestTruncate:
         out = tt_truncate(zeros_tt((2, 3, 2)), 1e-6)
         assert out.max_rank == 1
         np.testing.assert_array_equal(tt_to_dense(out).data, 0.0)
+
+
+@st.composite
+def tt_pairs(draw):
+    """Two random TTs on the same small grid (order 2-5, dims 2-3, ranks 1-4)."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=5))
+    rank_lists = st.lists(st.integers(1, 4), min_size=len(dims) - 1, max_size=len(dims) - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_tt(dims, draw(rank_lists), rng), random_tt(dims, draw(rank_lists), rng)
+
+
+class TestRoundingProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(tt_pairs())
+    def test_orthogonalize_is_left_orthogonal_and_exact(self, pair):
+        a = pair[0]
+        cores = _orthogonalize_lr(list(a.cores))
+        for core in cores[:-1]:
+            rl, n, rr = core.shape
+            q = core.reshape(rl * n, rr)
+            np.testing.assert_allclose(q.T @ q, np.eye(rr), rtol=0, atol=1e-12)
+        dense = tt_to_dense(a).data
+        np.testing.assert_allclose(
+            tt_to_dense(TensorTrain(cores)).data, dense, rtol=0, atol=1e-12 * np.linalg.norm(dense)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(tt_pairs(), st.sampled_from([1e-1, 1e-3, 1e-6, 1e-10]))
+    def test_truncated_horner_step_within_bound(self, pair, tol):
+        a, b = pair
+        step = tt_add(tt_hadamard(a, b), ones_tt(a.dims))
+        dense = tt_to_dense(a).data * tt_to_dense(b).data + 1.0
+        norm = np.linalg.norm(dense)
+        err = np.linalg.norm(tt_to_dense(tt_truncate(step, tol)).data - dense)
+        # tol * ||step|| plus a round-off floor for the smallest tolerance
+        assert err <= tol * norm * (1 + 1e-9) + 1e-12 * norm
 
 
 class TestNorm:
