@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .tt import TensorTrain, tt_add, tt_eval_many, tt_hadamard, tt_scale, tt_truncate, ones_tt
+from .tt import TensorTrain, _round_gram, ones_tt, tt_add, tt_eval_many, tt_hadamard, tt_scale
 
 __all__ = [
     "CrossConfig",
@@ -254,9 +254,13 @@ def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTr
     """Elementwise exp(a) as the truncated Taylor polynomial of degree p.
 
     Horner form keeps intermediate ranks bounded: starting from the all-ones
-    tensor, b <- truncate(a o b / k + 1, tol, max_rank) for k = p, ..., 1.
+    tensor, b <- round(a o b / k + 1, tol, max_rank) for k = p, ..., 1.
     With p = 0 the all-ones tensor is returned.  The pointwise error is the
-    Taylor remainder plus the accumulated truncation error.
+    Taylor remainder plus the accumulated truncation error.  Each Horner step
+    is rounded by Gram SVD (``_round_gram``) rather than QR, which spares
+    the QR of the wide uncompressed product but resolves each bond only down
+    to about 1e-7 of its largest singular value: a ``tol`` below that acts
+    as about 1e-7.
     """
     if p < 0:
         raise ValueError("polynomial degree must be >= 0")
@@ -265,8 +269,7 @@ def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTr
     one = ones_tt(a.dims)
     b = one
     for k in range(p, 0, -1):
-        b = tt_add(tt_scale(tt_hadamard(a, b), 1.0 / k), one)
-        b = tt_truncate(b, tol, max_rank)
+        b = _round_gram(tt_add(tt_scale(tt_hadamard(a, b), 1.0 / k), one).cores, tol, max_rank)
     return b
 
 
