@@ -59,6 +59,7 @@ from .mimo import (
     QamConstellation,
     build_hx_tt,
     build_loglik_term,
+    build_quadratic_metric,
     complexify_vec,
     noise_variance_for_snr,
     realify_channel,

@@ -1,6 +1,8 @@
 """MIMO detection pieces: Rayleigh channel sampling, complex-to-real model
-decomposition, QAM alphabets, exact rank-3 TT construction of h^T x, exact
-Gaussian log-likelihood terms, and the TT detector.
+decomposition, QAM alphabets, exact rank-3 TT construction of h^T x, the
+exact TT of the whole Gaussian log-likelihood -||y - H x||^2 / (2 sigma^2)
+(ranks min(b, N - b) + 2, built in one pass without rounding), and the TT
+detector.
 
 The complex model y~ = H~ x~ + n~ with M-QAM symbols is rewritten as the real
 model y = H x + n with H = [[Re, -Im], [Im, Re]], stacked (Re; Im) vectors,
@@ -15,14 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cross import CrossConfig
-from .posterior import (
-    LogPosterior,
-    MarginalTable,
-    infer_marginals,
-    map_decision,
-    sum_loglikelihood_tts,
-)
-from .tt import TensorTrain, constant_tt, tt_add, tt_hadamard, tt_scale, tt_truncate
+from .posterior import LogPosterior, MarginalTable, infer_marginals, map_decision
+from .tt import TensorTrain, tt_truncate
 
 __all__ = [
     "ChannelRealization",
@@ -31,6 +27,7 @@ __all__ = [
     "QamConstellation",
     "build_hx_tt",
     "build_loglik_term",
+    "build_quadratic_metric",
     "complexify_vec",
     "noise_variance_for_snr",
     "realify_channel",
@@ -232,6 +229,59 @@ def build_hx_tt(h: np.ndarray, alphabet) -> TensorTrain:
     return TensorTrain(cores, copy=False)
 
 
+def build_quadratic_metric(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) -> TensorTrain:
+    """Exact TT of the Gaussian log-likelihood -||y - H x||^2 / (2 sigma^2).
+
+    Written as const + l^T x + x^T Q x with Q = -H^T H / (2 sigma^2) and
+    l = H^T y / sigma^2.  Reading the bonds left to right, bond b carries the
+    partial sum S (every term in x_0..x_{b-1} alone) and a constant 1, plus
+    either the symbols x_0..x_{b-1} themselves (b < N/2) or the cross-term
+    coefficients w_k = sum_{i<b} 2 Q_ik x_i still owed to the symbols
+    k = b..N-1 (b >= N/2); one core at the middle bond switches between the
+    two.  Bond ranks are min(b, N - b) + 2 and no rounding is involved.
+    """
+    if not sigma2 > 0:
+        raise ValueError("noise variance must be positive")
+    h = np.asarray(h, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    alphabet = np.asarray(alphabet, dtype=np.float64)
+    if h.ndim != 2 or y.shape != h.shape[:1]:
+        raise ValueError(f"observation shape {y.shape} does not match channel shape {h.shape}")
+    n_modes = h.shape[1]
+    q2 = -(h.T @ h) / sigma2  # 2 Q
+    lin = (h.T @ y) / sigma2
+    powers = np.stack([np.ones_like(alphabet), alphabet, alphabet**2])
+    cores = []
+    for b in range(n_modes):
+        # Bond state (S, linear coordinates, 1) on the left and right of x_b.
+        left_x, right_x = 2 * b < n_modes, 2 * (b + 1) < n_modes
+        ml = b if left_x else n_modes - b
+        mr = b + 1 if right_x else n_modes - b - 1
+        # poly[p] is the coefficient matrix of x_b^p in the core slice.
+        poly = np.zeros((3, ml + 2, mr + 2))
+        poly[0, 0, 0] = poly[0, -1, -1] = 1.0
+        poly[1, -1, 0] = lin[b]
+        poly[2, -1, 0] = 0.5 * q2[b, b]
+        if left_x:
+            poly[1, 1 : ml + 1, 0] = q2[:b, b]
+        else:
+            poly[1, 1, 0] = 1.0  # S += x_b * w_b
+        if right_x:
+            poly[0, 1 : ml + 1, 1 : ml + 1] = np.eye(ml)
+            poly[1, -1, mr] = 1.0  # append x_b
+        else:
+            if left_x:
+                poly[0, 1 : ml + 1, 1 : mr + 1] = q2[:b, b + 1 :]
+            else:
+                poly[0, 2 : ml + 1, 1 : mr + 1] = np.eye(mr)
+            poly[1, -1, 1 : mr + 1] = q2[b, b + 1 :]
+        cores.append(np.einsum("pk,pij->ikj", powers, poly))
+    cores[0] = cores[0][-1:]
+    cores[0][0, :, 0] -= 0.5 * float(y @ y) / sigma2
+    cores[-1] = np.ascontiguousarray(cores[-1][..., :1])
+    return TensorTrain(cores, copy=False)
+
+
 def build_loglik_term(
     y_j: float,
     h_j: np.ndarray,
@@ -241,17 +291,10 @@ def build_loglik_term(
 ) -> TensorTrain:
     """Exact TT of the Gaussian log-likelihood -(y_j - h_j^T x)^2 / (2 sigma^2).
 
-    Built as the scaled Hadamard square of the rank-4 difference between the
-    rank-1 observation tensor and the rank-3 h^T x tensor, so the
-    pre-truncation ranks are at most 16; a truncation with ``tol`` (when
-    positive) recompresses the result.
+    The one-row case of :func:`build_quadratic_metric`; a truncation with
+    ``tol`` (when positive) recompresses the result to its ranks of at most 3.
     """
-    if not sigma2 > 0:
-        raise ValueError("noise variance must be positive")
-    h_j = np.asarray(h_j, dtype=np.float64)
-    dims = (np.asarray(alphabet).size,) * h_j.size
-    diff = tt_add(constant_tt(dims, float(y_j)), tt_scale(build_hx_tt(h_j, alphabet), -1.0))
-    term = tt_scale(tt_hadamard(diff, diff), -0.5 / sigma2)
+    term = build_quadratic_metric(np.array([y_j]), np.asarray(h_j)[None, :], sigma2, alphabet)
     if tol > 0:
         term = tt_truncate(term, tol)
     return term
@@ -269,19 +312,18 @@ def ttdet(
 ) -> DetectionTrial:
     """TT-based symbol-wise MAP detection of one transmission.
 
-    Builds all N_R log-likelihood TTs, sums them (the uniform prior is
-    omitted), exponentiates and marginalizes via the selected cross variant,
-    and takes per-symbol MAP decisions.  The maximum interior TT rank of the
-    exponentiated posterior is recorded.
+    Builds the log-likelihood -||y - H x||^2 / (2 sigma^2) as one exact TT
+    (the uniform prior is omitted), recompresses it once when ``trunc_tol``
+    is positive, exponentiates and marginalizes via the selected cross
+    variant, and takes per-symbol MAP decisions.  The maximum interior TT
+    rank of the exponentiated posterior is recorded.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size != ch.nr:
         raise ValueError(f"observation length {y.size} does not match N_R {ch.nr}")
-    terms = [
-        build_loglik_term(y[j], ch.h[j], ch.sigma2, alphabet, trunc_tol)
-        for j in range(ch.nr)
-    ]
-    metric = sum_loglikelihood_tts(terms, trunc_tol)
+    metric = build_quadratic_metric(y, ch.h, ch.sigma2, alphabet)
+    if trunc_tol > 0:
+        metric = tt_truncate(metric, trunc_tol)
     lp = LogPosterior(metric, np.asarray(alphabet, dtype=np.float64))
     marginals, max_rank = infer_marginals(lp, cfg, taylor_p, taylor_max_rank, variant)
     x_hat = map_decision(marginals, alphabet)

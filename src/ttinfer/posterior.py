@@ -1,9 +1,10 @@
 """Model-agnostic log-posterior pipeline in the TT format.
 
 The unnormalized log-APP metric of a discrete-input additive noise model is
-assembled exactly in TT form (rank-2 prior plus summed log-likelihood terms),
-exponentiated with a Taylor-initialized TT-cross, and marginalized mode by
-mode to produce symbol-wise posteriors and MAP hard decisions.  Additive
+built exactly in TT form by the model layer (for MIMO, one quadratic-form TT
+of the whole Gaussian log-likelihood; a separable log-prior adds a rank-2
+TT), exponentiated with a Taylor-initialized TT-cross, and marginalized mode
+by mode to produce symbol-wise posteriors and MAP hard decisions.  Additive
 constants of the log-posterior are never represented; normalization of the
 marginals restores proper probabilities.
 """

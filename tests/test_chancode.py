@@ -1,6 +1,6 @@
-"""Tests of the decoding layer: the noncentral chi-squared helpers, code-file
-validation, the early-stopping rule, and paired agreement of the TT decoder
-with the exact bit-wise MAP decoder."""
+"""Tests of the decoding layer: the noncentral chi-squared helpers, the
+BI-AWGN capacity limits, code-file validation, the early-stopping rule, and
+paired agreement of the TT decoder with the exact bit-wise MAP decoder."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ import scipy.stats
 
 from ttinfer import (
     CrossConfig,
+    biawgn_capacity_dispersion,
     builtin_code_path,
     code_exact_bitwise_map,
     load_code,
@@ -43,6 +44,25 @@ class TestNoncentralChi2:
     def test_ppf_limits(self):
         assert noncentral_chi2_ppf(0.0, 3, 1.0) == 0.0
         assert noncentral_chi2_ppf(1.0, 3, 1.0) == np.inf
+
+
+class TestBiAwgnCapacity:
+    def test_noiseless_limit(self):
+        capacity, dispersion = biawgn_capacity_dispersion(1e-3)
+        assert capacity == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= dispersion <= 1e-12
+
+    def test_vanishes_at_low_snr(self):
+        # low-SNR slope of binary antipodal signalling: C ~ log2(e) / N0
+        for n0 in (1e2, 1e3, 1e4):
+            capacity, _ = biawgn_capacity_dispersion(n0)
+            assert 0.0 < capacity < 2.0 / n0
+            assert capacity * n0 == pytest.approx(np.log2(np.e), rel=2e-2)
+
+    def test_strictly_decreasing_in_noise(self):
+        grid = np.geomspace(0.1, 1e3, 30)
+        capacities = [biawgn_capacity_dispersion(n0)[0] for n0 in grid]
+        assert all(a > b for a, b in zip(capacities, capacities[1:]))
 
 
 HAMMING_ROWS = ["1 0 1 1", "1 1 1 0", "0 1 1 1", "1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1"]

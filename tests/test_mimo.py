@@ -12,6 +12,7 @@ from ttinfer import (
     QamConstellation,
     build_hx_tt,
     build_loglik_term,
+    build_quadratic_metric,
     complexify_vec,
     mimo_exact_marginals,
     noise_variance_for_snr,
@@ -19,6 +20,7 @@ from ttinfer import (
     realify_model,
     realify_vec,
     sample_channel,
+    sum_loglikelihood_tts,
     tt_to_dense,
     ttdet,
 )
@@ -188,6 +190,48 @@ class TestLogLikTerm:
     def test_invalid_variance(self):
         with pytest.raises(ValueError):
             build_loglik_term(0.0, np.ones(2), 0.0, np.array([-1.0, 1.0]))
+
+
+class TestQuadraticMetric:
+    @pytest.mark.parametrize("nt,nr,size", [(1, 2, 4), (2, 2, 2), (3, 5, 4), (8, 8, 4), (8, 6, 4)])
+    def test_exhaustive_formula_oracle(self, nt, nr, size):
+        rng = np.random.default_rng(76)
+        alphabet = np.arange(-size + 1, size, 2, dtype=np.float64)
+        h = rng.standard_normal((nr, nt))
+        y = rng.standard_normal(nr)
+        s2 = 0.4
+        tt = build_quadratic_metric(y, h, s2, alphabet)
+        xs, _ = assignments(nt, alphabet)
+        expect = -np.sum((y - xs @ h.T) ** 2, axis=1) / (2 * s2)
+        got = tt_to_dense(tt).data.reshape(-1)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+    @pytest.mark.parametrize("nt", [1, 2, 5, 8, 9])
+    def test_rank_bounds(self, nt):
+        rng = np.random.default_rng(77)
+        tt = build_quadratic_metric(
+            rng.standard_normal(3), rng.standard_normal((3, nt)), 1.0, np.array([-1.0, 1.0])
+        )
+        for bond in range(1, nt):
+            assert tt.ranks[bond] <= min(bond, nt - bond) + 2
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0])
+    def test_invalid_variance(self, sigma2):
+        with pytest.raises(ValueError):
+            build_quadratic_metric(np.zeros(2), np.ones((2, 2)), sigma2, np.array([-1.0, 1.0]))
+
+    def test_matches_summed_row_terms(self):
+        rng = np.random.default_rng(78)
+        alphabet = QamConstellation.from_order(16).alphabet
+        h = realify_channel(sample_channel(4, 4, rng))
+        y = h @ alphabet[rng.integers(0, 4, size=8)] + 0.3 * rng.standard_normal(8)
+        s2 = 0.09
+        summed = sum_loglikelihood_tts(
+            [build_loglik_term(y[j], h[j], s2, alphabet) for j in range(8)], 1e-12
+        )
+        expect = tt_to_dense(summed).data
+        got = tt_to_dense(build_quadratic_metric(y, h, s2, alphabet)).data
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
 def desk_channel(rng, snr_db, nt_complex=2):

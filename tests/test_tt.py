@@ -323,12 +323,51 @@ class TestTruncate:
 
 
 @st.composite
-def tt_pairs(draw):
-    """Two random TTs on the same small grid (order 2-5, dims 2-3, ranks 1-4)."""
-    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=5))
+def tt_pairs(draw, min_order=2, max_dim=3):
+    """Two random TTs on the same small grid (order min_order-5, dims
+    2-max_dim, ranks 1-4)."""
+    dims = draw(st.lists(st.integers(2, max_dim), min_size=min_order, max_size=5))
     rank_lists = st.lists(st.integers(1, 4), min_size=len(dims) - 1, max_size=len(dims) - 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return random_tt(dims, draw(rank_lists), rng), random_tt(dims, draw(rank_lists), rng)
+
+
+def abs_dense(tt):
+    """Dense tensor of |cores|: the sum of |path products| at every entry,
+    the scale that bounds round-off in evaluating ``tt``."""
+    return tt_to_dense(TensorTrain([np.abs(c) for c in tt.cores])).data
+
+
+class TestAlgebraProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(tt_pairs(min_order=1, max_dim=4))
+    def test_add_matches_dense(self, pair):
+        a, b = pair
+        out = tt_add(a, b)
+        inner = tuple(x + y for x, y in zip(a.ranks[1:-1], b.ranks[1:-1]))
+        assert out.ranks == (1, *inner, 1)
+        scale = abs_dense(a) + abs_dense(b)
+        np.testing.assert_allclose(
+            tt_to_dense(out).data,
+            tt_to_dense(a).data + tt_to_dense(b).data,
+            rtol=0,
+            atol=1e-12 * scale.max(),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(tt_pairs(min_order=1, max_dim=4))
+    def test_hadamard_matches_dense(self, pair):
+        a, b = pair
+        out = tt_hadamard(a, b)
+        inner = tuple(x * y for x, y in zip(a.ranks[1:-1], b.ranks[1:-1]))
+        assert out.ranks == (1, *inner, 1)
+        scale = abs_dense(a) * abs_dense(b)
+        np.testing.assert_allclose(
+            tt_to_dense(out).data,
+            tt_to_dense(a).data * tt_to_dense(b).data,
+            rtol=0,
+            atol=1e-12 * scale.max(),
+        )
 
 
 class TestRoundingProperties:
