@@ -16,12 +16,10 @@ from .tt import (
     random_tt,
     rank_one_tt,
     tt_add,
-    tt_dump,
     tt_eval,
     tt_eval_many,
     tt_from_dense,
     tt_hadamard,
-    tt_load,
     tt_marginalize_except,
     tt_mode_multiply,
     tt_norm,
@@ -39,8 +37,6 @@ from .cross import (
     matrix_cross,
     maxvol,
     tt_cross,
-    tt_cross_sample,
-    tt_cross_sweep,
     tt_exp_taylor,
 )
 from .posterior import (
@@ -50,7 +46,6 @@ from .posterior import (
     build_prior_tt,
     infer_marginals,
     map_decision,
-    sum_loglikelihood_tts,
 )
 from .mimo import (
     ChannelRealization,
@@ -58,7 +53,6 @@ from .mimo import (
     DetectionTrial,
     QamConstellation,
     build_hx_tt,
-    build_loglik_term,
     build_quadratic_metric,
     complexify_vec,
     noise_variance_for_snr,
@@ -69,7 +63,6 @@ from .mimo import (
     ttdet,
 )
 from .chancode import (
-    BiAwgnObservation,
     DecodeResult,
     LinearCode,
     StoppingRule,
@@ -89,7 +82,6 @@ from .harness import (
     SimConfig,
     SweepResult,
     code_exact_bitwise_map,
-    exact_map_oracle,
     lmmse_detect,
     mimo_exact_marginals,
     rank_stats,

@@ -29,7 +29,6 @@ from .cross import CrossConfig
 from .posterior import (
     InferenceFailureError,
     LogPosterior,
-    MarginalTable,
     infer_marginals,
     map_decision,
 )
@@ -37,7 +36,6 @@ from .tt import TensorTrain, tt_truncate
 
 __all__ = [
     "BIT_ALPHABET",
-    "BiAwgnObservation",
     "DecodeResult",
     "LinearCode",
     "StoppingRule",
@@ -183,24 +181,6 @@ def load_code(path) -> LinearCode:
         if actual != d_min:
             raise ValueError(f"stated d_min {d_min} but enumeration found {actual}")
     return code
-
-
-@dataclass(frozen=True)
-class BiAwgnObservation:
-    """One BI-AWGN channel output with noise density N_0 (variance N_0/2)."""
-
-    y: np.ndarray
-    n0: float
-    eb_n0_db: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
-        if not self.n0 > 0:
-            raise ValueError("noise density must be positive")
-
-    @classmethod
-    def from_ebn0(cls, y: np.ndarray, eb_n0_db: float, rate: float) -> "BiAwgnObservation":
-        return cls(y=y, n0=n0_from_ebn0(eb_n0_db, rate), eb_n0_db=eb_n0_db)
 
 
 def n0_from_ebn0(eb_n0_db: float, rate: float) -> float:

@@ -114,25 +114,16 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         setattr(args, attr, value)
 
 
-def _variants(args) -> tuple[str, ...]:
-    return ("sample", "sweep") if args.variant == "both" else (args.variant,)
-
-
-def _run_mimo(args) -> int:
-    detectors = []
-    if args.with_oracle:
-        detectors.append("oracle")
-    detectors.extend(_variants(args))
-    if args.with_lmmse:
-        detectors.append("lmmse")
+def _sweep(args, scenario: str, grid, extra_detectors=(), **model) -> int:
+    """Build the SimConfig from the flags every sweep subcommand shares plus
+    the scenario's own ``model`` fields, and run the sweep."""
+    detectors = ["oracle"] if args.with_oracle else []
+    detectors.extend(("sample", "sweep") if args.variant == "both" else (args.variant,))
+    detectors.extend(extra_detectors)
     cfg = SimConfig(
-        scenario="mimo",
-        snr_grid=tuple(args.snr),
+        scenario=scenario,
+        snr_grid=tuple(grid),
         detectors=tuple(detectors),
-        nt_complex=args.nt,
-        qam=args.qam,
-        taylor_max_rank=args.rmax,
-        realized_snr=args.realized_snr,
         taylor_p=args.taylor_p,
         trunc_tol=args.tol,
         cross_max_rank=args.cross_max_rank,
@@ -145,10 +136,24 @@ def _run_mimo(args) -> int:
         workers=args.workers,
         out_path=args.out,
         trial_dump=args.trial_dump,
+        **model,
     )
     run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
     print(f"wrote {args.out}")
     return 0
+
+
+def _run_mimo(args) -> int:
+    return _sweep(
+        args,
+        "mimo",
+        args.snr,
+        ("lmmse",) if args.with_lmmse else (),
+        nt_complex=args.nt,
+        qam=args.qam,
+        taylor_max_rank=args.rmax,
+        realized_snr=args.realized_snr,
+    )
 
 
 def _run_decode(args) -> int:
@@ -157,32 +162,7 @@ def _run_decode(args) -> int:
         open(code_path).close()
     except OSError:
         code_path = str(builtin_code_path(args.code))
-    detectors = []
-    if args.with_oracle:
-        detectors.append("oracle")
-    detectors.extend(_variants(args))
-    cfg = SimConfig(
-        scenario="decode",
-        snr_grid=tuple(args.ebn0),
-        detectors=tuple(detectors),
-        code_path=code_path,
-        schedule=tuple(args.schedule),
-        taylor_p=args.taylor_p,
-        trunc_tol=args.tol,
-        cross_max_rank=args.cross_max_rank,
-        cross_sweeps=args.cross_sweeps,
-        cross_oversample=args.cross_oversample,
-        cross_conv_tol=args.cross_conv_tol,
-        min_block_errors=args.min_block_errors,
-        max_trials=args.max_trials,
-        master_seed=args.seed,
-        workers=args.workers,
-        out_path=args.out,
-        trial_dump=args.trial_dump,
-    )
-    run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
-    print(f"wrote {args.out}")
-    return 0
+    return _sweep(args, "decode", args.ebn0, code_path=code_path, schedule=tuple(args.schedule))
 
 
 def _run_ranks(args) -> int:

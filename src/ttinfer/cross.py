@@ -8,18 +8,18 @@ Building blocks:
   available only through an entry oracle.
 * ``tt_exp_taylor`` -- Horner evaluation of the elementwise truncated Taylor
   series of exp, used to initialize the cross algorithms.
-* ``tt_cross_sample`` / ``tt_cross_sweep`` -- apply a scalar function f
-  elementwise to a TT without densification.  The sample variant updates one
-  core per step from sampled fibers (classical TT-cross interpolation); the
-  sweep variant optimizes merged two-core blocks with a local SVD (DMRG-style)
-  and is typically more accurate at higher cost.
+* ``tt_cross`` -- apply a scalar function f elementwise to a TT without
+  densification.  One engine serves both variants: a half sweep updates
+  blocks of one core ("sample", classical TT-cross interpolation) or of two
+  merged cores ("sweep", DMRG-style, typically more accurate at higher cost)
+  from sampled fibers with a local SVD.
 
-Both cross variants evaluate f only at structured samples (left-prefix x
-physical index x right-suffix), adapt ranks through a local SVD threshold,
-enrich the search with random indices each sweep, and stop when the values at
-a fixed random probe set change by less than ``conv_tol`` between half sweeps.
-All randomness flows from ``CrossConfig.rng_seed``; fixed seed means
-bit-identical output.
+The cross evaluates f only at structured samples (left prefix x block
+indices x right suffix), adapts ranks through a local SVD threshold,
+enriches the search with random indices each half sweep, and stops when the
+values at a fixed random probe set change by less than ``conv_tol`` between
+full sweeps.  All randomness flows from ``CrossConfig.rng_seed``; fixed seed
+means bit-identical output.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ __all__ = [
     "matrix_cross",
     "maxvol",
     "tt_cross",
-    "tt_cross_sample",
-    "tt_cross_sweep",
     "tt_exp_taylor",
 ]
 
@@ -273,25 +271,26 @@ def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTr
     return b
 
 
-def _suffix_interfaces(a: TensorTrain, bond: int, suffixes: np.ndarray) -> np.ndarray:
-    """Interface rows G_{bond+1}(k_1) ... G_N(k_last) for each suffix;
-    ``suffixes`` has shape (count, N - bond)."""
-    count = suffixes.shape[0]
-    vec = np.ones((count, 1))
-    for j in range(a.order - 1, bond - 1, -1):
-        slices = a.cores[j][:, suffixes[:, j - bond], :]  # (r_l, count, r_r)
-        vec = np.einsum("lcr,cr->cl", slices, vec)
+def _fiber_interfaces(a: TensorTrain, bond: int, idx: np.ndarray, right: bool) -> np.ndarray:
+    """Argument interface rows G_1(k_1) ... G_bond(k_bond) of the prefixes
+    ``idx`` (count, bond), or with ``right`` the rows G_{bond+1}(k_1) ...
+    G_N(k_last) of the suffixes ``idx`` (count, N - bond)."""
+    vec = np.ones((idx.shape[0], 1))
+    if right:
+        for j in range(a.order - 1, bond - 1, -1):
+            slices = a.cores[j][:, idx[:, j - bond], :]  # (r_l, count, r_r)
+            vec = np.einsum("lcr,cr->cl", slices, vec)
+    else:
+        for j in range(bond):
+            vec = np.einsum("cl,lcr->cr", vec, a.cores[j][:, idx[:, j], :])
     return vec
 
 
-def _prefix_interfaces(a: TensorTrain, bond: int, prefixes: np.ndarray) -> np.ndarray:
-    """Interface rows G_1(k_1) ... G_bond(k_bond); ``prefixes`` is (count, bond)."""
-    count = prefixes.shape[0]
-    vec = np.ones((count, 1))
-    for j in range(bond):
-        slices = a.cores[j][:, prefixes[:, j], :]
-        vec = np.einsum("cl,lcr->cr", vec, slices)
-    return vec
+def _index(prefixes: np.ndarray, suffixes: np.ndarray, shape, flat: int) -> np.ndarray:
+    """Multi-index of entry ``flat`` of a sampled block of ``shape``
+    (prefix row, block indices..., suffix row)."""
+    pos = np.unravel_index(flat, shape)
+    return np.concatenate([prefixes[pos[0]], pos[1:-1], suffixes[pos[-1]]])
 
 
 class _CrossEngine:
@@ -360,62 +359,31 @@ class _CrossEngine:
             suffixes = seeds[:, b:]
             self.right[b] = np.vstack([self.right[b], suffixes])
             self.right_if[b] = np.vstack(
-                [self.right_if[b], _suffix_interfaces(self.arg, b, suffixes)]
+                [self.right_if[b], _fiber_interfaces(self.arg, b, suffixes, right=True)]
             )
 
     # -- shared helpers ----------------------------------------------------
 
-    def _random_suffixes(self, bond: int, count: int) -> np.ndarray:
-        tail = self.dims[bond:]
-        return np.column_stack(
-            [self.rng.integers(0, d, size=count) for d in tail]
-        ) if tail else np.zeros((count, 0), dtype=np.int64)
-
-    def _random_prefixes(self, bond: int, count: int) -> np.ndarray:
-        head = self.dims[:bond]
-        return np.column_stack(
-            [self.rng.integers(0, d, size=count) for d in head]
-        ) if head else np.zeros((count, 0), dtype=np.int64)
-
-    def _right_candidates(self, bond: int) -> tuple[np.ndarray, np.ndarray]:
-        """Current right pivots of ``bond`` plus random oversampling."""
-        suffixes = self.right[bond]
+    def _candidates(self, bond: int, right: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Current right (or left) pivots of ``bond`` plus random
+        oversampling, with their argument interfaces."""
+        pivots, interfaces = (self.right, self.right_if) if right else (self.left, self.left_if)
+        free = self.dims[bond:] if right else self.dims[:bond]
         kick = self.cfg.sample_oversample
-        if kick > 0 and bond < self.n:
-            extra = self._random_suffixes(bond, kick)
-            suffixes = np.vstack([suffixes, extra])
-        return suffixes, self._interfaces_for_suffixes(bond, suffixes)
+        if kick == 0 or not free:
+            return pivots[bond], interfaces[bond]
+        extra = np.column_stack([self.rng.integers(0, d, size=kick) for d in free])
+        extra_if = _fiber_interfaces(self.arg, bond, extra, right)
+        return np.vstack([pivots[bond], extra]), np.vstack([interfaces[bond], extra_if])
 
-    def _left_candidates(self, bond: int) -> tuple[np.ndarray, np.ndarray]:
-        prefixes = self.left[bond]
-        kick = self.cfg.sample_oversample
-        if kick > 0 and bond > 0:
-            extra = self._random_prefixes(bond, kick)
-            prefixes = np.vstack([prefixes, extra])
-        return prefixes, self._interfaces_for_prefixes(bond, prefixes)
-
-    def _interfaces_for_suffixes(self, bond: int, suffixes: np.ndarray) -> np.ndarray:
-        known = self.right[bond].shape[0]
-        if suffixes.shape[0] == known:
-            return self.right_if[bond]
-        extra = _suffix_interfaces(self.arg, bond, suffixes[known:])
-        return np.vstack([self.right_if[bond], extra])
-
-    def _interfaces_for_prefixes(self, bond: int, prefixes: np.ndarray) -> np.ndarray:
-        known = self.left[bond].shape[0]
-        if prefixes.shape[0] == known:
-            return self.left_if[bond]
-        extra = _prefix_interfaces(self.arg, bond, prefixes[known:])
-        return np.vstack([self.left_if[bond], extra])
-
-    def _apply_f(self, vals: np.ndarray, index_of_flat) -> np.ndarray:
+    def _apply_f(self, vals: np.ndarray, prefixes: np.ndarray, suffixes: np.ndarray) -> np.ndarray:
         self.n_evals += vals.size
         out = np.asarray(self.f(vals), dtype=np.float64)
         if out.shape != vals.shape:
             raise ValueError("f must act elementwise and preserve the shape")
         if not np.all(np.isfinite(out)):
             flat = int(np.argmin(np.isfinite(out).ravel()))
-            raise NonFiniteValueError(index_of_flat(flat))
+            raise NonFiniteValueError(_index(prefixes, suffixes, vals.shape, flat))
         return out
 
     def _chop(self, s: np.ndarray, hard_cap: int) -> int:
@@ -454,167 +422,76 @@ class _CrossEngine:
         )
         return CrossResult(tt, pivots, self.n_evals, half_sweeps, converged)
 
-    # -- sample variant (one core per update) -------------------------------
+    # -- the half sweep ------------------------------------------------------
 
-    def sweep_sample_lr(self) -> None:
-        for i in range(self.n - 1):
-            left_pf, left_if = self.left[i], self.left_if[i]
-            cand, cand_if = self._right_candidates(i + 1)
-            t_left = np.einsum("lp,pkq->lkq", left_if, self.arg.cores[i])
-            vals = np.einsum("lkq,cq->lkc", t_left, cand_if)
-            fvals = self._apply_f(vals, lambda flat: self._index_lr(i, left_pf, cand, flat))
-            rl, n_i, c = fvals.shape
-            mat = fvals.reshape(rl * n_i, c)
-            u, s, _ = np.linalg.svd(mat, full_matrices=False)
-            r_new = self._chop(s, min(mat.shape))
-            rows, factor = self._interpolative(u[:, :r_new])
-            self.cores[i] = factor.reshape(rl, n_i, r_new)
-            l_idx, k_idx = np.divmod(rows, n_i)
-            self.left[i + 1] = np.column_stack([left_pf[l_idx], k_idx])
-            self.left_if[i + 1] = t_left.reshape(rl * n_i, -1)[rows]
-        self._rebuild_last_core()
+    def half_sweep(self, lr: bool, width: int) -> None:
+        """One left-to-right (``lr``) or right-to-left pass of block updates.
 
-    def sweep_sample_rl(self) -> None:
-        for i in range(self.n - 1, 0, -1):
-            cand, cand_if = self._left_candidates(i)
-            right_sf, right_if = self.right[i + 1], self.right_if[i + 1]
-            t_right = np.einsum("pkq,mq->pkm", self.arg.cores[i], right_if)
-            vals = np.einsum("cp,pkm->ckm", cand_if, t_right)
-            fvals = self._apply_f(vals, lambda flat: self._index_rl(i, cand, right_sf, flat))
-            c, n_i, rr = fvals.shape
-            mat = fvals.reshape(c, n_i * rr)
-            _, s, vt = np.linalg.svd(mat, full_matrices=False)
-            r_new = self._chop(s, min(mat.shape))
-            rows, factor = self._interpolative(vt[:r_new].T)
-            self.cores[i] = factor.T.reshape(r_new, n_i, rr)
-            k_idx, m_idx = np.divmod(rows, rr)
-            self.right[i] = np.column_stack([k_idx, right_sf[m_idx]])
-            self.right_if[i] = t_right.transpose(1, 2, 0).reshape(n_i * rr, -1)[rows]
-        self._rebuild_first_core()
-
-    # -- sweep variant (merged two-core updates) ----------------------------
-
-    def sweep_merged_lr(self) -> None:
-        for i in range(self.n - 1):
-            left_pf, left_if = self.left[i], self.left_if[i]
-            cand, cand_if = self._right_candidates(i + 2)
-            t_left = np.einsum("lp,pkq->lkq", left_if, self.arg.cores[i])
-            t_right = np.einsum("qjr,cr->qjc", self.arg.cores[i + 1], cand_if)
-            vals = np.einsum("lkq,qjc->lkjc", t_left, t_right)
-            fvals = self._apply_f(
-                vals, lambda flat: self._index_lr2(i, left_pf, cand, flat)
-            )
-            rl, n_i, n_j, c = fvals.shape
-            mat = fvals.reshape(rl * n_i, n_j * c)
-            u, s, _ = np.linalg.svd(mat, full_matrices=False)
-            r_new = self._chop(s, min(mat.shape))
-            rows, factor = self._interpolative(u[:, :r_new])
-            self.cores[i] = factor.reshape(rl, n_i, r_new)
-            l_idx, k_idx = np.divmod(rows, n_i)
-            self.left[i + 1] = np.column_stack([left_pf[l_idx], k_idx])
-            self.left_if[i + 1] = t_left.reshape(rl * n_i, -1)[rows]
-            if i == self.n - 2:
-                # Bond N has the single empty suffix, so the raw pivot rows
-                # of the local matrix are the exact last core.
-                self.cores[i + 1] = mat[rows].reshape(r_new, n_j, c)
-
-    def sweep_merged_rl(self) -> None:
-        for i in range(self.n - 1, 0, -1):
-            cand, cand_if = self._left_candidates(i - 1)
-            right_sf, right_if = self.right[i + 1], self.right_if[i + 1]
-            t_left = np.einsum("cp,pkq->ckq", cand_if, self.arg.cores[i - 1])
-            t_right = np.einsum("qjr,mr->qjm", self.arg.cores[i], right_if)
-            vals = np.einsum("ckq,qjm->ckjm", t_left, t_right)
-            fvals = self._apply_f(
-                vals, lambda flat: self._index_rl2(i, cand, right_sf, flat)
-            )
-            c, n_h, n_i, rr = fvals.shape
-            mat = fvals.reshape(c * n_h, n_i * rr)
+        Each update samples f on a block of ``width`` adjacent cores (1 for
+        the sample variant, 2 for the sweep variant) between the kept pivots
+        on the side the pass comes from and fresh candidates on the other,
+        picks the local rank by SVD and the next pivots by maxvol, and
+        replaces the block's leading core (trailing core going right to left)
+        by its interpolative factor.
+        """
+        n = self.n
+        for i in range(n - 1) if lr else range(n - 1, 0, -1):
+            lo = i if lr else i - width + 1
+            hi = lo + width - 1
+            if lr:
+                prefixes, l_if = self.left[lo], self.left_if[lo]
+                suffixes, r_if = self._candidates(hi + 1, right=True)
+            else:
+                prefixes, l_if = self._candidates(lo, right=False)
+                suffixes, r_if = self.right[hi + 1], self.right_if[hi + 1]
+            # width 1 contracts the kept side first; the order fixes the rounding
+            if lr or width == 2:
+                t_left = np.einsum("lp,pkq->lkq", l_if, self.arg.cores[lo])
+            if not lr or width == 2:
+                t_right = np.einsum("qjr,cr->qjc", self.arg.cores[hi], r_if)
+            if width == 2:
+                vals = np.einsum("lkq,qjc->lkjc", t_left, t_right)
+            elif lr:
+                vals = np.einsum("qjr,cr->qjc", t_left, r_if)
+            else:
+                vals = np.einsum("lp,pkq->lkq", l_if, t_right)
+            fvals = self._apply_f(vals, prefixes, suffixes)
+            rl, rr = fvals.shape[0], fvals.shape[-1]
+            n_lo, n_hi = self.dims[lo], self.dims[hi]
+            mat = fvals.reshape(rl * n_lo, -1) if lr else fvals.reshape(-1, n_hi * rr)
             u, s, vt = np.linalg.svd(mat, full_matrices=False)
             r_new = self._chop(s, min(mat.shape))
-            rows, factor = self._interpolative(vt[:r_new].T)
-            self.cores[i] = factor.T.reshape(r_new, n_i, rr)
-            k_idx, m_idx = np.divmod(rows, rr)
-            self.right[i] = np.column_stack([k_idx, right_sf[m_idx]])
-            self.right_if[i] = t_right.transpose(1, 2, 0).reshape(n_i * rr, -1)[rows]
-            if i == 1:
-                self.cores[0] = mat[:, rows].reshape(1, n_h, r_new)
-
-    # -- boundary cores ------------------------------------------------------
-
-    def _rebuild_last_core(self) -> None:
-        i = self.n - 1
-        left_pf, left_if = self.left[i], self.left_if[i]
-        vals = np.einsum("lp,pk->lk", left_if, self.arg.cores[i][:, :, 0])
-        fvals = self._apply_f(
-            vals, lambda flat: self._index_lr(i, left_pf, self.right[self.n], flat)
-        )
-        self.cores[i] = fvals[:, :, None]
-
-    def _rebuild_first_core(self) -> None:
-        right_sf, right_if = self.right[1], self.right_if[1]
-        vals = np.einsum("kq,mq->km", self.arg.cores[0][0], right_if)
-        fvals = self._apply_f(
-            vals, lambda flat: self._index_rl(0, self.left[0], right_sf, flat)
-        )
-        self.cores[0] = fvals[None, :, :]
-
-    # -- offending-index reconstruction (only used on non-finite values) ----
-
-    def _index_lr(self, i, prefixes, suffixes, flat):
-        c = suffixes.shape[0]
-        l, rem = np.divmod(flat, self.dims[i] * c)
-        k, m = np.divmod(rem, c)
-        return np.concatenate([prefixes[l], [k], suffixes[m]])
-
-    def _index_rl(self, i, prefixes, suffixes, flat):
-        rr = suffixes.shape[0]
-        c, rem = np.divmod(flat, self.dims[i] * rr)
-        k, m = np.divmod(rem, rr)
-        return np.concatenate([prefixes[c], [k], suffixes[m]])
-
-    def _index_lr2(self, i, prefixes, suffixes, flat):
-        c = suffixes.shape[0]
-        l, rem = np.divmod(flat, self.dims[i] * self.dims[i + 1] * c)
-        k, rem = np.divmod(rem, self.dims[i + 1] * c)
-        j, m = np.divmod(rem, c)
-        return np.concatenate([prefixes[l], [k, j], suffixes[m]])
-
-    def _index_rl2(self, i, prefixes, suffixes, flat):
-        rr = suffixes.shape[0]
-        c, rem = np.divmod(flat, self.dims[i - 1] * self.dims[i] * rr)
-        k, rem = np.divmod(rem, self.dims[i] * rr)
-        j, m = np.divmod(rem, rr)
-        return np.concatenate([prefixes[c], [k, j], suffixes[m]])
+            if lr:
+                rows, factor = self._interpolative(u[:, :r_new])
+                self.cores[lo] = factor.reshape(rl, n_lo, r_new)
+                l_idx, k_idx = np.divmod(rows, n_lo)
+                self.left[lo + 1] = np.column_stack([prefixes[l_idx], k_idx])
+                self.left_if[lo + 1] = t_left.reshape(rl * n_lo, -1)[rows]
+                if width == 2 and hi == n - 1:
+                    # Bond N has the single empty suffix, so the raw pivot
+                    # rows of the local matrix are the exact last core.
+                    self.cores[hi] = mat[rows].reshape(r_new, n_hi, rr)
+            else:
+                rows, factor = self._interpolative(vt[:r_new].T)
+                self.cores[hi] = factor.T.reshape(r_new, n_hi, rr)
+                k_idx, m_idx = np.divmod(rows, rr)
+                self.right[hi] = np.column_stack([k_idx, suffixes[m_idx]])
+                self.right_if[hi] = t_right.transpose(1, 2, 0).reshape(n_hi * rr, -1)[rows]
+                if width == 2 and lo == 0:
+                    self.cores[0] = mat[:, rows].reshape(rl, n_lo, r_new)
+        if width == 1:
+            # The boundary core the pass ends on is sampled whole.
+            if lr:
+                b = n - 1
+                vals = np.einsum("lp,pk->lk", self.left_if[b], self.arg.cores[b][:, :, 0])
+                vals = vals[:, :, None]
+            else:
+                b = 0
+                vals = np.einsum("kq,mq->km", self.arg.cores[0][0], self.right_if[1])[None]
+            self.cores[b] = self._apply_f(vals, self.left[b], self.right[b + 1])
 
 
-def _run_cross(
-    f, a: TensorTrain, init: TensorTrain, cfg: CrossConfig, merged: bool, seed_indices=None
-) -> CrossResult:
-    if a.order == 1:
-        vals = np.asarray(f(a.cores[0][0, :, 0]), dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValueError([int(np.argmin(np.isfinite(vals)))])
-        tt = TensorTrain([vals[None, :, None]])
-        empty = PivotSets(row_sets=(), col_sets=())
-        return CrossResult(tt, empty, vals.size, 1, True)
-    engine = _CrossEngine(f, a, init, cfg, seed_indices=seed_indices)
-    half_sweeps = 0
-    converged = False
-    for _ in range(cfg.n_sweeps):
-        if merged:
-            engine.sweep_merged_lr()
-            engine.sweep_merged_rl()
-        else:
-            engine.sweep_sample_lr()
-            engine.sweep_sample_rl()
-        half_sweeps += 2
-        # probe comparison across a full refinement cycle; checking every
-        # half sweep stalls on targets that need several sweeps of growth
-        if engine._probe_converged():
-            converged = True
-            break
-    return engine.result(half_sweeps, converged)
+_VARIANT_WIDTH = {"sample": 1, "sweep": 2}
 
 
 def tt_cross(
@@ -628,23 +505,32 @@ def tt_cross(
     """Approximate f applied elementwise to ``a`` by cross interpolation.
 
     ``variant`` selects the classical per-core interpolation ("sample") or
-    the DMRG-like merged two-core optimization ("sweep").  ``seed_indices``
-    optionally lists multi-indices whose cross fibers are added to the
-    initial pivot sets (useful when f concentrates its mass in regions the
-    init cannot point at).
+    the DMRG-like merged two-core optimization ("sweep"): the same cross
+    with update blocks of width 1 or 2.  ``seed_indices`` optionally lists
+    multi-indices whose cross fibers are added to the initial pivot sets
+    (useful when f concentrates its mass in regions the init cannot point
+    at).
     """
-    if variant == "sample":
-        return _run_cross(f, a, init, cfg, merged=False, seed_indices=seed_indices)
-    if variant == "sweep":
-        return _run_cross(f, a, init, cfg, merged=True, seed_indices=seed_indices)
-    raise ValueError(f"unknown cross variant {variant!r}")
-
-
-def tt_cross_sample(f, a: TensorTrain, init: TensorTrain, cfg: CrossConfig) -> TensorTrain:
-    """Classical sampled TT-cross interpolation of f(a); see :func:`tt_cross`."""
-    return tt_cross(f, a, init, cfg, variant="sample").tt
-
-
-def tt_cross_sweep(f, a: TensorTrain, init: TensorTrain, cfg: CrossConfig) -> TensorTrain:
-    """DMRG-like two-core cross approximation of f(a); see :func:`tt_cross`."""
-    return tt_cross(f, a, init, cfg, variant="sweep").tt
+    if variant not in _VARIANT_WIDTH:
+        raise ValueError(f"unknown cross variant {variant!r}")
+    if a.order == 1:
+        vals = np.asarray(f(a.cores[0][0, :, 0]), dtype=np.float64)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteValueError([int(np.argmin(np.isfinite(vals)))])
+        tt = TensorTrain([vals[None, :, None]])
+        empty = PivotSets(row_sets=(), col_sets=())
+        return CrossResult(tt, empty, vals.size, 1, True)
+    engine = _CrossEngine(f, a, init, cfg, seed_indices=seed_indices)
+    width = _VARIANT_WIDTH[variant]
+    half_sweeps = 0
+    converged = False
+    for _ in range(cfg.n_sweeps):
+        engine.half_sweep(True, width)
+        engine.half_sweep(False, width)
+        half_sweeps += 2
+        # probe comparison across a full refinement cycle; checking every
+        # half sweep stalls on targets that need several sweeps of growth
+        if engine._probe_converged():
+            converged = True
+            break
+    return engine.result(half_sweeps, converged)

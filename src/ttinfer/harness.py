@@ -30,11 +30,9 @@ from .mimo import (
 )
 from .posterior import (
     InferenceFailureError,
-    LogPosterior,
     MarginalTable,
     map_decision,
 )
-from .tt import tt_to_dense
 
 __all__ = [
     "CSV_HEADER",
@@ -43,7 +41,6 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "code_exact_bitwise_map",
-    "exact_map_oracle",
     "lmmse_detect",
     "mimo_exact_marginals",
     "rank_stats",
@@ -114,6 +111,8 @@ class SimConfig:
             raise ValueError("decoding sweeps need a code file")
         if self.max_trials < 1:
             raise ValueError("need at least one trial")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
 
     def cross_config(self, seed: int) -> CrossConfig:
         return CrossConfig(
@@ -193,22 +192,6 @@ def _assignment_digits(n_modes: int, base: int) -> np.ndarray:
     return (idx[:, None] // powers[None, :]) % base
 
 
-def exact_map_oracle(lp: LogPosterior) -> MarginalTable:
-    """Exact marginals of a log-posterior by exhaustive enumeration (with
-    max-shift for stability); desk scale only."""
-    if lp.tt.n_elements() > ORACLE_ASSIGNMENT_LIMIT:
-        raise ValueError("log-posterior too large for exhaustive enumeration")
-    logits = tt_to_dense(lp.tt).data
-    weights = np.exp(logits - logits.max())
-    n_modes = lp.n_modes
-    table = np.empty((n_modes, lp.alphabet.size))
-    for mode in range(n_modes):
-        axes = tuple(a for a in range(n_modes) if a != mode)
-        vec = weights.sum(axis=axes)
-        table[mode] = vec / vec.sum()
-    return MarginalTable(table)
-
-
 def mimo_exact_marginals(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) -> MarginalTable:
     """Exact symbol-wise posteriors of y = Hx + n by direct enumeration of
     all |A|^{N_T} assignments (independent of any TT construction)."""
@@ -281,6 +264,22 @@ def _trial_streams(master_seed: int, point: int, trial: int):
     return rng, seeds
 
 
+def _trial_records(cfg: SimConfig, trial: int, truth: np.ndarray, detect) -> dict:
+    """Score every enabled detector on one trial.  ``detect(det)`` returns
+    (decisions, max rank, early stop); a detector whose inference fails
+    counts as failed with every symbol wrong."""
+    out: dict = {"trial": trial}
+    for det in cfg.detectors:
+        try:
+            decisions, rmax, early = detect(det)
+            errors = int(np.count_nonzero(decisions != truth))
+            out[det] = {"errors": errors, "block": int(errors > 0), "rmax": rmax,
+                        "early": early, "failed": 0}
+        except InferenceFailureError:
+            out[det] = {"errors": truth.size, "block": 1, "rmax": 0, "early": 0, "failed": 1}
+    return out
+
+
 def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> dict:
     const = QamConstellation.from_order(cfg.qam)
     rng, seeds = _trial_streams(cfg.master_seed, point, trial)
@@ -296,37 +295,26 @@ def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> dict:
         noise *= np.sqrt(target / np.dot(noise, noise))
     y = signal + noise
     ch = ChannelRealization(h=h, sigma2=sigma2, nt_complex=cfg.nt_complex, nr_complex=cfg.nt_complex)
-    out: dict = {"trial": trial}
-    for det in cfg.detectors:
-        record = {"errors": 0, "block": 0, "rmax": 0, "early": 0, "failed": 0}
-        try:
-            if det == "oracle":
-                marg = mimo_exact_marginals(y, h, sigma2, const.alphabet)
-                x_hat = map_decision(marg, const.alphabet)
-            elif det == "lmmse":
-                x_hat = lmmse_detect(y, ch, const.alphabet)
-            else:
-                res = ttdet(
-                    y,
-                    ch,
-                    const.alphabet,
-                    cfg.cross_config(seeds[det]),
-                    taylor_p=cfg.taylor_p,
-                    taylor_max_rank=cfg.taylor_max_rank,
-                    variant=det,
-                    trunc_tol=cfg.trunc_tol,
-                )
-                x_hat = res.x_hat
-                record["rmax"] = res.max_rank_observed
-            errors = int(np.count_nonzero(x_hat != x))
-            record["errors"] = errors
-            record["block"] = int(errors > 0)
-        except InferenceFailureError:
-            record["failed"] = 1
-            record["errors"] = n_t
-            record["block"] = 1
-        out[det] = record
-    return out
+
+    def detect(det):
+        if det == "oracle":
+            marg = mimo_exact_marginals(y, h, sigma2, const.alphabet)
+            return map_decision(marg, const.alphabet), 0, 0
+        if det == "lmmse":
+            return lmmse_detect(y, ch, const.alphabet), 0, 0
+        res = ttdet(
+            y,
+            ch,
+            const.alphabet,
+            cfg.cross_config(seeds[det]),
+            taylor_p=cfg.taylor_p,
+            taylor_max_rank=cfg.taylor_max_rank,
+            variant=det,
+            trunc_tol=cfg.trunc_tol,
+        )
+        return res.x_hat, res.max_rank_observed, 0
+
+    return _trial_records(cfg, trial, x, detect)
 
 
 def _decode_trial(cfg: SimConfig, code: LinearCode, ebn0_db: float, point: int, trial: int) -> dict:
@@ -335,35 +323,23 @@ def _decode_trial(cfg: SimConfig, code: LinearCode, ebn0_db: float, point: int, 
     u = rng.integers(0, 2, size=code.k)
     x = 1.0 - 2.0 * code.encode(u)
     y = x + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
-    out: dict = {"trial": trial}
-    for det in cfg.detectors:
-        record = {"errors": 0, "block": 0, "rmax": 0, "early": 0, "failed": 0}
-        try:
-            if det == "oracle":
-                u_hat, _ = code_exact_bitwise_map(y, code, n0)
-            else:
-                res = ttdec(
-                    y,
-                    code,
-                    n0,
-                    cfg.schedule,
-                    cfg.cross_config(seeds[det]),
-                    taylor_p=cfg.taylor_p,
-                    variant=det,
-                    trunc_tol=cfg.trunc_tol,
-                )
-                u_hat = res.u_hat
-                record["rmax"] = res.max_rank_observed
-                record["early"] = int(res.early_stop)
-            errors = int(np.count_nonzero(u_hat != u))
-            record["errors"] = errors
-            record["block"] = int(errors > 0)
-        except InferenceFailureError:
-            record["failed"] = 1
-            record["errors"] = code.k
-            record["block"] = 1
-        out[det] = record
-    return out
+
+    def detect(det):
+        if det == "oracle":
+            return code_exact_bitwise_map(y, code, n0)[0], 0, 0
+        res = ttdec(
+            y,
+            code,
+            n0,
+            cfg.schedule,
+            cfg.cross_config(seeds[det]),
+            taylor_p=cfg.taylor_p,
+            variant=det,
+            trunc_tol=cfg.trunc_tol,
+        )
+        return res.u_hat, res.max_rank_observed, int(res.early_stop)
+
+    return _trial_records(cfg, trial, u, detect)
 
 
 def _run_trial(args):

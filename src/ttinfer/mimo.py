@@ -26,7 +26,6 @@ __all__ = [
     "DetectionTrial",
     "QamConstellation",
     "build_hx_tt",
-    "build_loglik_term",
     "build_quadratic_metric",
     "complexify_vec",
     "noise_variance_for_snr",
@@ -280,24 +279,6 @@ def build_quadratic_metric(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet
     cores[0][0, :, 0] -= 0.5 * float(y @ y) / sigma2
     cores[-1] = np.ascontiguousarray(cores[-1][..., :1])
     return TensorTrain(cores, copy=False)
-
-
-def build_loglik_term(
-    y_j: float,
-    h_j: np.ndarray,
-    sigma2: float,
-    alphabet,
-    tol: float = 1e-12,
-) -> TensorTrain:
-    """Exact TT of the Gaussian log-likelihood -(y_j - h_j^T x)^2 / (2 sigma^2).
-
-    The one-row case of :func:`build_quadratic_metric`; a truncation with
-    ``tol`` (when positive) recompresses the result to its ranks of at most 3.
-    """
-    term = build_quadratic_metric(np.array([y_j]), np.asarray(h_j)[None, :], sigma2, alphabet)
-    if tol > 0:
-        term = tt_truncate(term, tol)
-    return term
 
 
 def ttdet(

@@ -32,7 +32,6 @@ __all__ = [
     "build_prior_tt",
     "infer_marginals",
     "map_decision",
-    "sum_loglikelihood_tts",
 ]
 
 # Clamp window for the exponential handed to the cross: values are shifted so
@@ -120,30 +119,6 @@ def build_prior_tt(v, n_modes: int) -> TensorTrain:
         cores.append(mid)
     cores.append(last)
     return TensorTrain(cores, copy=False)
-
-
-def sum_loglikelihood_tts(terms, tol: float) -> TensorTrain:
-    """Sum log-likelihood TTs by pairwise-tree accumulation.
-
-    Each pairwise sum adds the ranks; truncating with ``tol`` after every
-    combine keeps intermediate ranks balanced.  A single term is returned
-    unchanged.
-    """
-    items = list(terms)
-    if not items:
-        raise ValueError("need at least one log-likelihood term")
-    dims = items[0].dims
-    for t in items[1:]:
-        if t.dims != dims:
-            raise ValueError(f"shape mismatch among terms: {t.dims} vs {dims}")
-    while len(items) > 1:
-        merged = []
-        for i in range(0, len(items) - 1, 2):
-            merged.append(tt_truncate(tt_add(items[i], items[i + 1]), tol))
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
 
 
 def _estimate_log_shift(

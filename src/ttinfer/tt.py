@@ -33,12 +33,10 @@ __all__ = [
     "rank_one_tt",
     "random_tt",
     "tt_add",
-    "tt_dump",
     "tt_eval",
     "tt_eval_many",
     "tt_from_dense",
     "tt_hadamard",
-    "tt_load",
     "tt_marginalize_except",
     "tt_mode_multiply",
     "tt_norm",
@@ -441,37 +439,4 @@ def random_tt(dims, ranks, rng: np.random.Generator, scale: float = 1.0) -> Tens
     if len(full) != len(dims) + 1:
         raise ValueError("need len(dims)-1 interior ranks")
     cores = [scale * rng.standard_normal((full[i], dims[i], full[i + 1])) for i in range(len(dims))]
-    return TensorTrain(cores, copy=False)
-
-
-def tt_dump(tt: TensorTrain, path) -> None:
-    """Write shapes and flattened core data as full-precision decimal text.
-
-    Intended for cross-language golden tests: line 1 is the order, then for
-    each core one line "r_left n r_right" followed by its row-major entries,
-    one per line, in shortest round-trip decimal form.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{tt.order}\n")
-        for core in tt.cores:
-            rl, n, rr = core.shape
-            fh.write(f"{rl} {n} {rr}\n")
-            for value in core.ravel():
-                fh.write(f"{float(value)!r}\n")
-
-
-def tt_load(path) -> TensorTrain:
-    """Read a TT written by :func:`tt_dump`."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    pos = 0
-    order = int(tokens[pos])
-    pos += 1
-    cores = []
-    for _ in range(order):
-        rl, n, rr = (int(v) for v in tokens[pos].split())
-        pos += 1
-        flat = np.array([float(tokens[pos + j]) for j in range(rl * n * rr)])
-        pos += rl * n * rr
-        cores.append(flat.reshape(rl, n, rr))
     return TensorTrain(cores, copy=False)

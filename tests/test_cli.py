@@ -1,8 +1,12 @@
-"""Smoke tests of the command-line entry point: each subcommand runs in
-process, exits with 0 and writes CSVs with the expected headers and row
-counts."""
+"""Tests of the command-line entry point: each subcommand runs in process,
+exits with 0 and writes CSVs with the expected headers and row counts, and
+the sweep subcommands carry every shared flag and config-file key into the
+SimConfig."""
 
 import csv
+import json
+
+import pytest
 
 from ttinfer.cli import main
 
@@ -54,3 +58,54 @@ def test_decode_sweep(tmp_path):
     assert header == SWEEP_HEADER
     assert [r[0] for r in rows] == ["oracle", "sample"]
     assert all(r[2] == "3" for r in rows)
+
+
+SHARED_FLAGS = [
+    ("--taylor-p", "3", "taylor_p", 3),
+    ("--tol", "1e-9", "trunc_tol", 1e-9),
+    ("--seed", "17", "master_seed", 17),
+    ("--min-block-errors", "7", "min_block_errors", 7),
+    ("--max-trials", "11", "max_trials", 11),
+    ("--workers", "2", "workers", 2),
+    ("--cross-max-rank", "33", "cross_max_rank", 33),
+    ("--cross-sweeps", "5", "cross_sweeps", 5),
+    ("--cross-oversample", "2", "cross_oversample", 2),
+    ("--cross-conv-tol", "1e-4", "cross_conv_tol", 1e-4),
+    ("--trial-dump", "trials.csv", "trial_dump", "trials.csv"),
+    ("--out", "sweep.csv", "out_path", "sweep.csv"),
+]
+SCENARIO_ARGS = {
+    "mimo": ["--qam", "4", "--nt", "2"],
+    "decode": ["--code", "hamming_7_4"],
+}
+
+
+def captured_config(monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: seen.append(cfg))
+    assert main(argv) == 0
+    (cfg,) = seen
+    return cfg
+
+
+@pytest.mark.parametrize("scenario", ["mimo", "decode"])
+def test_shared_flags_reach_sim_config(monkeypatch, scenario):
+    argv = [scenario, *SCENARIO_ARGS[scenario]]
+    for flag, text, _, _ in SHARED_FLAGS:
+        argv += [flag, text]
+    cfg = captured_config(monkeypatch, argv)
+    assert cfg.scenario == scenario
+    for flag, _, field, value in SHARED_FLAGS:
+        assert getattr(cfg, field) == value, flag
+
+
+@pytest.mark.parametrize("scenario", ["mimo", "decode"])
+def test_config_file_applies_and_flags_win(monkeypatch, tmp_path, scenario):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"cross_sweeps": 3, "seed": 5, "variant": "both"}))
+    argv = [scenario, *SCENARIO_ARGS[scenario], "--config", str(config), "--seed", "9",
+            "--out", "sweep.csv"]
+    cfg = captured_config(monkeypatch, argv)
+    assert cfg.cross_sweeps == 3
+    assert cfg.detectors == ("sample", "sweep")
+    assert cfg.master_seed == 9

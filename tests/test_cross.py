@@ -1,5 +1,6 @@
 """Tests of maxvol pivoting, matrix cross decomposition, the Taylor TT
-exponential, and both elementwise cross variants against dense oracles."""
+exponential, and the elementwise TT-cross (both variants: update blocks of
+one and two cores) against dense oracles."""
 
 import itertools
 import math
@@ -16,8 +17,6 @@ from ttinfer import (
     ones_tt,
     random_tt,
     tt_cross,
-    tt_cross_sample,
-    tt_cross_sweep,
     tt_eval_many,
     tt_exp_taylor,
     tt_from_dense,
@@ -211,7 +210,7 @@ class TestCrossVariants:
         rng = np.random.default_rng(20)
         a = random_tt((2, 2, 2, 2, 2), (2, 2, 2, 2), rng)
         truth = tt_to_dense(tt_hadamard(a, a)).data
-        out = tt_cross_sample(lambda v: v * v, a, a, small_cfg(3))
+        out = tt_cross(lambda v: v * v, a, a, small_cfg(3)).tt
         assert np.abs(tt_to_dense(out).data - truth).max() <= 1e-8 * np.abs(truth).max()
 
     def test_rank_adapts_to_exact_rank(self):
@@ -224,7 +223,7 @@ class TestCrossVariants:
         a = tt_from_dense(np.log(dense), 0.0)
         init = tt_exp_taylor(a, 10, 16, 1e-14)
         cfg = small_cfg(4, conv_tol=1e-9, oversample=2, max_rank=32)
-        out = tt_cross_sweep(np.exp, a, init, cfg)
+        out = tt_cross(np.exp, a, init, cfg, "sweep").tt
         assert max(out.ranks) <= target_rank + 2  # oversampling slack
 
     @pytest.mark.parametrize("variant", ["sample", "sweep"])
@@ -272,10 +271,36 @@ class TestCrossVariants:
                 return np.log(v)
 
         with pytest.raises(NonFiniteValueError) as err:
-            tt_cross_sample(unsafe_log, a, ones_tt(a.dims), small_cfg(7))
+            tt_cross(unsafe_log, a, ones_tt(a.dims), small_cfg(7))
         assert len(err.value.index) == 3
         dims = a.dims
         assert all(0 <= k < d for k, d in zip(err.value.index, dims))
+
+    # Each seed's single negative entry is first sampled by a different site:
+    # width-1 updates left to right and right to left, the whole last and
+    # first cores sampled at the end of width-1 passes, and width-2 updates
+    # left to right and right to left.
+    @pytest.mark.parametrize(
+        "seed,variant",
+        [(2, "sample"), (0, "sample"), (48, "sample"), (16, "sample"), (2, "sweep"), (0, "sweep")],
+    )
+    def test_non_finite_index_is_the_offending_entry(self, seed, variant):
+        rng = np.random.default_rng(seed)
+        order = int(rng.integers(3, 6))
+        dims = tuple(int(d) for d in rng.integers(2, 4, size=order))
+        dense = rng.uniform(0.5, 2.0, size=dims)
+        bad = tuple(int(rng.integers(0, d)) for d in dims)
+        dense[bad] = -1.0
+        a = tt_from_dense(dense)
+
+        def unsafe_log(v):
+            with np.errstate(invalid="ignore"):
+                return np.log(v)
+
+        cfg = CrossConfig(max_rank=4, n_sweeps=3, sample_oversample=1, rng_seed=seed)
+        with pytest.raises(NonFiniteValueError) as err:
+            tt_cross(unsafe_log, a, ones_tt(dims), cfg, variant)
+        assert err.value.index == bad
 
     def test_eval_count_scales_with_sweeps(self):
         rng = np.random.default_rng(26)
@@ -288,7 +313,7 @@ class TestCrossVariants:
 
     def test_order_one_tensor(self):
         a = tt_from_dense(np.array([-1.0, -2.0, 0.5]), 0.0)
-        out = tt_cross_sample(np.exp, a, a, small_cfg(9))
+        out = tt_cross(np.exp, a, a, small_cfg(9)).tt
         np.testing.assert_allclose(
             tt_to_dense(out).data, np.exp([-1.0, -2.0, 0.5]), rtol=1e-12
         )

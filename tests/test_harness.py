@@ -1,9 +1,12 @@
-"""Tests of the Monte Carlo harness: the exact decoding oracle and the
+"""Tests of the Monte Carlo harness: the exact decoding oracle, the
+configuration checks, the per-trial records of failed inferences, and the
 worker-count independence of ``run_sweep``."""
 
 import numpy as np
+import pytest
 
 from ttinfer import (
+    InferenceFailureError,
     SimConfig,
     builtin_code_path,
     code_exact_bitwise_map,
@@ -65,3 +68,34 @@ class TestRunSweep:
         # 2 grid points x 2 batches each
         run_sweep(hamming_sweep(tmp_path, 2))
         assert len(built) == 1
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_empty_batches(self, batch_size):
+        # a batch of no trials would never advance the sweep
+        with pytest.raises(ValueError):
+            SimConfig(scenario="mimo", snr_grid=(10.0,), detectors=("sample",),
+                      batch_size=batch_size)
+
+
+class TestTrialRecords:
+    @pytest.mark.parametrize("scenario", ["mimo", "decode"])
+    def test_failed_inference_counts_every_symbol_wrong(self, monkeypatch, scenario):
+        def fail(*args, **kwargs):
+            raise InferenceFailureError("no usable mass")
+
+        monkeypatch.setattr(harness, "ttdet" if scenario == "mimo" else "ttdec", fail)
+        code = load_code(builtin_code_path("hamming_7_4")) if scenario == "decode" else None
+        cfg = SimConfig(
+            scenario=scenario,
+            snr_grid=(4.0,),
+            detectors=("oracle", "sample"),
+            nt_complex=2,
+            code_path=str(builtin_code_path("hamming_7_4")),
+        )
+        rec = harness._run_trial((cfg, code, 4.0, 0, 3))
+        symbols = 4 if scenario == "mimo" else code.k
+        assert rec["trial"] == 3
+        assert rec["sample"] == {"errors": symbols, "block": 1, "rmax": 0, "early": 0, "failed": 1}
+        assert rec["oracle"]["failed"] == 0

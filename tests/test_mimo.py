@@ -11,7 +11,6 @@ from ttinfer import (
     DegenerateChannelError,
     QamConstellation,
     build_hx_tt,
-    build_loglik_term,
     build_quadratic_metric,
     complexify_vec,
     mimo_exact_marginals,
@@ -20,8 +19,8 @@ from ttinfer import (
     realify_model,
     realify_vec,
     sample_channel,
-    sum_loglikelihood_tts,
     tt_to_dense,
+    tt_truncate,
     ttdet,
 )
 
@@ -160,9 +159,15 @@ class TestHxConstruction:
         )
 
 
+def row_term(y_j, h_j, sigma2, alphabet):
+    """The log-likelihood term -(y_j - h_j^T x)^2 / (2 sigma^2) of one receive
+    row: the quadratic metric of a one-row channel."""
+    return build_quadratic_metric(np.array([y_j]), np.asarray(h_j)[None, :], sigma2, alphabet)
+
+
 class TestLogLikTerm:
     def test_zero_row_gives_constant(self):
-        tt = build_loglik_term(1.5, np.zeros(3), 0.5, np.array([-1.0, 1.0]))
+        tt = row_term(1.5, np.zeros(3), 0.5, np.array([-1.0, 1.0]))
         np.testing.assert_allclose(tt_to_dense(tt).data, -(1.5**2) / 1.0, rtol=1e-12)
 
     def test_exhaustive_formula_oracle(self):
@@ -172,24 +177,24 @@ class TestLogLikTerm:
             h = rng.standard_normal(4)
             y = float(rng.standard_normal())
             s2 = float(rng.uniform(0.2, 2.0))
-            tt = build_loglik_term(y, h, s2, alphabet, tol=0.0)
+            tt = row_term(y, h, s2, alphabet)
             xs, _ = assignments(4, alphabet)
             expect = -((y - xs @ h) ** 2) / (2 * s2)
             got = tt_to_dense(tt).data.reshape(-1)
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
 
     def test_rank_bounds(self):
+        # (h^T x)^2 needs only (1, partial sum, its square) on every bond
         rng = np.random.default_rng(70)
         h = rng.standard_normal(6)
         alphabet = np.array([-1.0, 1.0])
-        raw = build_loglik_term(0.7, h, 1.0, alphabet, tol=0.0)
-        assert max(raw.ranks) <= 16
-        compressed = build_loglik_term(0.7, h, 1.0, alphabet, tol=1e-12)
-        assert max(compressed.ranks) <= 5
+        raw = row_term(0.7, h, 1.0, alphabet)
+        assert max(raw.ranks) <= 5
+        assert max(tt_truncate(raw, 1e-12).ranks) <= 3
 
     def test_invalid_variance(self):
         with pytest.raises(ValueError):
-            build_loglik_term(0.0, np.ones(2), 0.0, np.array([-1.0, 1.0]))
+            row_term(0.0, np.ones(2), 0.0, np.array([-1.0, 1.0]))
 
 
 class TestQuadraticMetric:
@@ -226,10 +231,7 @@ class TestQuadraticMetric:
         h = realify_channel(sample_channel(4, 4, rng))
         y = h @ alphabet[rng.integers(0, 4, size=8)] + 0.3 * rng.standard_normal(8)
         s2 = 0.09
-        summed = sum_loglikelihood_tts(
-            [build_loglik_term(y[j], h[j], s2, alphabet) for j in range(8)], 1e-12
-        )
-        expect = tt_to_dense(summed).data
+        expect = sum(tt_to_dense(row_term(y[j], h[j], s2, alphabet)).data for j in range(8))
         got = tt_to_dense(build_quadratic_metric(y, h, s2, alphabet)).data
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 

@@ -1,6 +1,5 @@
 """Tests of the generic log-posterior pipeline: prior construction,
-likelihood summation, marginal inference against exhaustive enumeration,
-and MAP decisions."""
+marginal inference against exhaustive enumeration, and MAP decisions."""
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from ttinfer import (
     constant_tt,
     infer_marginals,
     map_decision,
-    random_tt,
-    sum_loglikelihood_tts,
     tt_add,
     tt_eval,
     tt_from_dense,
@@ -74,38 +71,6 @@ class TestPrior:
         v = np.array([0.1, -0.4])
         tt = build_prior_tt(v, 1)
         np.testing.assert_allclose(tt_to_dense(tt).data, v)
-
-
-class TestLikelihoodSum:
-    def test_single_term_unchanged(self):
-        rng = np.random.default_rng(42)
-        term = random_tt((2, 2, 2), (2, 2), rng)
-        assert sum_loglikelihood_tts([term], 1e-12) is term
-
-    def test_colinear_terms_collapse_rank(self):
-        rng = np.random.default_rng(43)
-        term = random_tt((2, 2, 2, 2), (3, 3, 3), rng)
-        total = sum_loglikelihood_tts([term] * 6, 1e-12)
-        assert max(total.ranks) <= max(term.ranks)
-        np.testing.assert_allclose(
-            tt_to_dense(total).data, 6 * tt_to_dense(term).data, rtol=1e-10
-        )
-
-    def test_dense_sum_oracle(self):
-        rng = np.random.default_rng(44)
-        terms = [random_tt((2, 3, 2), (2, 2), rng) for _ in range(5)]
-        total = sum_loglikelihood_tts(terms, 1e-12)
-        expect = sum(tt_to_dense(t).data for t in terms)
-        np.testing.assert_allclose(
-            tt_to_dense(total).data, expect, atol=1e-11 * np.abs(expect).max()
-        )
-
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(45)
-        with pytest.raises(ValueError):
-            sum_loglikelihood_tts(
-                [random_tt((2, 2), (2,), rng), random_tt((2, 3), (2,), rng)], 0.0
-            )
 
 
 class TestInferMarginals:

@@ -20,12 +20,10 @@ from ttinfer import (
     random_tt,
     rank_one_tt,
     tt_add,
-    tt_dump,
     tt_eval,
     tt_eval_many,
     tt_from_dense,
     tt_hadamard,
-    tt_load,
     tt_marginalize_except,
     tt_mode_multiply,
     tt_norm,
@@ -476,13 +474,3 @@ class TestStructure:
     def test_constant(self):
         tt = constant_tt((2, 2, 2), 3.5)
         np.testing.assert_array_equal(tt_to_dense(tt).data, 3.5)
-
-    def test_dump_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(32)
-        tt = random_instance(rng)
-        path = tmp_path / "dump.txt"
-        tt_dump(tt, path)
-        back = tt_load(path)
-        assert back.dims == tt.dims and back.ranks == tt.ranks
-        for a, b in zip(tt.cores, back.cores):
-            np.testing.assert_array_equal(a, b)
