@@ -21,7 +21,6 @@ from .tt import (
     tt_from_dense,
     tt_hadamard,
     tt_marginalize_except,
-    tt_mode_multiply,
     tt_norm,
     tt_scale,
     tt_to_dense,
@@ -34,7 +33,6 @@ from .cross import (
     DegenerateMatrixError,
     NonFiniteValueError,
     PivotSets,
-    matrix_cross,
     maxvol,
     tt_cross,
     tt_exp_taylor,
@@ -52,7 +50,6 @@ from .mimo import (
     DegenerateChannelError,
     DetectionTrial,
     QamConstellation,
-    build_hx_tt,
     build_quadratic_metric,
     complexify_vec,
     noise_variance_for_snr,

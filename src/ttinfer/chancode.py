@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from scipy.special import erfc, gammainc
 
 from .cross import CrossConfig
 from .posterior import (
+    SEED_LIST_SIZE,
     InferenceFailureError,
     LogPosterior,
     infer_marginals,
@@ -54,6 +56,9 @@ BIT_ALPHABET = np.array([0.0, 1.0])
 
 # Exhaustive checks (minimum distance, bit-wise MAP) enumerate 2^k words.
 ENUMERATION_LIMIT_K = 20
+
+# Order of the ordered-statistics decoder whose best words seed ttdec's cross.
+OSD_ORDER = 2
 
 
 def _gf2_column_rank(g: np.ndarray) -> int:
@@ -405,6 +410,42 @@ class DecodeResult:
         return self
 
 
+def _osd_list(code: LinearCode, y: np.ndarray, size: int = SEED_LIST_SIZE) -> np.ndarray:
+    """The ``size`` information words of highest correlation y^T x among the
+    candidates of ordered-statistics decoding (Fossorier & Lin, IEEE T-IT
+    1995), best first (all candidates when there are fewer).
+
+    GF(2) elimination of [G^T | I] over the positions in order of decreasing
+    |y_j| finds the most reliable basis B and the systematic generator; the
+    candidates re-encode the hard decisions on B under every flip pattern of
+    weight <= OSD_ORDER.
+    """
+    n, k = code.n, code.k
+    a = np.concatenate([code.g.T, np.eye(k, dtype=np.int64)], axis=1).astype(np.uint8)
+    basis = []
+    for col in np.argsort(-np.abs(y), kind="stable"):
+        rank = len(basis)
+        hits = np.nonzero(a[rank:, col])[0]
+        if hits.size == 0:
+            continue
+        piv = rank + hits[0]
+        a[[rank, piv]] = a[[piv, rank]]
+        others = np.nonzero(a[:, col])[0]
+        a[others[others != rank]] ^= a[rank]
+        basis.append(col)
+        if len(basis) == k:
+            break
+    # Row i of the systematic generator a[:, :n] has a 1 at basis[i] alone
+    # among B, and a[:, n:] maps the bits on B back to the information word.
+    flips = [f for w in range(OSD_ORDER + 1) for f in combinations(range(k), w)]
+    v = np.tile((y[basis] < 0).astype(np.int64), (len(flips), 1))
+    for row, f in enumerate(flips):
+        v[row, list(f)] ^= 1
+    x = 1.0 - 2.0 * ((v @ a[:, :n]) % 2)
+    order = np.argsort(-(x @ y), kind="stable")[:size]
+    return (v[order] @ a[:, n:]) % 2
+
+
 def _step_seed(base_seed: int, step: int) -> int:
     return int(np.random.SeedSequence([base_seed, step]).generate_state(1)[0])
 
@@ -415,7 +456,7 @@ def ttdec(
     n0: float,
     schedule,
     cfg: CrossConfig,
-    taylor_p: int = 10,
+    taylor_p: int = 0,
     variant: str = "sweep",
     trunc_tol: float = 1e-12,
     safety: float = 100.0,
@@ -424,12 +465,13 @@ def ttdec(
 
     The cached log-APP cores are completed with a fresh first core, the
     stopping threshold is taken from the normal approximation (computed once
-    per code and N_0), and the Taylor-initialization rank walks the
-    schedule: at each step marginals are inferred, bits decided, the
-    candidate re-encoded and scored by its squared distance to y.  The best
-    candidate is kept; the loop stops early as soon as its score drops below
-    the threshold.  A failed inference step scores as +inf and the loop
-    continues.
+    per code and N_0), the OSD list that seeds every cross is built once, and
+    the Taylor-initialization rank walks the schedule: at each step marginals
+    are inferred, bits decided, the candidate re-encoded and scored by its
+    squared distance to y (with ``taylor_p`` = 0 the init is all ones, so a
+    step only reseeds the cross).  The best candidate is kept; the loop stops
+    early as soon as its score drops below the threshold.  A failed
+    inference step scores as +inf and the loop continues.
     """
     schedule = tuple(int(r) for r in schedule)
     if not schedule:
@@ -439,6 +481,7 @@ def ttdec(
     metric = build_code_logapp_tt(code, y, n0, trunc_tol)
     lp = LogPosterior(metric, BIT_ALPHABET)
     y = np.asarray(y, dtype=np.float64)
+    seeds = _osd_list(code, y)
     best_u: np.ndarray | None = None
     best_nu = math.inf
     ranks: list[int] = []
@@ -448,7 +491,7 @@ def ttdec(
         step_cfg = replace(cfg, rng_seed=_step_seed(cfg.rng_seed, step))
         steps += 1
         try:
-            marginals, rmax = infer_marginals(lp, step_cfg, taylor_p, taylor_rank, variant)
+            marginals, rmax = infer_marginals(lp, step_cfg, taylor_p, taylor_rank, variant, seeds=seeds)
         except InferenceFailureError:
             continue
         ranks.append(rmax)

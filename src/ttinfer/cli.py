@@ -49,7 +49,8 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file preloading any flag; flags win")
     parser.add_argument("--variant", default="sample", choices=("sample", "sweep", "both"))
-    parser.add_argument("--taylor-p", type=int, default=10, help="Taylor degree of the exp init")
+    parser.add_argument("--taylor-p", type=int, default=0,
+                        help="Taylor degree of the exp init (0: all ones; 10: the paper's init)")
     parser.add_argument("--tol", type=float, default=1e-12, help="TT truncation tolerance")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--min-block-errors", type=int, default=100)
@@ -63,7 +64,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output CSV path")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="ttinfer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -92,26 +93,42 @@ def _build_parser() -> argparse.ArgumentParser:
     ranks.add_argument("--in", dest="infile", required=True, help="per-trial CSV with an rmax column")
     ranks.add_argument("--detector", help="only rows of this detector")
     ranks.add_argument("--out", required=True, help="output histogram CSV (rmax,count)")
-    return parser
+    return parser, sub.choices
+
+
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key: str, value):
+    """Convert one config-file value as its flag's text would be, through
+    the flag's ``type`` and ``choices``; a list stands for a comma list."""
+    if action.nargs == 0:  # a switch
+        if not isinstance(value, bool):
+            parser.error(f"config key {key!r}: expected true or false, got {value!r}")
+        return value
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        out = action.type(text) if action.type else text
+    except (argparse.ArgumentTypeError, ValueError) as err:
+        parser.error(f"config key {key!r}: invalid value {value!r} ({err})")
+    if action.choices is not None and out not in action.choices:
+        choices = ", ".join(action.choices)
+        parser.error(f"config key {key!r}: invalid choice {value!r} (choose from {choices})")
+    return out
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> None:
+    """Preload the subcommand ``parser``'s flags from the --config file."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
         overrides = json.load(fh)
+    actions = {action.dest: action for action in parser._actions}
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions or not hasattr(args, attr):
             parser.error(f"unknown config key {key!r}")
         if attr in explicit:
             continue  # flags win
-        if attr in ("snr", "ebn0") and isinstance(value, str):
-            value = _parse_grid(value)
-        if attr == "schedule" and isinstance(value, str):
-            value = _parse_schedule(value)
-        setattr(args, attr, value)
+        setattr(args, attr, _config_value(parser, actions[attr], key, value))
 
 
 def _sweep(args, scenario: str, grid, extra_detectors=(), **model) -> int:
@@ -187,9 +204,9 @@ def _run_ranks(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args, parser, argv)
+    _apply_config_file(args, commands[args.command], argv)
     if args.command == "mimo":
         return _run_mimo(args)
     if args.command == "decode":

@@ -3,11 +3,10 @@
 Building blocks:
 
 * ``maxvol`` -- iterative row selection maximizing the submatrix determinant
-  magnitude (the pivot engine of all cross methods).
-* ``matrix_cross`` -- skeleton decomposition B = C B(I,J)^-1 R of a matrix
-  available only through an entry oracle.
+  magnitude (the pivot engine of the cross).
 * ``tt_exp_taylor`` -- Horner evaluation of the elementwise truncated Taylor
-  series of exp, used to initialize the cross algorithms.
+  series of exp, the paper's initialization of the cross (degree 0, the
+  all-ones tensor, is the pipeline default).
 * ``tt_cross`` -- apply a scalar function f elementwise to a TT without
   densification.  One engine serves both variants: a half sweep updates
   blocks of one core ("sample", classical TT-cross interpolation) or of two
@@ -35,10 +34,8 @@ __all__ = [
     "CrossConfig",
     "CrossResult",
     "DegenerateMatrixError",
-    "MatrixCrossResult",
     "NonFiniteValueError",
     "PivotSets",
-    "matrix_cross",
     "maxvol",
     "tt_cross",
     "tt_exp_taylor",
@@ -107,20 +104,6 @@ class PivotSets:
 
     row_sets: tuple[np.ndarray, ...]
     col_sets: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class MatrixCrossResult:
-    """Skeleton factors of B ~ col_factor @ core @ row_factor."""
-
-    col_factor: np.ndarray
-    core: np.ndarray
-    row_factor: np.ndarray
-    pivots: PivotSets
-    n_evals: int
-
-    def reconstruct(self) -> np.ndarray:
-        return self.col_factor @ self.core @ self.row_factor
 
 
 @dataclass(frozen=True)
@@ -196,56 +179,6 @@ def _rank_revealing_maxvol(m: np.ndarray) -> np.ndarray:
         return np.zeros(1, dtype=np.int64)
     rank = max(1, min(int(np.count_nonzero(diag > 1e-12 * diag[0])), n))
     return maxvol(m[:, piv[:rank]])
-
-
-def matrix_cross(
-    entry,
-    shape: tuple[int, int],
-    rank: int,
-    rng: np.random.Generator,
-    max_iters: int = 20,
-    max_retries: int = 3,
-) -> MatrixCrossResult:
-    """Cross decomposition B = C B(I,J)^-1 R from an entry oracle.
-
-    ``entry(rows, cols)`` must return the |rows| x |cols| block of B.  The
-    column and row pivot sets are refined by alternating maxvol passes until
-    they stabilize; when rank(B) <= rank the reconstruction is exact.  Each
-    pass evaluates one column block and one row block, so the total number
-    of evaluated entries is O((n+m) * rank) per refinement pass.
-    """
-    n, m = shape
-    r = min(rank, n, m)
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    n_evals = 0
-    last_err: Exception | None = None
-    for _ in range(max_retries + 1):
-        cols = np.sort(rng.choice(m, size=r, replace=False))
-        try:
-            rows = None
-            row_block = None
-            for _ in range(max_iters):
-                col_block = entry(np.arange(n), cols)
-                n_evals += n * r
-                rows = maxvol(col_block)
-                row_block = entry(rows, np.arange(m))
-                n_evals += r * m
-                new_cols = maxvol(row_block.T)
-                if np.array_equal(np.sort(new_cols), np.sort(cols)):
-                    break
-                cols = np.sort(new_cols)
-            pivot_block = row_block[:, cols]
-            if np.linalg.cond(pivot_block) > 1e13:
-                raise DegenerateMatrixError("singular pivot block")
-            core = np.linalg.inv(pivot_block)
-            col_factor = entry(np.arange(n), cols)
-            n_evals += n * r
-            pivots = PivotSets(row_sets=(np.asarray(rows),), col_sets=(np.asarray(cols),))
-            return MatrixCrossResult(col_factor, core, row_block, pivots, n_evals)
-        except DegenerateMatrixError as err:
-            last_err = err
-    raise DegenerateMatrixError(f"cross pivoting failed after {max_retries} retries: {last_err}")
 
 
 def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTrain:
@@ -351,8 +284,10 @@ class _CrossEngine:
     def _seed_pivots(self, seeds: np.ndarray) -> None:
         """Append the cross fibers through the given multi-indices to every
         right pivot set, so the first sweep is guaranteed to sample them.
-        (The Taylor init can place all pivots in flat regions of f when the
-        posterior is concentrated; a mode estimate prevents that collapse.)"""
+        (The init carries no information about where a concentrated f puts
+        its mass: the all-ones init's pivots are arbitrary and the Taylor
+        init's can all sit in flat regions.  A list of likely multi-indices
+        points the first sweep at the mass.)"""
         if seeds.ndim != 2 or seeds.shape[1] != self.n:
             raise ValueError(f"seed indices must be (count, {self.n}) shaped")
         for b in range(1, self.n):

@@ -81,7 +81,7 @@ class SimConfig:
     code_path: str | None = None
     schedule: tuple[int, ...] = (10,)
     # shared pipeline knobs
-    taylor_p: int = 10
+    taylor_p: int = 0
     trunc_tol: float = 1e-12
     cross_max_rank: int = 1024
     cross_sweeps: int = 8

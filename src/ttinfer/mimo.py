@@ -1,8 +1,7 @@
 """MIMO detection pieces: Rayleigh channel sampling, complex-to-real model
-decomposition, QAM alphabets, exact rank-3 TT construction of h^T x, the
-exact TT of the whole Gaussian log-likelihood -||y - H x||^2 / (2 sigma^2)
-(ranks min(b, N - b) + 2, built in one pass without rounding), and the TT
-detector.
+decomposition, QAM alphabets, the exact TT of the whole Gaussian
+log-likelihood -||y - H x||^2 / (2 sigma^2) (ranks min(b, N - b) + 2, built
+in one pass without rounding), a list sphere decoder, and the TT detector.
 
 The complex model y~ = H~ x~ + n~ with M-QAM symbols is rewritten as the real
 model y = H x + n with H = [[Re, -Im], [Im, Re]], stacked (Re; Im) vectors,
@@ -11,13 +10,14 @@ and the real alphabet {+-1, +-3, ...} of size sqrt(M) per real component.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cross import CrossConfig
-from .posterior import LogPosterior, MarginalTable, infer_marginals, map_decision
+from .posterior import SEED_LIST_SIZE, LogPosterior, MarginalTable, infer_marginals, map_decision
 from .tt import TensorTrain, tt_truncate
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "DegenerateChannelError",
     "DetectionTrial",
     "QamConstellation",
-    "build_hx_tt",
     "build_quadratic_metric",
     "complexify_vec",
     "noise_variance_for_snr",
@@ -191,43 +190,6 @@ def noise_variance_for_snr(h_complex: np.ndarray, symbol_energy: float, snr_db: 
     return fro2 * symbol_energy / (2.0 * nr * nt * 10.0 ** (snr_db / 10.0))
 
 
-def build_hx_tt(h: np.ndarray, alphabet) -> TensorTrain:
-    """Exact rank-3 TT of the linear form h^T x over the symbol grid.
-
-    Entry (k_1, ..., k_N) equals sum_i h_i * a_{k_i}.  The construction
-    threads the coefficients in reversed order (h_N first); the bond carries
-    the basis (1, partial sum, spent), and interior ranks are exactly 3.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    alphabet = np.asarray(alphabet, dtype=np.float64)
-    n_modes = h.size
-    length = alphabet.size
-    if n_modes < 1:
-        raise ValueError("need at least one coefficient")
-    if n_modes == 1:
-        return TensorTrain([(h[0] * alphabet).reshape(1, length, 1)])
-    # The core layout threads the coefficient sequence in reversed order
-    # (last entry first); feeding the reversed vector keeps entry = h^T x.
-    coeffs = h[::-1]
-    first = np.zeros((1, length, 3))
-    first[0, :, 0] = 1.0
-    first[0, :, 1] = coeffs[n_modes - 1] * alphabet
-    last = np.zeros((3, length, 1))
-    last[0, :, 0] = coeffs[0] * alphabet
-    last[1, :, 0] = 1.0
-    cores = [first]
-    for i in range(1, n_modes - 1):
-        coeff = coeffs[n_modes - 1 - i]
-        lin = np.zeros((3, 3))
-        lin[0, 1] = coeff
-        lin[1, 2] = coeff
-        lin[2, 2] = coeff
-        core = alphabet[None, :, None] * lin[:, None, :] + np.eye(3)[:, None, :]
-        cores.append(core)
-    cores.append(last)
-    return TensorTrain(cores, copy=False)
-
-
 def build_quadratic_metric(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) -> TensorTrain:
     """Exact TT of the Gaussian log-likelihood -||y - H x||^2 / (2 sigma^2).
 
@@ -281,12 +243,52 @@ def build_quadratic_metric(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet
     return TensorTrain(cores, copy=False)
 
 
+def _sphere_list(y: np.ndarray, h: np.ndarray, alphabet, size: int = SEED_LIST_SIZE) -> np.ndarray:
+    """Alphabet indices of the ``size`` hypotheses x with the smallest
+    ||y - H x||^2, best first (all of them when there are fewer).
+
+    Exact list sphere decoder (Hochwald & ten Brink, IEEE T-Com 2003):
+    depth-first Schnorr-Euchner search from the last symbol to the first on
+    H = Q R, which leaves ||Q^T y - R x||^2 plus a constant; each level
+    visits its symbols in order of increasing distance increment and prunes
+    at the size-th best full metric found so far.  Levels with no row of R
+    (a wide H) add 0.
+    """
+    q, r = np.linalg.qr(h)
+    z, rows = (q.T @ y).tolist(), r.tolist()
+    symbols = np.asarray(alphabet, dtype=np.float64).tolist()
+    n = h.shape[1]
+    idx, x = [0] * n, [0.0] * n
+    best: list[tuple[float, tuple]] = []  # (metric, indices), ascending
+
+    def search(level: int, dist: float) -> None:
+        if level < 0:
+            bisect.insort(best, (dist, tuple(idx)))
+            del best[size:]
+            return
+        if level < len(rows):
+            row = rows[level]
+            center = z[level] - sum(row[j] * x[j] for j in range(level + 1, n))
+            steps = [(center - row[level] * a) ** 2 for a in symbols]
+        else:
+            steps = [0.0] * len(symbols)
+        for k in sorted(range(len(symbols)), key=steps.__getitem__):
+            d = dist + steps[k]
+            if len(best) == size and d >= best[-1][0]:
+                break
+            idx[level], x[level] = k, symbols[k]
+            search(level - 1, d)
+
+    search(n - 1, 0.0)
+    return np.array([entry[1] for entry in best], dtype=np.int64)
+
+
 def ttdet(
     y: np.ndarray,
     ch: ChannelRealization,
     alphabet,
     cfg: CrossConfig,
-    taylor_p: int = 10,
+    taylor_p: int = 0,
     taylor_max_rank: int = 10,
     variant: str = "sample",
     trunc_tol: float = 1e-12,
@@ -296,8 +298,9 @@ def ttdet(
     Builds the log-likelihood -||y - H x||^2 / (2 sigma^2) as one exact TT
     (the uniform prior is omitted), recompresses it once when ``trunc_tol``
     is positive, exponentiates and marginalizes via the selected cross
-    variant, and takes per-symbol MAP decisions.  The maximum interior TT
-    rank of the exponentiated posterior is recorded.
+    variant seeded with the sphere decoder's list of the ``SEED_LIST_SIZE``
+    most likely hypotheses, and takes per-symbol MAP decisions.  The maximum
+    interior TT rank of the exponentiated posterior is recorded.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size != ch.nr:
@@ -306,6 +309,7 @@ def ttdet(
     if trunc_tol > 0:
         metric = tt_truncate(metric, trunc_tol)
     lp = LogPosterior(metric, np.asarray(alphabet, dtype=np.float64))
-    marginals, max_rank = infer_marginals(lp, cfg, taylor_p, taylor_max_rank, variant)
+    seeds = _sphere_list(y, ch.h, alphabet)
+    marginals, max_rank = infer_marginals(lp, cfg, taylor_p, taylor_max_rank, variant, seeds=seeds)
     x_hat = map_decision(marginals, alphabet)
     return DetectionTrial(x_hat=x_hat, marginals=marginals, max_rank_observed=max_rank)

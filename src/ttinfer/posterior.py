@@ -3,10 +3,11 @@
 The unnormalized log-APP metric of a discrete-input additive noise model is
 built exactly in TT form by the model layer (for MIMO, one quadratic-form TT
 of the whole Gaussian log-likelihood; a separable log-prior adds a rank-2
-TT), exponentiated with a Taylor-initialized TT-cross, and marginalized mode
-by mode to produce symbol-wise posteriors and MAP hard decisions.  Additive
-constants of the log-posterior are never represented; normalization of the
-marginals restores proper probabilities.
+TT), exponentiated with a TT-cross seeded by the model's top-K candidate
+list (else a random-probe mode estimate), and marginalized mode by mode to
+produce symbol-wise posteriors and MAP hard decisions.  Additive constants
+of the log-posterior are never represented; normalization of the marginals
+restores proper probabilities.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ __all__ = [
 # against an underestimated shift.
 _EXP_CLIP_HI = 46.0
 _EXP_CLIP_MARGIN = 46.0
+
+# Length K of the candidate lists the models pass as ``seeds``.
+SEED_LIST_SIZE = 16
 
 
 class InferenceFailureError(RuntimeError):
@@ -156,20 +160,29 @@ def infer_marginals(
     taylor_max_rank: int,
     variant: str = "sample",
     taylor_tol: float = 1e-12,
+    seeds=None,
 ) -> tuple[MarginalTable, int]:
     """Symbol-wise posteriors of a log-posterior TT.
 
-    Exponentiates the metric with a TT-cross (initialized by the truncated
-    Taylor series at rank ``taylor_max_rank``), marginalizes every mode, and
-    normalizes.  Negative marginal entries (cross artifacts) are clamped to
-    zero before normalization.  Returns the table together with the maximum
-    interior TT rank of the exponentiated tensor.
+    Exponentiates the metric with a TT-cross, marginalizes every mode, and
+    normalizes.  The cross starts from the degree-``taylor_p`` Taylor series
+    of exp at rank ``taylor_max_rank`` (degree 0: all ones) and first samples
+    the fibers through ``seeds``, (K, N) candidate multi-indices whose best
+    metric also shifts the exponential; without them a random-probe mode
+    estimate serves.  Negative marginal entries (cross artifacts) are
+    clamped to zero before normalization.  Returns the table together with
+    the maximum interior TT rank of the exponentiated tensor.
 
     Raises :class:`InferenceFailureError` when a marginal carries no usable
     mass; callers may retry with larger ranks.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 0x5F17]))
-    shift, mode_idx = _estimate_log_shift(lp.tt, rng)
+    if seeds is None:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 0x5F17]))
+        shift, mode_idx = _estimate_log_shift(lp.tt, rng)
+        seeds = mode_idx[None, :]
+    else:
+        seeds = np.asarray(seeds, dtype=np.int64)
+        shift = float(tt_eval_many(lp.tt, seeds).max())
     shifted = tt_truncate(
         tt_add(lp.tt, constant_tt(lp.tt.dims, -shift)), taylor_tol
     )
@@ -179,7 +192,7 @@ def infer_marginals(
     def f(values):
         return np.exp(np.clip(values, lo, _EXP_CLIP_HI))
 
-    result = tt_cross(f, shifted, init, cfg, variant=variant, seed_indices=mode_idx[None, :])
+    result = tt_cross(f, shifted, init, cfg, variant=variant, seed_indices=seeds)
     table = np.empty((lp.n_modes, lp.alphabet.size))
     for mode in range(lp.n_modes):
         vec = tt_marginalize_except(result.tt, mode)

@@ -1,6 +1,7 @@
 """Tests of the decoding layer: the noncentral chi-squared helpers, the
-BI-AWGN capacity limits, code-file validation, the early-stopping rule, and
-paired agreement of the TT decoder with the exact bit-wise MAP decoder."""
+BI-AWGN capacity limits, code-file validation, the early-stopping rule, the
+ordered-statistics candidate list, and paired agreement of the TT decoder
+with the exact bit-wise MAP decoder."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from ttinfer import (
     stopping_threshold,
     ttdec,
 )
-from ttinfer.chancode import _stopping_rule_values
+from ttinfer import chancode
+from ttinfer.chancode import _gf2_column_rank, _osd_list, _stopping_rule_values
 
 
 class TestNoncentralChi2:
@@ -127,3 +129,62 @@ def test_ttdec_agrees_with_exact_map_trial_by_trial(name, variant):
         u_map, _ = code_exact_bitwise_map(y, code, n0)
         res = ttdec(y, code, n0, (10,), CrossConfig(rng_seed=trial), variant=variant)
         np.testing.assert_array_equal(res.u_hat, u_map, err_msg=f"trial {trial}")
+
+
+@pytest.mark.parametrize("name", ["hamming_7_4", "bch_15_7"])
+def test_osd_list_equals_brute_force(name):
+    """All 2^k words whose bits on the most reliable basis differ from the
+    hard decisions in at most 2 places, by decreasing y^T x, first 16."""
+    code = load_code(builtin_code_path(name))
+    n0 = n0_from_ebn0(2.0, code.rate)
+    rng = np.random.default_rng(31)
+    ids = np.arange(1 << code.k)
+    words = (ids[:, None] >> np.arange(code.k)) & 1
+    codewords = (words @ code.g.T) % 2
+    for _ in range(10):
+        y = 1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))
+        y = y + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+        basis = []
+        for j in np.argsort(-np.abs(y)):
+            if len(basis) < code.k and _gf2_column_rank(code.g[basis + [j]].T) > len(basis):
+                basis.append(j)
+        flips = np.sum(codewords[:, basis] != (y[basis] < 0), axis=1)
+        keep = np.nonzero(flips <= 2)[0]
+        corr = (1.0 - 2.0 * codewords[keep]) @ y
+        expect = words[keep[np.argsort(-corr, kind="stable")[:16]]]
+        np.testing.assert_array_equal(_osd_list(code, y), expect)
+
+
+def perfbench_bch31_inputs(code, n0, seed, index):
+    """The benchmark's bch31_4db trial ``index``: the data stream and one
+    cross seed per variant split from SeedSequence([seed, index])."""
+    data, *cross = np.random.SeedSequence([seed, index]).spawn(3)
+    rng = np.random.default_rng(data)
+    u = rng.integers(0, 2, size=code.k)
+    y = 1.0 - 2.0 * code.encode(u) + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+    seeds = {v: int(s.generate_state(1)[0]) for v, s in zip(("sample", "sweep"), cross)}
+    return y, seeds
+
+
+@pytest.mark.parametrize("variant", ["sample", "sweep"])
+def test_ttdec_agrees_with_exact_marginals_on_bch_31_16(monkeypatch, variant):
+    code = load_code(builtin_code_path("bch_31_16"))
+    n0 = n0_from_ebn0(4.0, code.rate)
+    tables = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        tables.append(out[0].probs)
+        return out
+
+    real = chancode.infer_marginals
+    monkeypatch.setattr(chancode, "infer_marginals", recording)
+    for index in range(10):
+        y, seeds = perfbench_bch31_inputs(code, n0, 7, index)
+        u_map, oracle = code_exact_bitwise_map(y, code, n0)
+        tables.clear()
+        res = ttdec(y, code, n0, (10,), CrossConfig(max_rank=1024, rng_seed=seeds[variant]),
+                    variant=variant)
+        np.testing.assert_array_equal(res.u_hat, u_map, err_msg=f"trial {index}")
+        (probs,) = tables
+        assert np.abs(probs - oracle.probs).max() <= 1e-3, index

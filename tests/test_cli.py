@@ -109,3 +109,33 @@ def test_config_file_applies_and_flags_win(monkeypatch, tmp_path, scenario):
     assert cfg.cross_sweeps == 3
     assert cfg.detectors == ("sample", "sweep")
     assert cfg.master_seed == 9
+
+
+@pytest.mark.parametrize("overrides, field, value", [
+    ({"snr": 10}, "snr_grid", (10.0,)),
+    ({"snr": [10, "15"]}, "snr_grid", (10.0, 15.0)),
+    ({"workers": "2"}, "workers", 2),
+    ({"with_oracle": True}, "detectors", ("oracle", "sample")),
+])
+def test_config_values_pass_through_flag_types(monkeypatch, tmp_path, overrides, field, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(overrides))
+    cfg = captured_config(monkeypatch, ["mimo", "--config", str(config), "--out", "s.csv"])
+    assert getattr(cfg, field) == value
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"variant": "bogus"}, "invalid choice 'bogus'"),
+    ({"workers": "two"}, "invalid value 'two'"),
+    ({"with_oracle": "yes"}, "expected true or false"),
+    ({"no_such_flag": 1}, "unknown config key 'no_such_flag'"),
+])
+def test_bad_config_values_exit_with_usage_error(monkeypatch, tmp_path, capsys, overrides, message):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(overrides))
+    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--code", "hamming_7_4", "--config", str(config), "--out", "s.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "ttinfer decode" in err and message in err

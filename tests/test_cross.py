@@ -1,6 +1,6 @@
-"""Tests of maxvol pivoting, matrix cross decomposition, the Taylor TT
-exponential, and the elementwise TT-cross (both variants: update blocks of
-one and two cores) against dense oracles."""
+"""Tests of maxvol pivoting, the Taylor TT exponential, and the elementwise
+TT-cross (both variants: update blocks of one and two cores) against dense
+oracles."""
 
 import itertools
 import math
@@ -12,7 +12,6 @@ from ttinfer import (
     CrossConfig,
     DegenerateMatrixError,
     NonFiniteValueError,
-    matrix_cross,
     maxvol,
     ones_tt,
     random_tt,
@@ -75,61 +74,6 @@ class TestMaxvol:
         col = np.arange(6.0)[:, None]
         with pytest.raises(DegenerateMatrixError):
             maxvol(np.hstack([col, 2 * col]))
-
-
-class TestMatrixCross:
-    def test_rank1_exact(self):
-        rng = np.random.default_rng(8)
-        u, v = rng.standard_normal(9), rng.standard_normal(5)
-        b = np.outer(u, v)
-        res = matrix_cross(lambda r, c: b[np.ix_(r, c)], b.shape, 1, rng)
-        np.testing.assert_allclose(res.reconstruct(), b, atol=1e-12 * np.abs(b).max())
-
-    def test_rank3_exact(self):
-        rng = np.random.default_rng(9)
-        b = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 7))
-        res = matrix_cross(lambda r, c: b[np.ix_(r, c)], b.shape, 3, rng)
-        assert np.abs(res.reconstruct() - b).max() <= 1e-10 * np.abs(b).max()
-
-    def test_noisy_rank3(self):
-        rng = np.random.default_rng(10)
-        b = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 15))
-        b += 1e-8 * rng.standard_normal(b.shape)
-        res = matrix_cross(lambda r, c: b[np.ix_(r, c)], b.shape, 4, rng)
-        err = np.linalg.norm(res.reconstruct() - b) / np.linalg.norm(b)
-        assert err <= 1e-6
-
-    def test_eval_budget(self):
-        rng = np.random.default_rng(11)
-        n, m, r = 40, 30, 3
-        b = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
-        calls = []
-
-        def entry(rows, cols):
-            calls.append(len(rows) * len(cols))
-            return b[np.ix_(rows, cols)]
-
-        res = matrix_cross(entry, b.shape, r, rng, max_iters=20)
-        assert res.n_evals == sum(calls)
-        # a handful of alternating passes, each touching (n + m) * r entries
-        assert res.n_evals <= 21 * (n + m) * r
-
-    def test_pivot_block_is_cross_of_factors(self):
-        rng = np.random.default_rng(12)
-        b = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 8))
-        res = matrix_cross(lambda r, c: b[np.ix_(r, c)], b.shape, 2, rng)
-        rows = res.pivots.row_sets[0]
-        cols = res.pivots.col_sets[0]
-        np.testing.assert_allclose(
-            np.linalg.inv(res.core), b[np.ix_(rows, cols)], rtol=1e-10
-        )
-
-    def test_degenerate_after_retries(self):
-        rng = np.random.default_rng(13)
-        b = np.zeros((6, 6))  # rank deficient everywhere
-
-        with pytest.raises(DegenerateMatrixError):
-            matrix_cross(lambda r, c: b[np.ix_(r, c)], b.shape, 2, rng)
 
 
 class TestTaylorExp:

@@ -1,6 +1,6 @@
 """Tests of the MIMO model pieces: channel statistics, real decomposition,
-SNR accounting, the exact TT constructions, and end-to-end detection against
-exhaustive enumeration."""
+SNR accounting, the exact TT constructions, the list sphere decoder, and
+end-to-end detection against exhaustive enumeration."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from ttinfer import (
     CrossConfig,
     DegenerateChannelError,
     QamConstellation,
-    build_hx_tt,
     build_quadratic_metric,
     complexify_vec,
     mimo_exact_marginals,
@@ -23,6 +22,7 @@ from ttinfer import (
     tt_truncate,
     ttdet,
 )
+from ttinfer.mimo import _sphere_list
 
 
 def assignments(n_modes, alphabet):
@@ -127,36 +127,6 @@ class TestNoiseVariance:
             noise += 4 * np.sum(n**2)  # N_T times the noise energy
         measured = 10 * np.log10(sig / noise)
         assert measured == pytest.approx(target, abs=0.1)
-
-
-class TestHxConstruction:
-    def test_unit_vector_coefficient(self):
-        alphabet = np.array([-1.0, 1.0])
-        h = np.array([1.0, 0.0, 0.0])
-        tt = build_hx_tt(h, alphabet)
-        dense = tt_to_dense(tt).data
-        for idx in np.ndindex(2, 2, 2):
-            assert dense[idx] == pytest.approx(alphabet[idx[0]])
-
-    def test_zero_coefficients(self):
-        tt = build_hx_tt(np.zeros(4), np.array([-1.0, 1.0]))
-        np.testing.assert_allclose(tt_to_dense(tt).data, 0.0, atol=1e-15)
-
-    def test_interior_ranks_exactly_three(self):
-        rng = np.random.default_rng(67)
-        tt = build_hx_tt(rng.standard_normal(6), np.array([-3.0, -1.0, 1.0, 3.0]))
-        assert tt.ranks == (1, 3, 3, 3, 3, 3, 1)
-
-    @pytest.mark.parametrize("n_modes,alphabet", [(2, [-1.0, 1.0]), (4, [-1.0, 1.0]), (3, [-3.0, -1.0, 1.0, 3.0])])
-    def test_exhaustive_dot_product_oracle(self, n_modes, alphabet):
-        rng = np.random.default_rng(68)
-        alphabet = np.array(alphabet)
-        h = rng.standard_normal(n_modes)
-        tt = build_hx_tt(h, alphabet)
-        xs, _ = assignments(n_modes, alphabet)
-        np.testing.assert_allclose(
-            tt_to_dense(tt).data.reshape(-1), xs @ h, rtol=1e-12, atol=1e-13
-        )
 
 
 def row_term(y_j, h_j, sigma2, alphabet):
@@ -305,3 +275,54 @@ class TestDetector:
         cfg = CrossConfig(max_rank=32, n_sweeps=8, sample_oversample=4, conv_tol=1e-10, rng_seed=2)
         trial = ttdet(y, ch, const.alphabet, cfg, 10, 16).score(x)
         assert trial.n_symbol_errors == int(np.count_nonzero(trial.x_hat != x))
+
+
+class TestSphereList:
+    @pytest.mark.parametrize("nr, nt, size, list_size", [
+        (8, 8, 4, 16),  # square
+        (10, 6, 4, 16),  # tall
+        (4, 8, 2, 16),  # wide: levels 4..7 have no row of R
+        (3, 5, 4, 16),  # wide, 4-ary
+        (2, 3, 2, 100),  # list longer than the 8 hypotheses
+    ])
+    def test_equals_dense_top_k(self, nr, nt, size, list_size):
+        rng = np.random.default_rng(nr * 100 + nt)
+        alphabet = np.arange(-size + 1, size, 2.0)
+        xs, digits = assignments(nt, alphabet)
+        for _ in range(3):
+            h = rng.standard_normal((nr, nt))
+            y = h @ alphabet[rng.integers(0, size, size=nt)] + 0.7 * rng.standard_normal(nr)
+            metric = np.sum((y[None, :] - xs @ h.T) ** 2, axis=1)
+            expect = digits[np.argsort(metric, kind="stable")[:list_size]]
+            np.testing.assert_array_equal(_sphere_list(y, h, alphabet, list_size), expect)
+
+
+def perfbench_mimo16_inputs(seed, index, snr_db=15.0):
+    """The benchmark's mimo16_15db trial ``index``: the data stream and one
+    cross seed per variant split from SeedSequence([seed, index])."""
+    data, *cross = np.random.SeedSequence([seed, index]).spawn(3)
+    rng = np.random.default_rng(data)
+    const = QamConstellation.from_order(16)
+    hc = sample_channel(4, 4, rng)
+    s2 = noise_variance_for_snr(hc, const.energy_complex, snr_db)
+    x = const.alphabet[rng.integers(0, const.size_real, size=8)]
+    h = realify_channel(hc)
+    y = h @ x + np.sqrt(s2) * rng.standard_normal(8)
+    ch = ChannelRealization(h=h, sigma2=s2, nt_complex=4, nr_complex=4)
+    seeds = {v: int(s.generate_state(1)[0]) for v, s in zip(("sample", "sweep"), cross)}
+    return const, ch, y, seeds
+
+
+@pytest.mark.parametrize("variant", ["sample", "sweep"])
+def test_ttdet_agrees_with_exact_marginals_trial_by_trial(variant):
+    """16-QAM at 15 dB, where the random-probe mode search missed the mode:
+    trial 26 of seed 7 gave exactly uniform ``sample`` marginals."""
+    for index in range(7, 27):
+        const, ch, y, seeds = perfbench_mimo16_inputs(7, index)
+        oracle = mimo_exact_marginals(y, ch.h, ch.sigma2, const.alphabet)
+        trial = ttdet(y, ch, const.alphabet, CrossConfig(max_rank=1024, rng_seed=seeds[variant]),
+                      variant=variant)
+        np.testing.assert_array_equal(
+            trial.x_hat, const.alphabet[np.argmax(oracle.probs, axis=1)], err_msg=f"trial {index}"
+        )
+        assert np.abs(trial.marginals.probs - oracle.probs).max() <= 1e-3, index
