@@ -21,6 +21,7 @@ from .tt import (
     tt_from_dense,
     tt_hadamard,
     tt_marginalize_except,
+    tt_mode_multiply,
     tt_norm,
     tt_scale,
     tt_to_dense,
@@ -50,6 +51,7 @@ from .mimo import (
     DegenerateChannelError,
     DetectionTrial,
     QamConstellation,
+    build_hx_tt,
     build_quadratic_metric,
     complexify_vec,
     noise_variance_for_snr,

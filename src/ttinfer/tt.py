@@ -10,7 +10,7 @@ and the boundary ranks are r_0 = r_N = 1.  All indices in this module are
 0-based.
 
 Provided operations: entry evaluation, densification and TT-SVD, addition,
-Hadamard product, scalar multiplication, marginalization,
+Hadamard product, scalar and mode multiplication, marginalization,
 orthogonalization-based norm, and SVD rank truncation (rounding), through
 QR or, for the Taylor init's Horner steps, Gram matrices.  All operations
 allocate fresh outputs; TensorTrain values are immutable.
@@ -38,6 +38,7 @@ __all__ = [
     "tt_from_dense",
     "tt_hadamard",
     "tt_marginalize_except",
+    "tt_mode_multiply",
     "tt_norm",
     "tt_scale",
     "tt_to_dense",
@@ -275,6 +276,20 @@ def tt_scale(a: TensorTrain, lam: float) -> TensorTrain:
     """Scale all entries by ``lam`` (absorbed into the first core)."""
     cores = [a.cores[0] * lam]
     cores.extend(a.cores[1:])
+    return TensorTrain(cores)
+
+
+def tt_mode_multiply(a: TensorTrain, mode: int, u: np.ndarray) -> TensorTrain:
+    """Contract matrix ``u`` (m x n_mode) with the physical index of one core."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2:
+        raise ValueError("mode factor must be a matrix")
+    if not 0 <= mode < a.order:
+        raise IndexError(f"mode {mode} out of range for order {a.order}")
+    if u.shape[1] != a.dims[mode]:
+        raise ValueError(f"factor columns {u.shape[1]} != dim {a.dims[mode]} of mode {mode}")
+    cores = list(a.cores)
+    cores[mode] = np.einsum("mj,ljr->lmr", u, cores[mode])
     return TensorTrain(cores)
 
 

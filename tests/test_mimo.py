@@ -10,6 +10,7 @@ from ttinfer import (
     CrossConfig,
     DegenerateChannelError,
     QamConstellation,
+    build_hx_tt,
     build_quadratic_metric,
     complexify_vec,
     mimo_exact_marginals,
@@ -127,6 +128,36 @@ class TestNoiseVariance:
             noise += 4 * np.sum(n**2)  # N_T times the noise energy
         measured = 10 * np.log10(sig / noise)
         assert measured == pytest.approx(target, abs=0.1)
+
+
+class TestHxConstruction:
+    def test_unit_vector_coefficient(self):
+        alphabet = np.array([-1.0, 1.0])
+        h = np.array([1.0, 0.0, 0.0])
+        tt = build_hx_tt(h, alphabet)
+        dense = tt_to_dense(tt).data
+        for idx in np.ndindex(2, 2, 2):
+            assert dense[idx] == pytest.approx(alphabet[idx[0]])
+
+    def test_zero_coefficients(self):
+        tt = build_hx_tt(np.zeros(4), np.array([-1.0, 1.0]))
+        np.testing.assert_allclose(tt_to_dense(tt).data, 0.0, atol=1e-15)
+
+    def test_interior_ranks_exactly_three(self):
+        rng = np.random.default_rng(67)
+        tt = build_hx_tt(rng.standard_normal(6), np.array([-3.0, -1.0, 1.0, 3.0]))
+        assert tt.ranks == (1, 3, 3, 3, 3, 3, 1)
+
+    @pytest.mark.parametrize("n_modes,alphabet", [(2, [-1.0, 1.0]), (4, [-1.0, 1.0]), (3, [-3.0, -1.0, 1.0, 3.0])])
+    def test_exhaustive_dot_product_oracle(self, n_modes, alphabet):
+        rng = np.random.default_rng(68)
+        alphabet = np.array(alphabet)
+        h = rng.standard_normal(n_modes)
+        tt = build_hx_tt(h, alphabet)
+        xs, _ = assignments(n_modes, alphabet)
+        np.testing.assert_allclose(
+            tt_to_dense(tt).data.reshape(-1), xs @ h, rtol=1e-12, atol=1e-13
+        )
 
 
 def row_term(y_j, h_j, sigma2, alphabet):
