@@ -204,21 +204,6 @@ def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTr
     return b
 
 
-def _fiber_interfaces(a: TensorTrain, bond: int, idx: np.ndarray, right: bool) -> np.ndarray:
-    """Argument interface rows G_1(k_1) ... G_bond(k_bond) of the prefixes
-    ``idx`` (count, bond), or with ``right`` the rows G_{bond+1}(k_1) ...
-    G_N(k_last) of the suffixes ``idx`` (count, N - bond)."""
-    vec = np.ones((idx.shape[0], 1))
-    if right:
-        for j in range(a.order - 1, bond - 1, -1):
-            slices = a.cores[j][:, idx[:, j - bond], :]  # (r_l, count, r_r)
-            vec = np.einsum("lcr,cr->cl", slices, vec)
-    else:
-        for j in range(bond):
-            vec = np.einsum("cl,lcr->cr", vec, a.cores[j][:, idx[:, j], :])
-    return vec
-
-
 def _index(prefixes: np.ndarray, suffixes: np.ndarray, shape, flat: int) -> np.ndarray:
     """Multi-index of entry ``flat`` of a sampled block of ``shape``
     (prefix row, block indices..., suffix row)."""
@@ -249,6 +234,8 @@ class _CrossEngine:
         self.right[self.n] = np.zeros((1, 0), dtype=np.int64)
         self.left_if[0] = np.ones((1, 1))
         self.right_if[self.n] = np.ones((1, 1))
+        # Oversampling fibers and interfaces per bond of the current half sweep.
+        self.extra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._init_right_pivots(init)
         self.probe_idx = np.column_stack(
             [self.rng.integers(0, d, size=N_PROBE) for d in self.dims]
@@ -287,28 +274,68 @@ class _CrossEngine:
         (The init carries no information about where a concentrated f puts
         its mass: the all-ones init's pivots are arbitrary and the Taylor
         init's can all sit in flat regions.  A list of likely multi-indices
-        points the first sweep at the mass.)"""
+        points the first sweep at the mass.)  The seed suffixes are nested,
+        so one right-to-left pass over the cores builds their interfaces."""
         if seeds.ndim != 2 or seeds.shape[1] != self.n:
             raise ValueError(f"seed indices must be (count, {self.n}) shaped")
-        for b in range(1, self.n):
-            suffixes = seeds[:, b:]
-            self.right[b] = np.vstack([self.right[b], suffixes])
-            self.right_if[b] = np.vstack(
-                [self.right_if[b], _fiber_interfaces(self.arg, b, suffixes, right=True)]
+        bad = np.nonzero(np.any((seeds < 0) | (seeds >= np.asarray(self.dims)), axis=1))[0]
+        if bad.size:
+            raise ValueError(
+                f"seed row {int(bad[0])} {seeds[bad[0]].tolist()} is out of range for dims {self.dims}"
             )
+        vec = np.ones((seeds.shape[0], 1))
+        for b in range(self.n - 1, 0, -1):
+            vec = np.einsum("lcr,cr->cl", self.arg.cores[b][:, seeds[:, b], :], vec)
+            self.right[b] = np.vstack([self.right[b], seeds[:, b:]])
+            self.right_if[b] = np.vstack([self.right_if[b], vec])
 
     # -- shared helpers ----------------------------------------------------
 
+    def _draw_oversampling(self, lr: bool, width: int) -> None:
+        """Draw the random oversampling fibers of every bond the coming half
+        sweep visits, with their argument interfaces.
+
+        One generator call draws them all: ``integers`` with an array of
+        bounds consumes the stream exactly as one ``integers(0, d, size=kick)``
+        call per free mode, bond by bond in visit order, would.  Stacked in
+        visit order, the fibers still open at core j are a prefix of the rows
+        (bonds <= j going right, bonds > j going left), so one pass over the
+        cores builds every interface.
+        """
+        n, kick = self.n, self.cfg.sample_oversample
+        bonds = range(width, n) if lr else range(n - width, 0, -1)
+        self.extra = {}
+        if kick == 0 or not bonds:
+            return
+        modes = [range(b, n) if lr else range(b) for b in bonds]
+        high = np.concatenate([np.repeat([self.dims[m] for m in ms], kick) for ms in modes])
+        draws = self.rng.integers(0, high)
+        fibers = np.zeros((kick * len(bonds), n), dtype=np.int64)
+        pos = 0
+        for p, ms in enumerate(modes):
+            block = draws[pos : pos + kick * len(ms)].reshape(len(ms), kick).T
+            fibers[p * kick : (p + 1) * kick, ms.start : ms.stop] = block
+            pos += block.size
+        vec = np.ones((fibers.shape[0], 1))
+        if lr:
+            for j in range(n - 1, width - 1, -1):
+                end = kick * (j - width + 1)
+                vec = np.einsum("lcr,cr->cl", self.arg.cores[j][:, fibers[:end, j], :], vec[:end])
+                self.extra[j] = (fibers[end - kick : end, j:], vec[end - kick :])
+        else:
+            for j in range(n - width):
+                end = kick * (n - width - j)
+                vec = np.einsum("cl,lcr->cr", vec[:end], self.arg.cores[j][:, fibers[:end, j], :])
+                self.extra[j + 1] = (fibers[end - kick : end, : j + 1], vec[end - kick :])
+
     def _candidates(self, bond: int, right: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Current right (or left) pivots of ``bond`` plus random
-        oversampling, with their argument interfaces."""
+        """Current right (or left) pivots of ``bond`` plus the oversampling
+        fibers drawn for it at the start of the half sweep, with their
+        argument interfaces."""
         pivots, interfaces = (self.right, self.right_if) if right else (self.left, self.left_if)
-        free = self.dims[bond:] if right else self.dims[:bond]
-        kick = self.cfg.sample_oversample
-        if kick == 0 or not free:
+        if bond not in self.extra:
             return pivots[bond], interfaces[bond]
-        extra = np.column_stack([self.rng.integers(0, d, size=kick) for d in free])
-        extra_if = _fiber_interfaces(self.arg, bond, extra, right)
+        extra, extra_if = self.extra[bond]
         return np.vstack([pivots[bond], extra]), np.vstack([interfaces[bond], extra_if])
 
     def _apply_f(self, vals: np.ndarray, prefixes: np.ndarray, suffixes: np.ndarray) -> np.ndarray:
@@ -370,6 +397,7 @@ class _CrossEngine:
         by its interpolative factor.
         """
         n = self.n
+        self._draw_oversampling(lr, width)
         for i in range(n - 1) if lr else range(n - 1, 0, -1):
             lo = i if lr else i - width + 1
             hi = lo + width - 1
