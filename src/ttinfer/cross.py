@@ -17,8 +17,10 @@ The cross evaluates f only at structured samples (left prefix x block
 indices x right suffix), adapts ranks through a local SVD threshold,
 enriches the search with random indices each half sweep, and stops when the
 values at a fixed random probe set change by less than ``conv_tol`` between
-full sweeps.  All randomness flows from ``CrossConfig.rng_seed``; fixed seed
-means bit-identical output.
+full sweeps.  A half sweep draws all its random fibers in one generator
+call and builds their argument interfaces in one pass over the cores, so it
+costs O(N) numpy calls on N modes.  All randomness flows from
+``CrossConfig.rng_seed``; fixed seed means bit-identical output.
 """
 
 from __future__ import annotations
@@ -234,8 +236,6 @@ class _CrossEngine:
         self.right[self.n] = np.zeros((1, 0), dtype=np.int64)
         self.left_if[0] = np.ones((1, 1))
         self.right_if[self.n] = np.ones((1, 1))
-        # Oversampling fibers and interfaces per bond of the current half sweep.
-        self.extra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._init_right_pivots(init)
         self.probe_idx = np.column_stack(
             [self.rng.integers(0, d, size=N_PROBE) for d in self.dims]
@@ -280,9 +280,7 @@ class _CrossEngine:
             raise ValueError(f"seed indices must be (count, {self.n}) shaped")
         bad = np.nonzero(np.any((seeds < 0) | (seeds >= np.asarray(self.dims)), axis=1))[0]
         if bad.size:
-            raise ValueError(
-                f"seed row {int(bad[0])} {seeds[bad[0]].tolist()} is out of range for dims {self.dims}"
-            )
+            raise ValueError(f"seed row {bad[0]} {seeds[bad[0]].tolist()} outside dims {self.dims}")
         vec = np.ones((seeds.shape[0], 1))
         for b in range(self.n - 1, 0, -1):
             vec = np.einsum("lcr,cr->cl", self.arg.cores[b][:, seeds[:, b], :], vec)
@@ -292,30 +290,23 @@ class _CrossEngine:
     # -- shared helpers ----------------------------------------------------
 
     def _draw_oversampling(self, lr: bool, width: int) -> None:
-        """Draw the random oversampling fibers of every bond the coming half
-        sweep visits, with their argument interfaces.
-
-        One generator call draws them all: ``integers`` with an array of
-        bounds consumes the stream exactly as one ``integers(0, d, size=kick)``
-        call per free mode, bond by bond in visit order, would.  Stacked in
-        visit order, the fibers still open at core j are a prefix of the rows
-        (bonds <= j going right, bonds > j going left), so one pass over the
-        cores builds every interface.
-        """
+        """Random oversampling fibers, with their argument interfaces, of
+        every bond the coming half sweep visits.  One ``integers`` call over
+        an array of bounds consumes the stream exactly as one call per free
+        mode and bond in visit order would.  In visit order, the fibers still
+        open at core j are a prefix of the rows (bonds <= j going right,
+        bonds > j going left), so one pass over the cores builds them all."""
         n, kick = self.n, self.cfg.sample_oversample
         bonds = range(width, n) if lr else range(n - width, 0, -1)
-        self.extra = {}
+        self.extra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if kick == 0 or not bonds:
             return
         modes = [range(b, n) if lr else range(b) for b in bonds]
         high = np.concatenate([np.repeat([self.dims[m] for m in ms], kick) for ms in modes])
-        draws = self.rng.integers(0, high)
+        blocks = np.split(self.rng.integers(0, high), kick * np.cumsum([len(ms) for ms in modes]))
         fibers = np.zeros((kick * len(bonds), n), dtype=np.int64)
-        pos = 0
-        for p, ms in enumerate(modes):
-            block = draws[pos : pos + kick * len(ms)].reshape(len(ms), kick).T
-            fibers[p * kick : (p + 1) * kick, ms.start : ms.stop] = block
-            pos += block.size
+        for p, (ms, block) in enumerate(zip(modes, blocks)):
+            fibers[p * kick : (p + 1) * kick, ms.start : ms.stop] = block.reshape(-1, kick).T
         vec = np.ones((fibers.shape[0], 1))
         if lr:
             for j in range(n - 1, width - 1, -1):

@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,13 +184,17 @@ def rank_stats(records) -> RankStats:
 # ---------------------------------------------------------------------------
 
 
+# The enumeration tables depend only on the problem size: built once, shared read-only.
+@lru_cache(maxsize=4)
 def _assignment_digits(n_modes: int, base: int) -> np.ndarray:
     total = base**n_modes
     if total > ORACLE_ASSIGNMENT_LIMIT:
         raise ValueError(f"{total} assignments exceed the oracle limit {ORACLE_ASSIGNMENT_LIMIT}")
     idx = np.arange(total)
     powers = base ** np.arange(n_modes - 1, -1, -1)
-    return (idx[:, None] // powers[None, :]) % base
+    digits = (idx[:, None] // powers[None, :]) % base
+    digits.flags.writeable = False
+    return digits
 
 
 def mimo_exact_marginals(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) -> MarginalTable:
@@ -229,9 +234,12 @@ def code_exact_bitwise_map(y: np.ndarray, code: LinearCode, n0: float):
     return u_hat, marginals
 
 
+@lru_cache(maxsize=4)
 def _information_bits(k: int) -> np.ndarray:
     ids = np.arange(1 << k, dtype=np.int64)
-    return ((ids[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int64)
+    bits = ((ids[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int64)
+    bits.flags.writeable = False
+    return bits
 
 
 def lmmse_detect(y: np.ndarray, ch: ChannelRealization, alphabet) -> np.ndarray:

@@ -6,8 +6,9 @@ of the whole Gaussian log-likelihood; a separable log-prior adds a rank-2
 TT), exponentiated with a TT-cross seeded by the model's top-K candidate
 list (else a random-probe mode estimate), and marginalized mode by mode to
 produce symbol-wise posteriors and MAP hard decisions.  Additive constants
-of the log-posterior are never represented; normalization of the marginals
-restores proper probabilities.
+of the log-posterior are never represented: the cross subtracts the
+estimated maximum inside the exponential it samples, and normalization of
+the marginals restores proper probabilities.
 """
 
 from __future__ import annotations
@@ -169,7 +170,9 @@ def infer_marginals(
     of exp at rank ``taylor_max_rank`` (degree 0: all ones) and first samples
     the fibers through ``seeds``, (K, N) candidate multi-indices whose best
     metric also shifts the exponential; without them a random-probe mode
-    estimate serves.  Negative marginal entries (cross artifacts) are
+    estimate serves.  The cross samples exp(metric - shift) straight from
+    ``lp.tt``; only a Taylor init (``taylor_p`` > 0) builds the shifted
+    metric as a rounded TT.  Negative marginal entries (cross artifacts) are
     clamped to zero before normalization.  Returns the table together with
     the maximum interior TT rank of the exponentiated tensor.
 
@@ -183,16 +186,16 @@ def infer_marginals(
     else:
         seeds = np.asarray(seeds, dtype=np.int64)
         shift = float(tt_eval_many(lp.tt, seeds).max())
-    shifted = tt_truncate(
-        tt_add(lp.tt, constant_tt(lp.tt.dims, -shift)), taylor_tol
-    )
-    init = tt_exp_taylor(shifted, taylor_p, taylor_max_rank, taylor_tol)
+    base = lp.tt
+    if taylor_p > 0:
+        base = tt_truncate(tt_add(lp.tt, constant_tt(lp.tt.dims, -shift)), taylor_tol)
+    init = tt_exp_taylor(base, taylor_p, taylor_max_rank, taylor_tol)
     lo = -(_EXP_CLIP_MARGIN + float(np.sum(np.log(lp.tt.dims))))
 
     def f(values):
-        return np.exp(np.clip(values, lo, _EXP_CLIP_HI))
+        return np.exp(np.clip(values - shift, lo, _EXP_CLIP_HI))
 
-    result = tt_cross(f, shifted, init, cfg, variant=variant, seed_indices=seeds)
+    result = tt_cross(f, lp.tt, init, cfg, variant=variant, seed_indices=seeds)
     table = np.empty((lp.n_modes, lp.alphabet.size))
     for mode in range(lp.n_modes):
         vec = tt_marginalize_except(result.tt, mode)

@@ -23,6 +23,7 @@ from ttinfer import (
     tt_to_dense,
     zeros_tt,
 )
+from ttinfer import cross as cross_module
 
 
 def clipped_random_tt(rng, dims, lo, hi, ranks=None):
@@ -261,3 +262,94 @@ class TestCrossVariants:
         np.testing.assert_allclose(
             tt_to_dense(out).data, np.exp([-1.0, -2.0, 0.5]), rtol=1e-12
         )
+
+
+class PerBondDrawEngine(cross_module._CrossEngine):
+    """Reference cross that draws oversampling bond by bond: one
+    ``integers(0, d, size=kick)`` call per free mode when a bond is visited,
+    and every interface (oversampling and seed) multiplied from the far end
+    of the train on its own."""
+
+    def _draw_oversampling(self, lr, width):
+        self.extra = {}
+
+    def _far_end_interfaces(self, idx, bond, right):
+        vec = np.ones((idx.shape[0], 1))
+        if right:
+            for j in range(self.n - 1, bond - 1, -1):
+                vec = np.einsum("lcr,cr->cl", self.arg.cores[j][:, idx[:, j - bond], :], vec)
+        else:
+            for j in range(bond):
+                vec = np.einsum("cl,lcr->cr", vec, self.arg.cores[j][:, idx[:, j], :])
+        return vec
+
+    def _seed_pivots(self, seeds):
+        for b in range(1, self.n):
+            suffixes = seeds[:, b:]
+            self.right[b] = np.vstack([self.right[b], suffixes])
+            self.right_if[b] = np.vstack(
+                [self.right_if[b], self._far_end_interfaces(suffixes, b, right=True)]
+            )
+
+    def _candidates(self, bond, right):
+        pivots, interfaces = (self.right, self.right_if) if right else (self.left, self.left_if)
+        free = self.dims[bond:] if right else self.dims[:bond]
+        kick = self.cfg.sample_oversample
+        if kick == 0 or not free:
+            return pivots[bond], interfaces[bond]
+        extra = np.column_stack([self.rng.integers(0, d, size=kick) for d in free])
+        extra_if = self._far_end_interfaces(extra, bond, right)
+        return np.vstack([pivots[bond], extra]), np.vstack([interfaces[bond], extra_if])
+
+
+class TestBatchedOversampling:
+    """One draw per half sweep and one interface pass reproduce the
+    per-bond reference bit for bit, so the random stream is pinned on every
+    numpy the suite runs on."""
+
+    @pytest.mark.parametrize("variant", ["sample", "sweep"])
+    @pytest.mark.parametrize("oversample", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_matches_per_bond_reference(self, monkeypatch, variant, oversample, seeded):
+        rng = np.random.default_rng(31 + oversample)
+        dims = (2, 3, 4, 2, 5, 3)
+        a = random_tt(dims, (2, 3, 3, 2, 2), rng, scale=0.6)
+        seeds = np.column_stack([rng.integers(0, d, size=4) for d in dims]) if seeded else None
+        cfg = CrossConfig(max_rank=12, n_sweeps=3, sample_oversample=oversample,
+                          conv_tol=1e-12, rng_seed=oversample)
+        # every sampled argument block must match too, not only the output
+        sampled = {"got": [], "want": []}
+
+        def recording_exp(key):
+            def f(v):
+                sampled[key].append(v.tobytes())
+                return np.exp(v)
+            return f
+
+        got = tt_cross(recording_exp("got"), a, ones_tt(dims), cfg, variant, seed_indices=seeds)
+        monkeypatch.setattr(cross_module, "_CrossEngine", PerBondDrawEngine)
+        want = tt_cross(recording_exp("want"), a, ones_tt(dims), cfg, variant, seed_indices=seeds)
+        assert sampled["got"] == sampled["want"]
+        assert got.tt.ranks == want.tt.ranks
+        assert (got.n_evals, got.n_half_sweeps, got.converged) == (
+            want.n_evals, want.n_half_sweeps, want.converged)
+        for c1, c2 in zip(got.tt.cores, want.tt.cores):
+            assert c1.tobytes() == c2.tobytes()
+        for s1, s2 in zip(got.pivots.col_sets, want.pivots.col_sets):
+            np.testing.assert_array_equal(s1, s2)
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("bad_row", [[0, -1, 1, 0], [0, 1, 3, 0]])
+    def test_out_of_range_seed_is_rejected(self, bad_row):
+        rng = np.random.default_rng(32)
+        a = random_tt((2, 3, 3, 2), (2, 2, 2), rng)
+        seeds = np.array([[1, 2, 0, 1], bad_row])
+        with pytest.raises(ValueError, match=r"seed row 1 \[0, -?[0-9], [0-9], 0\]"):
+            tt_cross(np.exp, a, ones_tt(a.dims), small_cfg(10), seed_indices=seeds)
+
+    def test_wrong_seed_shape_is_rejected(self):
+        rng = np.random.default_rng(33)
+        a = random_tt((2, 2, 2), (2, 2), rng)
+        with pytest.raises(ValueError, match="shaped"):
+            tt_cross(np.exp, a, ones_tt(a.dims), small_cfg(11), seed_indices=[[0, 1]])

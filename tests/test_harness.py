@@ -1,6 +1,8 @@
-"""Tests of the Monte Carlo harness: the exact decoding oracle, the
-configuration checks, the per-trial records of failed inferences, and the
-worker-count independence of ``run_sweep``."""
+"""Tests of the Monte Carlo harness: the exact oracles and their cached
+enumeration tables, the configuration checks, the per-trial records of
+failed inferences, and the worker-count independence of ``run_sweep``."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -30,6 +32,32 @@ class TestDecodingOracle:
         assert np.all(marginals.probs >= 0.0)
         np.testing.assert_allclose(marginals.probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(u_hat, marginals.probs.argmax(axis=1))
+
+
+class TestOracleTables:
+    def test_tables_are_cached_read_only(self):
+        digits = harness._assignment_digits(3, 4)
+        bits = harness._information_bits(5)
+        assert harness._assignment_digits(3, 4) is digits
+        assert harness._information_bits(5) is bits
+        assert not digits.flags.writeable and not bits.flags.writeable
+        with pytest.raises(ValueError):
+            digits[0, 0] = 1
+        np.testing.assert_array_equal(digits, list(itertools.product(range(4), repeat=3)))
+        np.testing.assert_array_equal(bits[:, ::-1], list(itertools.product(range(2), repeat=5)))
+
+    def test_repeated_oracle_calls_are_identical(self):
+        rng = np.random.default_rng(60)
+        h = rng.standard_normal((4, 4))
+        alphabet = np.array([-3.0, -1.0, 1.0, 3.0])
+        y = h @ alphabet[rng.integers(0, 4, size=4)] + 0.5 * rng.standard_normal(4)
+        first = harness.mimo_exact_marginals(y, h, 0.25, alphabet).probs
+        assert first.tobytes() == harness.mimo_exact_marginals(y, h, 0.25, alphabet).probs.tobytes()
+        code = load_code(builtin_code_path("bch_15_7"))
+        y = 1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k)) + rng.standard_normal(code.n)
+        _, first = code_exact_bitwise_map(y, code, 1.0)
+        _, again = code_exact_bitwise_map(y, code, 1.0)
+        assert first.probs.tobytes() == again.probs.tobytes()
 
 
 def hamming_sweep(tmp_path, workers: int) -> SimConfig:

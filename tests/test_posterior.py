@@ -18,6 +18,7 @@ from ttinfer import (
     tt_to_dense,
     tt_truncate,
 )
+from ttinfer import posterior
 
 
 def enumerate_marginals(log_dense):
@@ -101,6 +102,33 @@ class TestInferMarginals:
         t1, _ = infer_marginals(LogPosterior(base, alpha), generous_cfg(3), 10, 16, taylor_tol=0.0)
         t2, _ = infer_marginals(LogPosterior(lifted, alpha), generous_cfg(3), 10, 16, taylor_tol=0.0)
         assert np.abs(t1.probs - t2.probs).max() <= 1e-9
+
+    @pytest.mark.parametrize("variant", ["sample", "sweep"])
+    def test_seeded_shift_invariance(self, variant):
+        # the pipeline path: seeds set the shift, which f subtracts, so a
+        # constant added to the metric cancels up to round-off
+        rng = np.random.default_rng(51)
+        dense = 4.0 * rng.standard_normal((4,) * 5)
+        base = tt_from_dense(dense, 0.0)
+        lifted = tt_add(base, constant_tt(base.dims, 250.0))
+        seeds = np.column_stack(np.unravel_index(np.argsort(dense, axis=None)[-16:], dense.shape))
+        alpha = np.arange(4.0)
+        t1, _ = infer_marginals(LogPosterior(base, alpha), generous_cfg(6), 0, 1,
+                                variant=variant, seeds=seeds)
+        t2, _ = infer_marginals(LogPosterior(lifted, alpha), generous_cfg(6), 0, 1,
+                                variant=variant, seeds=seeds)
+        assert np.abs(t1.probs - t2.probs).max() <= 1e-12
+        np.testing.assert_array_equal(map_decision(t1, alpha), map_decision(t2, alpha))
+        np.testing.assert_allclose(t1.probs, enumerate_marginals(dense), atol=1e-6)
+
+    @pytest.mark.parametrize("taylor_p,rounds", [(0, 0), (4, 1)])
+    def test_metric_is_rounded_only_for_the_taylor_init(self, monkeypatch, taylor_p, rounds):
+        calls = []
+        monkeypatch.setattr(posterior, "tt_truncate", lambda *a: calls.append(a) or tt_truncate(*a))
+        rng = np.random.default_rng(52)
+        lp = LogPosterior(tt_from_dense(rng.standard_normal((2,) * 4), 0.0), np.array([0.0, 1.0]))
+        infer_marginals(lp, generous_cfg(7), taylor_p, 8, seeds=np.zeros((1, 4), dtype=np.int64))
+        assert len(calls) == rounds
 
     def test_reports_max_rank(self):
         rng = np.random.default_rng(48)
