@@ -21,7 +21,6 @@ from .tt import (
     tt_from_dense,
     tt_hadamard,
     tt_marginalize_except,
-    tt_mode_multiply,
     tt_norm,
     tt_scale,
     tt_to_dense,
@@ -33,7 +32,6 @@ from .cross import (
     CrossResult,
     DegenerateMatrixError,
     NonFiniteValueError,
-    PivotSets,
     maxvol,
     tt_cross,
     tt_exp_taylor,
@@ -51,27 +49,20 @@ from .mimo import (
     DegenerateChannelError,
     DetectionTrial,
     QamConstellation,
-    build_hx_tt,
     build_quadratic_metric,
-    complexify_vec,
     noise_variance_for_snr,
     realify_channel,
-    realify_model,
-    realify_vec,
     sample_channel,
     ttdet,
 )
 from .chancode import (
     DecodeResult,
     LinearCode,
-    StoppingRule,
     biawgn_capacity_dispersion,
     build_code_logapp_tt,
     builtin_code_path,
     load_code,
     n0_from_ebn0,
-    noncentral_chi2_cdf,
-    noncentral_chi2_ppf,
     normal_approx_pe,
     stopping_threshold,
     ttdec,
@@ -80,6 +71,7 @@ from .harness import (
     RankStats,
     SimConfig,
     SweepResult,
+    SweepRow,
     code_exact_bitwise_map,
     lmmse_detect,
     mimo_exact_marginals,

@@ -11,7 +11,9 @@ a sum of n rank-1 sign products that this module assembles directly as a TT
 of rank at most n.  Decoding exponentiates and marginalizes the metric
 (posterior module) inside an adaptive rank loop with a Neyman-Pearson early
 stopping test on the squared Euclidean distance between the re-encoded
-candidate and the observation.
+candidate and the observation.  The test's threshold is a noncentral
+chi-squared quantile (``scipy.special.chndtrix``) at an error target from
+the normal approximation of the code's block error probability.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, gammainc
+from scipy.special import chndtrix, erfc
 
 from .cross import CrossConfig
 from .posterior import (
@@ -37,16 +39,13 @@ from .posterior import (
 from .tt import TensorTrain, tt_truncate
 
 __all__ = [
-    "BIT_ALPHABET",
     "DecodeResult",
     "LinearCode",
-    "StoppingRule",
     "biawgn_capacity_dispersion",
     "build_code_logapp_tt",
     "builtin_code_path",
     "load_code",
-    "noncentral_chi2_cdf",
-    "noncentral_chi2_ppf",
+    "n0_from_ebn0",
     "normal_approx_pe",
     "stopping_threshold",
     "ttdec",
@@ -83,6 +82,15 @@ def _gf2_column_rank(g: np.ndarray) -> int:
 def _information_words(k: int, start: int, stop: int) -> np.ndarray:
     ids = np.arange(start, stop, dtype=np.int64)
     return ((ids[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int64)
+
+
+@lru_cache(maxsize=4)
+def _all_information_words(k: int) -> np.ndarray:
+    """All 2^k information words, row i holding the bits of i (LSB first);
+    built once per k and shared read-only by the codebook and the oracle."""
+    words = _information_words(k, 0, 1 << k)
+    words.flags.writeable = False
+    return words
 
 
 def _min_distance(g: np.ndarray) -> int:
@@ -140,8 +148,7 @@ class LinearCode:
         if self.k > ENUMERATION_LIMIT_K:
             raise ValueError(f"codebook of 2^{self.k} words exceeds the enumeration limit")
         if self._codebook is None:
-            u = _information_words(self.k, 0, 1 << self.k)
-            self._codebook = 1.0 - 2.0 * ((u @ self.g.T) % 2)
+            self._codebook = 1.0 - 2.0 * ((_all_information_words(self.k) @ self.g.T) % 2)
         return self._codebook
 
 
@@ -276,93 +283,18 @@ def normal_approx_pe(code: LinearCode, n0: float) -> float:
     return float(np.clip(_q_function(numerator / denom), 0.0, 1.0))
 
 
-def noncentral_chi2_cdf(x, df: int, nc: float, rel_tol: float = 1e-12):
-    """CDF of the noncentral chi-squared distribution chi^2_df(nc).
-
-    Central chi-squared mixture: F(x) = sum_j Pois(j; nc/2) F_{df+2j}(x),
-    summed outward from the Poisson mode until the weight tail is below
-    ``rel_tol`` relative to the accumulated mass.  Accepts array ``x``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    if nc < 0:
-        raise ValueError("noncentrality must be >= 0")
-    if nc == 0:
-        return gammainc(df / 2.0, x / 2.0)
-    half = nc / 2.0
-    mode = int(half)
-    out = np.zeros_like(x)
-
-    def log_weight(j: int) -> float:
-        return -half + j * math.log(half) - math.lgamma(j + 1)
-
-    total_weight = 0.0
-    for direction in (1, -1):
-        j = mode if direction == 1 else mode - 1
-        while 0 <= j:
-            w = math.exp(log_weight(j))
-            out += w * gammainc(df / 2.0 + j, x / 2.0)
-            total_weight += w
-            if w < rel_tol * total_weight and abs(j - half) > math.sqrt(half) + 4:
-                break
-            j += direction
-            if j > half + 200 * (math.sqrt(half) + 1):
-                break
-    return out if out.ndim else float(out)
-
-
-def noncentral_chi2_ppf(q: float, df: int, nc: float, rel_tol: float = 1e-8) -> float:
-    """Quantile of chi^2_df(nc) by bisection on the mixture-series CDF."""
-    if q <= 0.0:
-        return 0.0
-    if q >= 1.0:
-        return math.inf
-    hi = df + nc + 10.0 * math.sqrt(2.0 * df + 4.0 * nc) + 10.0
-    while noncentral_chi2_cdf(hi, df, nc) < q:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > rel_tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if noncentral_chi2_cdf(mid, df, nc) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    """Early-stopping threshold of the decoder's binary hypothesis test.
-
-    H0: the candidate equals the transmitted codeword (squared distance is
-    (N0/2) chi^2_n); H1: the candidate sits at Hamming distance d_min
-    ((N0/2) chi^2_n(lambda), lambda = 8 d_min / N0).  ``threshold`` fixes
-    the type-II error probability at target_pe / safety.
-    """
-
-    threshold: float
-    target_pe: float
-    lam: float
-    schedule: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.target_pe > 0 and not self.threshold > 0:
-            raise ValueError("threshold must be positive for a positive error target")
-        if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
-            raise ValueError("rank schedule must be strictly increasing")
-
-
 def stopping_threshold(code: LinearCode, n0: float, target_pe: float, safety: float = 100.0) -> float:
-    """Distance threshold eta with type-II error target_pe / safety:
-    eta = (N0/2) * F^-1_{chi^2_n(lambda)}(target_pe / safety)."""
+    """Distance threshold eta of the decoder's early-stopping test.
+
+    H0: the candidate is the transmitted codeword, so its squared distance
+    to y is (N0/2) chi^2_n; H1: it sits at Hamming distance d_min, giving
+    (N0/2) chi^2_n(lambda) with lambda = 8 d_min / N0.  The threshold fixes
+    the type-II error at target_pe / safety:
+    eta = (N0/2) * F^-1_{chi^2_n(lambda)}(target_pe / safety).
+    """
     if not 0.0 <= target_pe < 1.0:
         raise ValueError("target error probability must lie in [0, 1)")
-    lam = 8.0 * code.d_min / n0
-    quantile = target_pe / safety
-    if quantile <= 0.0:
-        return 0.0
-    return 0.5 * n0 * noncentral_chi2_ppf(quantile, code.n, lam)
+    return 0.5 * n0 * chndtrix(target_pe / safety, code.n, 8.0 * code.d_min / n0)
 
 
 class _CodeParams(NamedTuple):
@@ -382,9 +314,8 @@ class _CodeParams(NamedTuple):
 @lru_cache(maxsize=256)
 def _stopping_rule_values(params: _CodeParams, n0: float, safety: float) -> tuple[float, float]:
     """(target_pe, eta) of the early stop.  Both depend on the observation
-    only through N0, and their quadrature and bisection take about half the
-    time of a short-code decode, so they are computed once per operating
-    point."""
+    only through N0, and the Gauss-Hermite quadrature behind target_pe costs
+    about 1 ms, so they are computed once per operating point."""
     target_pe = normal_approx_pe(params, n0)
     return target_pe, stopping_threshold(params, n0, target_pe, safety)
 
@@ -400,14 +331,6 @@ class DecodeResult:
     early_stop: bool
     steps_run: int
     max_rank_observed: int
-    rank_history: tuple[int, ...]
-    u_true: np.ndarray | None = None
-    n_bit_errors: int | None = None
-
-    def score(self, u_true: np.ndarray) -> "DecodeResult":
-        self.u_true = np.asarray(u_true, dtype=np.int64)
-        self.n_bit_errors = int(np.count_nonzero(self.u_hat != self.u_true))
-        return self
 
 
 def _osd_list(code: LinearCode, y: np.ndarray, size: int = SEED_LIST_SIZE) -> np.ndarray:
@@ -446,6 +369,16 @@ def _osd_list(code: LinearCode, y: np.ndarray, size: int = SEED_LIST_SIZE) -> np
     return (v[order] @ a[:, n:]) % 2
 
 
+def _rank_schedule(ranks) -> tuple[int, ...]:
+    """The decoder's rank schedule as a tuple of ints; raises ValueError
+    unless it is nonempty, strictly increasing and starts at rank >= 1."""
+    schedule = tuple(int(r) for r in ranks)
+    if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(
+            f"rank schedule {list(schedule)} must be a nonempty, strictly increasing list of ranks >= 1")
+    return schedule
+
+
 def _step_seed(base_seed: int, step: int) -> int:
     return int(np.random.SeedSequence([base_seed, step]).generate_state(1)[0])
 
@@ -471,37 +404,33 @@ def ttdec(
     squared distance to y (with ``taylor_p`` = 0 the init is all ones, so a
     step only reseeds the cross).  The best candidate is kept; the loop stops
     early as soon as its score drops below the threshold.  A failed
-    inference step scores as +inf and the loop continues.
+    inference step scores as +inf and the loop continues.  A schedule that
+    is empty, not strictly increasing or below rank 1 raises ValueError.
     """
-    schedule = tuple(int(r) for r in schedule)
-    if not schedule:
-        raise ValueError("rank schedule must be nonempty")
+    schedule = _rank_schedule(schedule)
     target_pe, eta = _stopping_rule_values(_CodeParams(code.n, code.k, code.d_min), n0, safety)
-    rule = StoppingRule(threshold=eta, target_pe=target_pe, lam=8.0 * code.d_min / n0, schedule=schedule)
     metric = build_code_logapp_tt(code, y, n0, trunc_tol)
     lp = LogPosterior(metric, BIT_ALPHABET)
     y = np.asarray(y, dtype=np.float64)
     seeds = _osd_list(code, y)
     best_u: np.ndarray | None = None
     best_nu = math.inf
-    ranks: list[int] = []
+    max_rank = 0
     early = False
-    steps = 0
     for step, taylor_rank in enumerate(schedule):
         step_cfg = replace(cfg, rng_seed=_step_seed(cfg.rng_seed, step))
-        steps += 1
         try:
             marginals, rmax = infer_marginals(lp, step_cfg, taylor_p, taylor_rank, variant, seeds=seeds)
         except InferenceFailureError:
             continue
-        ranks.append(rmax)
+        max_rank = max(max_rank, rmax)
         u_hat = map_decision(marginals, BIT_ALPHABET).astype(np.int64)
         x_hat = 1.0 - 2.0 * code.encode(u_hat)
         nu = float(np.sum((y - x_hat) ** 2))
         if nu < best_nu:
             best_nu = nu
             best_u = u_hat
-            if best_nu < rule.threshold:
+            if best_nu < eta:
                 early = True
                 break
     if best_u is None:
@@ -509,10 +438,9 @@ def ttdec(
     return DecodeResult(
         u_hat=best_u,
         nu=best_nu,
-        eta=rule.threshold,
+        eta=eta,
         target_pe=target_pe,
         early_stop=early,
-        steps_run=steps,
-        max_rank_observed=max(ranks) if ranks else 0,
-        rank_history=tuple(ranks),
+        steps_run=step + 1,
+        max_rank_observed=max_rank,
     )

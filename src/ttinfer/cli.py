@@ -18,7 +18,7 @@ import csv
 import json
 import sys
 
-from .chancode import builtin_code_path
+from .chancode import _rank_schedule, builtin_code_path
 from .harness import SimConfig, rank_stats, run_sweep
 
 __all__ = ["main"]
@@ -43,7 +43,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p)
+    try:
+        return _rank_schedule(p for p in text.split(",") if p)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -179,7 +182,7 @@ def _run_decode(args) -> int:
         open(code_path).close()
     except OSError:
         code_path = str(builtin_code_path(args.code))
-    return _sweep(args, "decode", args.ebn0, code_path=code_path, schedule=tuple(args.schedule))
+    return _sweep(args, "decode", args.ebn0, code_path=code_path, schedule=args.schedule)
 
 
 def _run_ranks(args) -> int:

@@ -30,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .tt import TensorTrain, _round_gram, ones_tt, tt_add, tt_eval_many, tt_hadamard, tt_scale
+from .tt import TensorTrain, _chop_ranks, _round_gram, ones_tt, tt_add, tt_eval_many, tt_hadamard, tt_scale
 
 __all__ = [
     "CrossConfig",
     "CrossResult",
     "DegenerateMatrixError",
     "NonFiniteValueError",
-    "PivotSets",
     "maxvol",
     "tt_cross",
     "tt_exp_taylor",
@@ -95,23 +94,8 @@ class CrossConfig:
 
 
 @dataclass(frozen=True)
-class PivotSets:
-    """Nested cross pivots: ``row_sets[b]`` holds left prefixes (r_b, b+1)
-    and ``col_sets[b]`` right suffixes (r_b, N-b-1) for interior bond b.
-
-    Row sets are refreshed by left-to-right half sweeps and column sets by
-    right-to-left ones, so after a converged run both describe the final
-    ranks; mid-run the side opposite to the last half sweep may lag.
-    """
-
-    row_sets: tuple[np.ndarray, ...]
-    col_sets: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class CrossResult:
     tt: TensorTrain
-    pivots: PivotSets
     n_evals: int
     n_half_sweeps: int
     converged: bool
@@ -206,6 +190,18 @@ def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTr
     return b
 
 
+def _check_seed_indices(seeds, dims) -> np.ndarray:
+    """Seed multi-indices as a (count, N) int array; raises ValueError on
+    another shape or on an index outside ``dims``."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if seeds.ndim != 2 or seeds.shape[1] != len(dims):
+        raise ValueError(f"seed indices must be (count, {len(dims)}) shaped")
+    bad = np.nonzero(np.any((seeds < 0) | (seeds >= np.asarray(dims)), axis=1))[0]
+    if bad.size:
+        raise ValueError(f"seed row {bad[0]} {seeds[bad[0]].tolist()} outside dims {tuple(dims)}")
+    return seeds
+
+
 def _index(prefixes: np.ndarray, suffixes: np.ndarray, shape, flat: int) -> np.ndarray:
     """Multi-index of entry ``flat`` of a sampled block of ``shape``
     (prefix row, block indices..., suffix row)."""
@@ -241,7 +237,7 @@ class _CrossEngine:
             [self.rng.integers(0, d, size=N_PROBE) for d in self.dims]
         )
         if seed_indices is not None:
-            seeds = np.asarray(seed_indices, dtype=np.int64)
+            seeds = _check_seed_indices(seed_indices, self.dims)
             self._seed_pivots(seeds)
             # Seeds anchor the convergence metric: where f is concentrated,
             # random probes alone would compare noise against noise.
@@ -276,11 +272,6 @@ class _CrossEngine:
         init's can all sit in flat regions.  A list of likely multi-indices
         points the first sweep at the mass.)  The seed suffixes are nested,
         so one right-to-left pass over the cores builds their interfaces."""
-        if seeds.ndim != 2 or seeds.shape[1] != self.n:
-            raise ValueError(f"seed indices must be (count, {self.n}) shaped")
-        bad = np.nonzero(np.any((seeds < 0) | (seeds >= np.asarray(self.dims)), axis=1))[0]
-        if bad.size:
-            raise ValueError(f"seed row {bad[0]} {seeds[bad[0]].tolist()} outside dims {self.dims}")
         vec = np.ones((seeds.shape[0], 1))
         for b in range(self.n - 1, 0, -1):
             vec = np.einsum("lcr,cr->cl", self.arg.cores[b][:, seeds[:, b], :], vec)
@@ -339,16 +330,6 @@ class _CrossEngine:
             raise NonFiniteValueError(_index(prefixes, suffixes, vals.shape, flat))
         return out
 
-    def _chop(self, s: np.ndarray, hard_cap: int) -> int:
-        """Adaptive local rank: Frobenius-tail trim at conv_tol."""
-        if s.size == 0:
-            return 1
-        delta = self.cfg.conv_tol * np.linalg.norm(s)
-        tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-        keep = np.nonzero(tail > delta)[0]
-        r = 1 if keep.size == 0 else int(keep[-1]) + 1
-        return max(1, min(r, hard_cap, self.cfg.max_rank))
-
     def _interpolative(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows J via maxvol and the factor basis @ basis[J]^-1 (rows J give
         the identity, making the core exact at its pivots)."""
@@ -368,12 +349,7 @@ class _CrossEngine:
         return np.linalg.norm(vals - prev) / denom < self.cfg.conv_tol
 
     def result(self, half_sweeps: int, converged: bool) -> CrossResult:
-        tt = TensorTrain(self.cores)
-        pivots = PivotSets(
-            row_sets=tuple(self.left[b] for b in range(1, self.n)),
-            col_sets=tuple(self.right[b] for b in range(1, self.n)),
-        )
-        return CrossResult(tt, pivots, self.n_evals, half_sweeps, converged)
+        return CrossResult(TensorTrain(self.cores), self.n_evals, half_sweeps, converged)
 
     # -- the half sweep ------------------------------------------------------
 
@@ -414,7 +390,8 @@ class _CrossEngine:
             n_lo, n_hi = self.dims[lo], self.dims[hi]
             mat = fvals.reshape(rl * n_lo, -1) if lr else fvals.reshape(-1, n_hi * rr)
             u, s, vt = np.linalg.svd(mat, full_matrices=False)
-            r_new = self._chop(s, min(mat.shape))
+            delta = self.cfg.conv_tol * np.linalg.norm(s)  # adaptive local rank
+            r_new = min(_chop_ranks(s, delta), *mat.shape, self.cfg.max_rank)
             if lr:
                 rows, factor = self._interpolative(u[:, :r_new])
                 self.cores[lo] = factor.reshape(rl, n_lo, r_new)
@@ -471,9 +448,7 @@ def tt_cross(
         vals = np.asarray(f(a.cores[0][0, :, 0]), dtype=np.float64)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValueError([int(np.argmin(np.isfinite(vals)))])
-        tt = TensorTrain([vals[None, :, None]])
-        empty = PivotSets(row_sets=(), col_sets=())
-        return CrossResult(tt, empty, vals.size, 1, True)
+        return CrossResult(TensorTrain([vals[None, :, None]]), vals.size, 1, True)
     engine = _CrossEngine(f, a, init, cfg, seed_indices=seed_indices)
     width = _VARIANT_WIDTH[variant]
     half_sweeps = 0

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chancode import LinearCode, load_code, n0_from_ebn0, ttdec
+from .chancode import LinearCode, _all_information_words, load_code, n0_from_ebn0, ttdec
 from .cross import CrossConfig
 from .mimo import (
     ChannelRealization,
@@ -36,7 +36,6 @@ from .posterior import (
 )
 
 __all__ = [
-    "CSV_HEADER",
     "RankStats",
     "SimConfig",
     "SweepResult",
@@ -223,7 +222,7 @@ def code_exact_bitwise_map(y: np.ndarray, code: LinearCode, n0: float):
     codebook = code.bpsk_codebook()
     logits = (2.0 / n0) * (codebook @ np.asarray(y, dtype=np.float64))
     weights = np.exp(logits - logits.max())
-    bits = _information_bits(code.k)
+    bits = _all_information_words(code.k)
     table = np.empty((code.k, 2))
     for i in range(code.k):
         ones = bits[:, i] == 1
@@ -232,14 +231,6 @@ def code_exact_bitwise_map(y: np.ndarray, code: LinearCode, n0: float):
     marginals = MarginalTable(table)
     u_hat = map_decision(marginals, np.array([0.0, 1.0])).astype(np.int64)
     return u_hat, marginals
-
-
-@lru_cache(maxsize=4)
-def _information_bits(k: int) -> np.ndarray:
-    ids = np.arange(1 << k, dtype=np.int64)
-    bits = ((ids[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int64)
-    bits.flags.writeable = False
-    return bits
 
 
 def lmmse_detect(y: np.ndarray, ch: ChannelRealization, alphabet) -> np.ndarray:

@@ -1,8 +1,7 @@
-"""MIMO detection pieces: Rayleigh channel sampling, complex-to-real model
-decomposition, QAM alphabets, exact rank-3 TT construction of h^T x, the
-exact TT of the whole Gaussian log-likelihood -||y - H x||^2 / (2 sigma^2)
-(ranks min(b, N - b) + 2, built in one pass without rounding), a list sphere
-decoder, and the TT detector.
+"""MIMO detection pieces: Rayleigh channel sampling, complex-to-real channel
+decomposition, QAM alphabets, the exact TT of the Gaussian log-likelihood
+-||y - H x||^2 / (2 sigma^2) (ranks min(b, N - b) + 2, built in one pass
+without rounding), a list sphere decoder, and the TT detector.
 
 The complex model y~ = H~ x~ + n~ with M-QAM symbols is rewritten as the real
 model y = H x + n with H = [[Re, -Im], [Im, Re]], stacked (Re; Im) vectors,
@@ -26,13 +25,9 @@ __all__ = [
     "DegenerateChannelError",
     "DetectionTrial",
     "QamConstellation",
-    "build_hx_tt",
     "build_quadratic_metric",
-    "complexify_vec",
     "noise_variance_for_snr",
     "realify_channel",
-    "realify_model",
-    "realify_vec",
     "sample_channel",
     "ttdet",
 ]
@@ -120,13 +115,6 @@ class DetectionTrial:
     x_hat: np.ndarray
     marginals: MarginalTable
     max_rank_observed: int
-    x_true: np.ndarray | None = None
-    n_symbol_errors: int | None = None
-
-    def score(self, x_true: np.ndarray) -> "DetectionTrial":
-        self.x_true = np.asarray(x_true, dtype=np.float64)
-        self.n_symbol_errors = int(np.count_nonzero(self.x_hat != self.x_true))
-        return self
 
 
 def sample_channel(nt_complex: int, nr_complex: int, rng: np.random.Generator) -> np.ndarray:
@@ -147,33 +135,6 @@ def realify_channel(h_complex: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def realify_vec(z: np.ndarray) -> np.ndarray:
-    """Stack (Re; Im) of a complex vector."""
-    return np.concatenate([np.real(z), np.imag(z)])
-
-
-def complexify_vec(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`realify_vec`."""
-    half = x.size // 2
-    if 2 * half != x.size:
-        raise ValueError("real vector must have even length")
-    return x[:half] + 1j * x[half:]
-
-
-def realify_model(h_complex, x_complex, y_complex, n_complex):
-    """Decompose a complex linear model into its equivalent real form.
-
-    Returns (H, x, y, n) such that y = H x + n holds in the reals iff
-    y~ = H~ x~ + n~ holds in the complex model.
-    """
-    return (
-        realify_channel(h_complex),
-        realify_vec(x_complex),
-        realify_vec(y_complex),
-        realify_vec(n_complex),
-    )
-
-
 def noise_variance_for_snr(h_complex: np.ndarray, symbol_energy: float, snr_db: float) -> float:
     """Per-real-component noise variance matching the expected SNR per
     transmit stream.
@@ -190,43 +151,6 @@ def noise_variance_for_snr(h_complex: np.ndarray, symbol_energy: float, snr_db: 
         raise DegenerateChannelError("zero channel has no SNR scaling")
     nr, nt = h_complex.shape
     return fro2 * symbol_energy / (2.0 * nr * nt * 10.0 ** (snr_db / 10.0))
-
-
-def build_hx_tt(h: np.ndarray, alphabet) -> TensorTrain:
-    """Exact rank-3 TT of the linear form h^T x over the symbol grid.
-
-    Entry (k_1, ..., k_N) equals sum_i h_i * a_{k_i}.  The construction
-    threads the coefficients in reversed order (h_N first); the bond carries
-    the basis (1, partial sum, spent), and interior ranks are exactly 3.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    alphabet = np.asarray(alphabet, dtype=np.float64)
-    n_modes = h.size
-    length = alphabet.size
-    if n_modes < 1:
-        raise ValueError("need at least one coefficient")
-    if n_modes == 1:
-        return TensorTrain([(h[0] * alphabet).reshape(1, length, 1)])
-    # The core layout threads the coefficient sequence in reversed order
-    # (last entry first); feeding the reversed vector keeps entry = h^T x.
-    coeffs = h[::-1]
-    first = np.zeros((1, length, 3))
-    first[0, :, 0] = 1.0
-    first[0, :, 1] = coeffs[n_modes - 1] * alphabet
-    last = np.zeros((3, length, 1))
-    last[0, :, 0] = coeffs[0] * alphabet
-    last[1, :, 0] = 1.0
-    cores = [first]
-    for i in range(1, n_modes - 1):
-        coeff = coeffs[n_modes - 1 - i]
-        lin = np.zeros((3, 3))
-        lin[0, 1] = coeff
-        lin[1, 2] = coeff
-        lin[2, 2] = coeff
-        core = alphabet[None, :, None] * lin[:, None, :] + np.eye(3)[:, None, :]
-        cores.append(core)
-    cores.append(last)
-    return TensorTrain(cores, copy=False)
 
 
 def build_quadratic_metric(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) -> TensorTrain:

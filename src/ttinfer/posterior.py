@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cross import CrossConfig, tt_cross, tt_exp_taylor
+from .cross import CrossConfig, _check_seed_indices, tt_cross, tt_exp_taylor
 from .tt import (
     TensorTrain,
     constant_tt,
@@ -184,7 +184,7 @@ def infer_marginals(
         shift, mode_idx = _estimate_log_shift(lp.tt, rng)
         seeds = mode_idx[None, :]
     else:
-        seeds = np.asarray(seeds, dtype=np.int64)
+        seeds = _check_seed_indices(seeds, lp.tt.dims)
         shift = float(tt_eval_many(lp.tt, seeds).max())
     base = lp.tt
     if taylor_p > 0:

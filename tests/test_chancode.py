@@ -1,11 +1,13 @@
-"""Tests of the decoding layer: the noncentral chi-squared helpers, the
-BI-AWGN capacity limits, code-file validation, the early-stopping rule, the
-ordered-statistics candidate list, and paired agreement of the TT decoder
-with the exact bit-wise MAP decoder."""
+"""Tests of the decoding layer: the early-stopping threshold against a
+full-range noncentral chi-squared reference, the BI-AWGN capacity limits,
+code-file validation, the rank schedule, the ordered-statistics candidate
+list, and paired agreement of the TT decoder with the exact bit-wise MAP
+decoder."""
 
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import chndtrix, gammainc, gammaln, xlogy
 
 from ttinfer import (
     CrossConfig,
@@ -14,8 +16,6 @@ from ttinfer import (
     code_exact_bitwise_map,
     load_code,
     n0_from_ebn0,
-    noncentral_chi2_cdf,
-    noncentral_chi2_ppf,
     normal_approx_pe,
     stopping_threshold,
     ttdec,
@@ -24,28 +24,65 @@ from ttinfer import chancode
 from ttinfer.chancode import _gf2_column_rank, _osd_list, _stopping_rule_values
 
 
+def ncx2_cdf_reference(x, df, nc):
+    """CDF of chi^2_df(nc) as its Poisson mixture of central chi-squared
+    CDFs, sum_j Pois(j; nc/2) P(df/2 + j, x/2), over every j from 0 to far
+    past the Poisson mode: no term is dropped, so the far lower tail, where
+    the small-j terms dominate, stays exact."""
+    half = nc / 2.0
+    j = np.arange(int(half + 40.0 * np.sqrt(half)) + 100)
+    weights = np.exp(xlogy(j, half) - half - gammaln(j + 1.0))
+    x = np.asarray(x, dtype=np.float64)
+    return gammainc(df / 2.0 + j, x[..., None] / 2.0) @ weights
+
+
+def ncx2_ppf_reference(q, df, nc):
+    """Quantile of chi^2_df(nc): bisection on ``ncx2_cdf_reference`` down to
+    round-off."""
+    lo, hi = 0.0, df + nc + 100.0 * np.sqrt(2.0 * df + 4.0 * nc) + 100.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ncx2_cdf_reference(mid, df, nc) < q else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 class TestNoncentralChi2:
+    """The reference mixture against scipy's independent CDF, and the
+    quantile the stopping threshold takes (``chndtrix``) against it."""
+
     @pytest.mark.parametrize("df", [1, 7, 31])
     @pytest.mark.parametrize("nc", [0.0, 0.5, 12.0, 150.0])
     def test_cdf_matches_scipy(self, df, nc):
         mean = df + nc
         x = np.linspace(0.0, mean + 8.0 * np.sqrt(2.0 * df + 4.0 * nc), 41)
         np.testing.assert_allclose(
-            noncentral_chi2_cdf(x, df, nc), scipy.stats.ncx2.cdf(x, df, nc),
+            ncx2_cdf_reference(x, df, nc), scipy.stats.ncx2.cdf(x, df, nc),
             rtol=1e-9, atol=1e-12,
         )
 
     @pytest.mark.parametrize("df,nc", [(1, 0.0), (7, 3.0), (31, 150.0)])
     @pytest.mark.parametrize("q", [1e-9, 1e-3, 0.5, 0.999])
     def test_ppf_round_trips_through_cdf(self, df, nc, q):
-        x = noncentral_chi2_ppf(q, df, nc)
-        # bisection stops within 1e-8 * x, so the CDF is within pdf(x) * 1e-8 * x
-        slack = scipy.stats.ncx2.pdf(x, df, nc) * 1e-8 * max(x, 1.0)
-        assert abs(noncentral_chi2_cdf(x, df, nc) - q) <= 2.0 * slack + 1e-13
+        x = chndtrix(q, df, nc)
+        assert ncx2_cdf_reference(x, df, nc) == pytest.approx(q, rel=1e-7)
 
     def test_ppf_limits(self):
-        assert noncentral_chi2_ppf(0.0, 3, 1.0) == 0.0
-        assert noncentral_chi2_ppf(1.0, 3, 1.0) == np.inf
+        code = load_code(builtin_code_path("hamming_7_4"))
+        assert stopping_threshold(code, 1.0, 0.0) == 0.0
+        for target_pe in (-1e-3, 1.0):
+            with pytest.raises(ValueError, match="target error probability"):
+                stopping_threshold(code, 1.0, target_pe)
+
+
+@pytest.mark.parametrize("ebn0", [0.0, 2.0, 4.0, 6.0, 8.0])
+@pytest.mark.parametrize("name", ["hamming_7_4", "bch_15_7", "bch_31_16", "bch_63_30"])
+def test_stopping_threshold_matches_full_range_mixture(name, ebn0):
+    # at 8 dB the quantile is 4e-17 (hamming_7_4) down to 6e-54 (bch_63_30)
+    code = load_code(builtin_code_path(name))
+    n0 = n0_from_ebn0(ebn0, code.rate)
+    target_pe = normal_approx_pe(code, n0)
+    expect = 0.5 * n0 * ncx2_ppf_reference(target_pe / 100.0, code.n, 8.0 * code.d_min / n0)
+    assert stopping_threshold(code, n0, target_pe) == pytest.approx(expect, rel=1e-6)
 
 
 class TestBiAwgnCapacity:
@@ -115,6 +152,13 @@ def test_cached_stopping_rule_matches_direct_computation():
     for res in results:
         assert res.target_pe == target_pe
         assert res.eta == eta
+
+
+@pytest.mark.parametrize("schedule", [(), (10, 4), (4, 4), (0, 4)])
+def test_ttdec_rejects_a_bad_rank_schedule(schedule):
+    code = load_code(builtin_code_path("hamming_7_4"))
+    with pytest.raises(ValueError, match="rank schedule"):
+        ttdec(np.ones(code.n), code, 1.0, schedule, CrossConfig())
 
 
 @pytest.mark.parametrize("variant", ["sample", "sweep"])

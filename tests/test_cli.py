@@ -139,3 +139,21 @@ def test_bad_config_values_exit_with_usage_error(monkeypatch, tmp_path, capsys, 
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "ttinfer decode" in err and message in err
+
+
+@pytest.mark.parametrize("schedule", ["10,4", ","])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_schedule_exits_with_usage_error(monkeypatch, tmp_path, capsys, schedule, source):
+    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+    argv = ["decode", "--code", "hamming_7_4", "--out", "s.csv"]
+    if source == "flag":
+        argv += ["--schedule", schedule]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"schedule": schedule}))
+        argv += ["--config", str(config)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "ttinfer decode" in err and "strictly increasing" in err

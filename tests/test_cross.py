@@ -191,15 +191,16 @@ class TestCrossVariants:
         for c1, c2 in zip(first.cores, second.cores):
             np.testing.assert_array_equal(c1, c2)
 
-    def test_pivot_interpolation_exactness(self):
+    def test_pivot_interpolation_exactness(self, monkeypatch):
         # on an exactly-representable f the converged sample cross
         # interpolates f at every retained pivot cross
         rng = np.random.default_rng(24)
         a = random_tt((2, 3, 2, 3), (2, 2, 2), rng)
         truth = tt_to_dense(tt_hadamard(a, a)).data
+        monkeypatch.setattr(cross_module, "_CrossEngine", RecordingEngine)
         res = tt_cross(lambda v: v * v, a, a, small_cfg(6))
         assert res.converged
-        for b, (rows, cols) in enumerate(zip(res.pivots.row_sets, res.pivots.col_sets)):
+        for b, (rows, cols) in enumerate(zip(*RecordingEngine.pivot_sets())):
             assert rows.shape == (res.tt.ranks[b + 1], b + 1)
             for prefix in rows[: 4]:
                 for suffix in cols[: 4]:
@@ -264,7 +265,23 @@ class TestCrossVariants:
         )
 
 
-class PerBondDrawEngine(cross_module._CrossEngine):
+class RecordingEngine(cross_module._CrossEngine):
+    """The cross engine, keeping its last instance per class so that a test
+    can read the pivot sets a run ended with."""
+
+    def result(self, half_sweeps, converged):
+        type(self).last = self
+        return super().result(half_sweeps, converged)
+
+    @classmethod
+    def pivot_sets(cls):
+        """Left prefixes (r_b, b) and right suffixes (r_b, N-b) of the last
+        run's interior bonds b = 1..N-1."""
+        inner = range(1, cls.last.n)
+        return [cls.last.left[b] for b in inner], [cls.last.right[b] for b in inner]
+
+
+class PerBondDrawEngine(RecordingEngine):
     """Reference cross that draws oversampling bond by bond: one
     ``integers(0, d, size=kick)`` call per free mode when a bond is visited,
     and every interface (oversampling and seed) multiplied from the far end
@@ -326,6 +343,7 @@ class TestBatchedOversampling:
                 return np.exp(v)
             return f
 
+        monkeypatch.setattr(cross_module, "_CrossEngine", RecordingEngine)
         got = tt_cross(recording_exp("got"), a, ones_tt(dims), cfg, variant, seed_indices=seeds)
         monkeypatch.setattr(cross_module, "_CrossEngine", PerBondDrawEngine)
         want = tt_cross(recording_exp("want"), a, ones_tt(dims), cfg, variant, seed_indices=seeds)
@@ -335,9 +353,9 @@ class TestBatchedOversampling:
             want.n_evals, want.n_half_sweeps, want.converged)
         for c1, c2 in zip(got.tt.cores, want.tt.cores):
             assert c1.tobytes() == c2.tobytes()
-        for s1, s2 in zip(got.pivots.row_sets + got.pivots.col_sets,
-                          want.pivots.row_sets + want.pivots.col_sets):
-            np.testing.assert_array_equal(s1, s2)
+        for got_sets, want_sets in zip(RecordingEngine.pivot_sets(), PerBondDrawEngine.pivot_sets()):
+            for s1, s2 in zip(got_sets, want_sets, strict=True):
+                np.testing.assert_array_equal(s1, s2)
 
 
 class TestSeedValidation:

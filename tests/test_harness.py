@@ -17,6 +17,7 @@ from ttinfer import (
     n0_from_ebn0,
     run_sweep,
 )
+from ttinfer.chancode import _all_information_words
 
 
 class TestDecodingOracle:
@@ -37,9 +38,9 @@ class TestDecodingOracle:
 class TestOracleTables:
     def test_tables_are_cached_read_only(self):
         digits = harness._assignment_digits(3, 4)
-        bits = harness._information_bits(5)
+        bits = _all_information_words(5)
         assert harness._assignment_digits(3, 4) is digits
-        assert harness._information_bits(5) is bits
+        assert _all_information_words(5) is bits
         assert not digits.flags.writeable and not bits.flags.writeable
         with pytest.raises(ValueError):
             digits[0, 0] = 1

@@ -10,14 +10,12 @@ from ttinfer import (
     CrossConfig,
     DegenerateChannelError,
     QamConstellation,
-    build_hx_tt,
+    SimConfig,
     build_quadratic_metric,
-    complexify_vec,
+    harness,
     mimo_exact_marginals,
     noise_variance_for_snr,
     realify_channel,
-    realify_model,
-    realify_vec,
     sample_channel,
     tt_to_dense,
     tt_truncate,
@@ -75,8 +73,9 @@ class TestChannel:
 
 class TestRealify:
     def test_real_input_stacks_zero_imag(self):
-        x = np.array([1.0, -3.0]) + 0j
-        np.testing.assert_array_equal(realify_vec(x), [1.0, -3.0, 0.0, 0.0])
+        h = np.array([[1.0, -3.0], [2.0, 0.5]])
+        zero = np.zeros((2, 2))
+        np.testing.assert_array_equal(realify_channel(h + 0j), np.block([[h, zero], [zero, h]]))
 
     def test_complex_arithmetic_oracle(self):
         rng = np.random.default_rng(62)
@@ -84,13 +83,18 @@ class TestRealify:
         xc = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         nc = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         yc = hc @ xc + nc
-        h, x, y, n = realify_model(hc, xc, yc, nc)
-        np.testing.assert_allclose(h @ x + n, y, rtol=1e-12)
+
+        def stack(z):
+            return np.concatenate([z.real, z.imag])
+
+        np.testing.assert_allclose(realify_channel(hc) @ stack(xc) + stack(nc), stack(yc), rtol=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(63)
-        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        np.testing.assert_allclose(complexify_vec(realify_vec(z)), z, rtol=1e-15)
+        hc = sample_channel(3, 5, rng)
+        ch = ChannelRealization.from_complex(hc, 0.5)
+        assert (ch.nt_complex, ch.nr_complex, ch.nt, ch.nr) == (3, 5, 6, 10)
+        np.testing.assert_array_equal(ch.h[:5, :3] + 1j * ch.h[5:, :3], hc)
 
 
 class TestNoiseVariance:
@@ -128,36 +132,6 @@ class TestNoiseVariance:
             noise += 4 * np.sum(n**2)  # N_T times the noise energy
         measured = 10 * np.log10(sig / noise)
         assert measured == pytest.approx(target, abs=0.1)
-
-
-class TestHxConstruction:
-    def test_unit_vector_coefficient(self):
-        alphabet = np.array([-1.0, 1.0])
-        h = np.array([1.0, 0.0, 0.0])
-        tt = build_hx_tt(h, alphabet)
-        dense = tt_to_dense(tt).data
-        for idx in np.ndindex(2, 2, 2):
-            assert dense[idx] == pytest.approx(alphabet[idx[0]])
-
-    def test_zero_coefficients(self):
-        tt = build_hx_tt(np.zeros(4), np.array([-1.0, 1.0]))
-        np.testing.assert_allclose(tt_to_dense(tt).data, 0.0, atol=1e-15)
-
-    def test_interior_ranks_exactly_three(self):
-        rng = np.random.default_rng(67)
-        tt = build_hx_tt(rng.standard_normal(6), np.array([-3.0, -1.0, 1.0, 3.0]))
-        assert tt.ranks == (1, 3, 3, 3, 3, 3, 1)
-
-    @pytest.mark.parametrize("n_modes,alphabet", [(2, [-1.0, 1.0]), (4, [-1.0, 1.0]), (3, [-3.0, -1.0, 1.0, 3.0])])
-    def test_exhaustive_dot_product_oracle(self, n_modes, alphabet):
-        rng = np.random.default_rng(68)
-        alphabet = np.array(alphabet)
-        h = rng.standard_normal(n_modes)
-        tt = build_hx_tt(h, alphabet)
-        xs, _ = assignments(n_modes, alphabet)
-        np.testing.assert_allclose(
-            tt_to_dense(tt).data.reshape(-1), xs @ h, rtol=1e-12, atol=1e-13
-        )
 
 
 def row_term(y_j, h_j, sigma2, alphabet):
@@ -301,11 +275,17 @@ class TestDetector:
         np.testing.assert_allclose(m2.probs, m1.probs, rtol=1e-9)
 
     def test_score_counts_symbol_errors(self):
+        # the harness scores each detection against the transmitted symbols
         rng = np.random.default_rng(75)
         const, ch, x, y = desk_channel(rng, snr_db=5.0)
         cfg = CrossConfig(max_rank=32, n_sweeps=8, sample_oversample=4, conv_tol=1e-10, rng_seed=2)
-        trial = ttdet(y, ch, const.alphabet, cfg, 10, 16).score(x)
-        assert trial.n_symbol_errors == int(np.count_nonzero(trial.x_hat != x))
+        trial = ttdet(y, ch, const.alphabet, cfg, 10, 16)
+        sim = SimConfig(scenario="mimo", snr_grid=(5.0,), detectors=("sample",), nt_complex=2)
+        for x_hat in (trial.x_hat, -x):
+            rec = harness._trial_records(sim, 0, x, lambda det: (x_hat, trial.max_rank_observed, 0))
+            errors = int(np.count_nonzero(x_hat != x))
+            assert rec["sample"] == {"errors": errors, "block": int(errors > 0),
+                                     "rmax": trial.max_rank_observed, "early": 0, "failed": 0}
 
 
 class TestSphereList:

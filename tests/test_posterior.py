@@ -130,6 +130,17 @@ class TestInferMarginals:
         infer_marginals(lp, generous_cfg(7), taylor_p, 8, seeds=np.zeros((1, 4), dtype=np.int64))
         assert len(calls) == rounds
 
+    @pytest.mark.parametrize("seeds,match", [
+        ([[0, 0, 2]], r"seed row 0 \[0, 0, 2\] outside dims"),
+        ([[0, -1, 0]], r"seed row 0 \[0, -1, 0\] outside dims"),
+    ])
+    def test_bad_seeds_are_rejected_before_the_shift(self, monkeypatch, seeds, match):
+        monkeypatch.setattr(posterior, "tt_eval_many", lambda *a: pytest.fail("shift taken first"))
+        rng = np.random.default_rng(53)
+        lp = LogPosterior(tt_from_dense(rng.standard_normal((2,) * 3), 0.0), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=match):
+            infer_marginals(lp, generous_cfg(8), 0, 1, seeds=seeds)
+
     def test_reports_max_rank(self):
         rng = np.random.default_rng(48)
         dense = rng.standard_normal((2, 2, 2, 2, 2))

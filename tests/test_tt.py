@@ -25,7 +25,6 @@ from ttinfer import (
     tt_from_dense,
     tt_hadamard,
     tt_marginalize_except,
-    tt_mode_multiply,
     tt_norm,
     tt_scale,
     tt_to_dense,
@@ -214,37 +213,6 @@ class TestArithmetic:
 
 
 class TestModeOps:
-    def test_mode_multiply_identity(self):
-        rng = np.random.default_rng(23)
-        a = random_instance(rng)
-        mode = int(rng.integers(0, a.order))
-        out = tt_mode_multiply(a, mode, np.eye(a.dims[mode]))
-        np.testing.assert_allclose(tt_to_dense(out).data, tt_to_dense(a).data, rtol=1e-12)
-
-    def test_mode_multiply_ones_row_marginalizes(self):
-        rng = np.random.default_rng(24)
-        a = random_tt((3, 4, 3), (2, 2), rng)
-        out = tt_mode_multiply(a, 1, np.ones((1, 4)))
-        np.testing.assert_allclose(
-            tt_to_dense(out).data[:, 0, :], tt_to_dense(a).data.sum(axis=1), rtol=1e-11
-        )
-
-    def test_mode_multiply_dense_oracle(self):
-        rng = np.random.default_rng(25)
-        a = random_tt((2, 3, 4, 2), (2, 3, 2), rng)
-        u = rng.standard_normal((5, 4))
-        out = tt_mode_multiply(a, 2, u)
-        assert out.dims == (2, 3, 5, 2)
-        expect = np.einsum("ijkl,mk->ijml", tt_to_dense(a).data, u)
-        np.testing.assert_allclose(tt_to_dense(out).data, expect, rtol=1e-11, atol=1e-12)
-
-    def test_mode_multiply_shape_errors(self):
-        a = ones_tt((2, 3))
-        with pytest.raises(ValueError):
-            tt_mode_multiply(a, 0, np.ones((2, 3)))
-        with pytest.raises(IndexError):
-            tt_mode_multiply(a, 2, np.ones((2, 2)))
-
     def test_marginalize_all_ones(self):
         tt = ones_tt((3, 3, 3, 3))
         for mode in range(4):
