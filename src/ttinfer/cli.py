@@ -8,7 +8,10 @@ Subcommands:
 
 Grids accept ``start:step:stop`` (inclusive) or comma lists.  A JSON config
 file can preload any flag (keys match the long option names with underscores);
-explicit flags win.
+a flag given on the command line wins however it is spelled, abbreviated or
+not.  Every sweep setting left unset takes its default from ``SimConfig``,
+which also checks it: an out-of-range value, as a flag or as a config key, is
+a usage error (exit status 2) and no trial runs.
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from dataclasses import fields
 
-from .chancode import _rank_schedule, builtin_code_path
+from .chancode import builtin_code_path
+from .cross import CrossConfig
 from .harness import SimConfig, rank_stats, run_sweep
 
 __all__ = ["main"]
@@ -43,50 +49,67 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
-    try:
-        return _rank_schedule(p for p in text.split(",") if p)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+    return tuple(int(p) for p in text.split(",") if p)
 
 
+def _code_path(text: str) -> str:
+    """A generator matrix file, else the packaged code of that name."""
+    return text if os.path.isfile(text) else str(builtin_code_path(text))
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Names a flag's value after the flag rather than after its ``dest``."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return action.option_strings[0].lstrip("-").replace("-", "_").upper()
+
+
+# Each flag that sets a SimConfig (or CrossConfig) field stores under the
+# field's name and has no default of its own: only the flags given reach
+# SimConfig, which supplies the rest.
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file preloading any flag; flags win")
     parser.add_argument("--variant", default="sample", choices=("sample", "sweep", "both"))
-    parser.add_argument("--taylor-p", type=int, default=0,
+    parser.add_argument("--taylor-p", type=int,
                         help="Taylor degree of the exp init (0: all ones; 10: the paper's init)")
-    parser.add_argument("--tol", type=float, default=1e-12, help="TT truncation tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--min-block-errors", type=int, default=100)
-    parser.add_argument("--max-trials", type=int, default=10_000)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--cross-max-rank", type=int, default=1024)
-    parser.add_argument("--cross-sweeps", type=int, default=8)
-    parser.add_argument("--cross-oversample", type=int, default=4)
-    parser.add_argument("--cross-conv-tol", type=float, default=1e-6)
+    parser.add_argument("--tol", dest="trunc_tol", type=float, help="TT truncation tolerance")
+    parser.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    parser.add_argument("--min-block-errors", type=int)
+    parser.add_argument("--max-trials", type=int)
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--cross-max-rank", dest="max_rank", type=int)
+    parser.add_argument("--cross-sweeps", dest="n_sweeps", type=int)
+    parser.add_argument("--cross-oversample", dest="sample_oversample", type=int)
+    parser.add_argument("--cross-conv-tol", dest="conv_tol", type=float)
     parser.add_argument("--trial-dump", help="optional per-trial CSV (feeds `ttinfer ranks`)")
-    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--out", dest="out_path", required=True, help="output CSV path")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="ttinfer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mimo = sub.add_parser("mimo", help="MIMO SER sweep")
-    mimo.add_argument("--nt", type=int, default=4, help="complex antenna count (square system)")
-    mimo.add_argument("--qam", type=int, default=4, help="QAM order (square)")
-    mimo.add_argument("--snr", type=_parse_grid, default=(0.0,), help="SNR grid in dB, per transmit stream")
-    mimo.add_argument("--rmax", type=int, default=10, help="Taylor-init max rank")
+    mimo = sub.add_parser("mimo", help="MIMO SER sweep", formatter_class=_HelpFormatter,
+                          argument_default=argparse.SUPPRESS)
+    mimo.add_argument("--nt", dest="nt_complex", type=int,
+                      help="complex antenna count (square system)")
+    mimo.add_argument("--qam", type=int, help="QAM order (square)")
+    mimo.add_argument("--snr", dest="snr_grid", type=_parse_grid, default=(0.0,),
+                      help="SNR grid in dB, per transmit stream")
+    mimo.add_argument("--rmax", dest="taylor_max_rank", type=int, help="Taylor-init max rank")
     mimo.add_argument("--with-oracle", action="store_true", help="add the exact-MAP oracle")
     mimo.add_argument("--with-lmmse", action="store_true", help="add the LMMSE baseline")
     mimo.add_argument("--realized-snr", action="store_true",
                       help="rescale noise to hit the realized (not expected) SNR per stream")
     _add_common(mimo)
 
-    decode = sub.add_parser("decode", help="linear-code BER sweep")
-    decode.add_argument("--code", required=True,
+    decode = sub.add_parser("decode", help="linear-code BER sweep", formatter_class=_HelpFormatter,
+                            argument_default=argparse.SUPPRESS)
+    decode.add_argument("--code", dest="code_path", type=_code_path, required=True,
                         help="generator matrix file, or a packaged name like bch_63_30")
-    decode.add_argument("--ebn0", type=_parse_grid, default=(4.0,), help="Eb/N0 grid in dB")
-    decode.add_argument("--schedule", type=_parse_schedule, default=(10,),
+    decode.add_argument("--ebn0", dest="snr_grid", type=_parse_grid, default=(4.0,),
+                        help="Eb/N0 grid in dB")
+    decode.add_argument("--schedule", type=_parse_schedule,
                         help="comma list of Taylor-init ranks for the adaptive loop")
     decode.add_argument("--with-oracle", action="store_true",
                         help="add the exhaustive bit-wise MAP oracle (k <= 20)")
@@ -117,72 +140,30 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key:
     return out
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> None:
-    """Preload the subcommand ``parser``'s flags from the --config file."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The --config file's values, converted, keyed by their flags' ``dest``."""
+    with open(path) as fh:
         overrides = json.load(fh)
-    actions = {action.dest: action for action in parser._actions}
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
+    defaults = {}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if attr not in actions or not hasattr(args, attr):
+        action = parser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest == "help":
             parser.error(f"unknown config key {key!r}")
-        if attr in explicit:
-            continue  # flags win
-        setattr(args, attr, _config_value(parser, actions[attr], key, value))
+        defaults[action.dest] = _config_value(parser, action, key, value)
+    return defaults
 
 
-def _sweep(args, scenario: str, grid, extra_detectors=(), **model) -> int:
-    """Build the SimConfig from the flags every sweep subcommand shares plus
-    the scenario's own ``model`` fields, and run the sweep."""
-    detectors = ["oracle"] if args.with_oracle else []
-    detectors.extend(("sample", "sweep") if args.variant == "both" else (args.variant,))
-    detectors.extend(extra_detectors)
-    cfg = SimConfig(
-        scenario=scenario,
-        snr_grid=tuple(grid),
-        detectors=tuple(detectors),
-        taylor_p=args.taylor_p,
-        trunc_tol=args.tol,
-        cross_max_rank=args.cross_max_rank,
-        cross_sweeps=args.cross_sweeps,
-        cross_oversample=args.cross_oversample,
-        cross_conv_tol=args.cross_conv_tol,
-        min_block_errors=args.min_block_errors,
-        max_trials=args.max_trials,
-        master_seed=args.seed,
-        workers=args.workers,
-        out_path=args.out,
-        trial_dump=args.trial_dump,
-        **model,
-    )
-    run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _run_mimo(args) -> int:
-    return _sweep(
-        args,
-        "mimo",
-        args.snr,
-        ("lmmse",) if args.with_lmmse else (),
-        nt_complex=args.nt,
-        qam=args.qam,
-        taylor_max_rank=args.rmax,
-        realized_snr=args.realized_snr,
-    )
-
-
-def _run_decode(args) -> int:
-    code_path = args.code
-    try:
-        open(code_path).close()
-    except OSError:
-        code_path = str(builtin_code_path(args.code))
-    return _sweep(args, "decode", args.ebn0, code_path=code_path, schedule=args.schedule)
+def _sim_config(settings: dict) -> SimConfig:
+    """The SimConfig of exactly the flags in ``settings`` (a parsed namespace)."""
+    settings.pop("config", None)
+    detectors = ["oracle"] if settings.pop("with_oracle", False) else []
+    variant = settings.pop("variant")
+    detectors.extend(("sample", "sweep") if variant == "both" else (variant,))
+    if settings.pop("with_lmmse", False):
+        detectors.append("lmmse")
+    cross = {f.name: settings.pop(f.name) for f in fields(CrossConfig) if f.name in settings}
+    return SimConfig(scenario=settings.pop("command"), detectors=tuple(detectors),
+                     cross=CrossConfig(**cross), **settings)
 
 
 def _run_ranks(args) -> int:
@@ -206,15 +187,22 @@ def _run_ranks(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args, commands[args.command], argv)
-    if args.command == "mimo":
-        return _run_mimo(args)
-    if args.command == "decode":
-        return _run_decode(args)
-    return _run_ranks(args)
+    if args.command == "ranks":
+        return _run_ranks(args)
+    sweep_parser = commands[args.command]
+    if "config" in args:
+        # the file's values become defaults, so that any flag given wins
+        sweep_parser.set_defaults(**_config_defaults(sweep_parser, args.config))
+        args = parser.parse_args(argv)
+    try:
+        cfg = _sim_config(vars(args))
+    except ValueError as err:
+        sweep_parser.error(str(err))
+    run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
+    print(f"wrote {cfg.out_path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -76,7 +76,7 @@ class CrossConfig:
         results; the algorithms are otherwise non-deterministic by nature).
     """
 
-    max_rank: int = 256
+    max_rank: int = 1024
     n_sweeps: int = 8
     sample_oversample: int = 4
     conv_tol: float = 1e-6

@@ -14,12 +14,12 @@ import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .chancode import LinearCode, _all_information_words, load_code, n0_from_ebn0, ttdec
+from .chancode import LinearCode, _all_information_words, _rank_schedule, load_code, n0_from_ebn0, ttdec
 from .cross import CrossConfig
 from .mimo import (
     ChannelRealization,
@@ -56,6 +56,7 @@ ORACLE_ASSIGNMENT_LIMIT = 1 << 20
 
 MIMO_DETECTORS = ("oracle", "sample", "sweep", "lmmse")
 DECODE_DETECTORS = ("oracle", "sample", "sweep")
+TT_DETECTORS = ("sample", "sweep")
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,10 @@ class SimConfig:
     at each grid point stops once the reference detector (the oracle when
     enabled, else the first listed detector) has accumulated
     ``min_block_errors`` block errors, or at ``max_trials``.
+
+    Each sweep setting gets its one default here, and building a config
+    with an out-of-range field raises ValueError.  ``cross`` holds the
+    cross settings; ``cross_config`` gives each trial its own seed.
     """
 
     scenario: str
@@ -83,10 +88,7 @@ class SimConfig:
     # shared pipeline knobs
     taylor_p: int = 0
     trunc_tol: float = 1e-12
-    cross_max_rank: int = 1024
-    cross_sweeps: int = 8
-    cross_oversample: int = 4
-    cross_conv_tol: float = 1e-6
+    cross: CrossConfig = CrossConfig()
     # run control
     min_block_errors: int = 100
     max_trials: int = 10_000
@@ -109,19 +111,18 @@ class SimConfig:
                 raise ValueError(f"detector {det!r} not available for {self.scenario}")
         if self.scenario == "decode" and self.code_path is None:
             raise ValueError("decoding sweeps need a code file")
-        if self.max_trials < 1:
-            raise ValueError("need at least one trial")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+        QamConstellation.from_order(self.qam)
+        _rank_schedule(self.schedule)
+        if not self.trunc_tol >= 0:
+            raise ValueError("trunc_tol must be >= 0")
+        for name, low in (("taylor_p", 0), ("master_seed", 0), ("taylor_max_rank", 1),
+                          ("nt_complex", 1), ("workers", 1), ("min_block_errors", 1),
+                          ("max_trials", 1), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
     def cross_config(self, seed: int) -> CrossConfig:
-        return CrossConfig(
-            max_rank=self.cross_max_rank,
-            n_sweeps=self.cross_sweeps,
-            sample_oversample=self.cross_oversample,
-            conv_tol=self.cross_conv_tol,
-            rng_seed=seed,
-        )
+        return replace(self.cross, rng_seed=seed)
 
 
 @dataclass
@@ -401,7 +402,7 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
             wall_ms = 1e3 * (time.perf_counter() - start)
             for det in cfg.detectors:
                 ranks = np.asarray(agg[det]["rmax"], dtype=np.int64)
-                tt_based = det in ("sample", "sweep")
+                tt_based = det in TT_DETECTORS
                 row = SweepRow(
                     detector=det,
                     snr_db=snr_db,
@@ -418,9 +419,13 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
                 result.rows.append(row)
                 result.inference_failures += agg[det]["failed"]
             if log is not None:
+                failures = "".join(
+                    f", {agg[det]['failed']} {det} failures" for det in cfg.detectors
+                    if det in TT_DETECTORS
+                )
                 log(
                     f"point {snr_db:g} dB: {trials_done} trials, "
-                    f"{agg[reference]['blocks']} reference block errors, {wall_ms:.0f} ms"
+                    f"{agg[reference]['blocks']} reference block errors{failures}, {wall_ms:.0f} ms"
                 )
     if cfg.out_path:
         with open(cfg.out_path, "w", newline="") as fh:

@@ -1,13 +1,16 @@
 """Tests of the command-line entry point: each subcommand runs in process,
-exits with 0 and writes CSVs with the expected headers and row counts, and
-the sweep subcommands carry every shared flag and config-file key into the
-SimConfig."""
+exits with 0 and writes CSVs with the expected headers and row counts, the
+sweep subcommands carry every flag and config-file key into the SimConfig
+and take every other setting from SimConfig's defaults, and out-of-range
+values exit with a usage error before any trial runs."""
 
 import csv
 import json
+from operator import attrgetter
 
 import pytest
 
+from ttinfer import SimConfig, builtin_code_path
 from ttinfer.cli import main
 
 SWEEP_HEADER = [
@@ -67,10 +70,10 @@ SHARED_FLAGS = [
     ("--min-block-errors", "7", "min_block_errors", 7),
     ("--max-trials", "11", "max_trials", 11),
     ("--workers", "2", "workers", 2),
-    ("--cross-max-rank", "33", "cross_max_rank", 33),
-    ("--cross-sweeps", "5", "cross_sweeps", 5),
-    ("--cross-oversample", "2", "cross_oversample", 2),
-    ("--cross-conv-tol", "1e-4", "cross_conv_tol", 1e-4),
+    ("--cross-max-rank", "33", "cross.max_rank", 33),
+    ("--cross-sweeps", "5", "cross.n_sweeps", 5),
+    ("--cross-oversample", "2", "cross.sample_oversample", 2),
+    ("--cross-conv-tol", "1e-4", "cross.conv_tol", 1e-4),
     ("--trial-dump", "trials.csv", "trial_dump", "trials.csv"),
     ("--out", "sweep.csv", "out_path", "sweep.csv"),
 ]
@@ -96,7 +99,44 @@ def test_shared_flags_reach_sim_config(monkeypatch, scenario):
     cfg = captured_config(monkeypatch, argv)
     assert cfg.scenario == scenario
     for flag, _, field, value in SHARED_FLAGS:
-        assert getattr(cfg, field) == value, flag
+        assert attrgetter(field)(cfg) == value, flag
+
+
+SCENARIO_FLAGS = {
+    "mimo": [
+        (["--nt", "3"], "nt_complex", 3),
+        (["--qam", "16"], "qam", 16),
+        (["--snr", "5:5:15"], "snr_grid", (5.0, 10.0, 15.0)),
+        (["--rmax", "7"], "taylor_max_rank", 7),
+        (["--realized-snr"], "realized_snr", True),
+        (["--with-oracle", "--with-lmmse"], "detectors", ("oracle", "sample", "lmmse")),
+    ],
+    "decode": [
+        (["--code", "bch_15_7"], "code_path", str(builtin_code_path("bch_15_7"))),
+        (["--ebn0", "2,3.5"], "snr_grid", (2.0, 3.5)),
+        (["--schedule", "4,10"], "schedule", (4, 10)),
+        (["--with-oracle"], "detectors", ("oracle", "sample")),
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", ["mimo", "decode"])
+def test_scenario_flags_reach_sim_config(monkeypatch, scenario):
+    argv = [scenario, "--out", "sweep.csv"]
+    for flag_args, _, _ in SCENARIO_FLAGS[scenario]:
+        argv += flag_args
+    cfg = captured_config(monkeypatch, argv)
+    for flag_args, field, value in SCENARIO_FLAGS[scenario]:
+        assert getattr(cfg, field) == value, flag_args
+
+
+def test_unset_flags_take_sim_config_defaults(monkeypatch):
+    cfg = captured_config(monkeypatch, ["mimo", "--out", "s.csv"])
+    assert cfg == SimConfig(scenario="mimo", snr_grid=(0.0,), detectors=("sample",),
+                            out_path="s.csv")
+    cfg = captured_config(monkeypatch, ["decode", "--code", "hamming_7_4", "--out", "s.csv"])
+    assert cfg == SimConfig(scenario="decode", snr_grid=(4.0,), detectors=("sample",),
+                            code_path=str(builtin_code_path("hamming_7_4")), out_path="s.csv")
 
 
 @pytest.mark.parametrize("scenario", ["mimo", "decode"])
@@ -106,8 +146,24 @@ def test_config_file_applies_and_flags_win(monkeypatch, tmp_path, scenario):
     argv = [scenario, *SCENARIO_ARGS[scenario], "--config", str(config), "--seed", "9",
             "--out", "sweep.csv"]
     cfg = captured_config(monkeypatch, argv)
-    assert cfg.cross_sweeps == 3
+    assert cfg.cross.n_sweeps == 3
     assert cfg.detectors == ("sample", "sweep")
+    assert cfg.master_seed == 9
+
+
+@pytest.mark.parametrize("flags", [
+    ["--cross-sw", "7", "--se", "9"],
+    ["--cross-sweeps=7", "--seed=9"],
+    ["--cross-sw=7", "--se=9"],
+])
+@pytest.mark.parametrize("scenario", ["mimo", "decode"])
+def test_flags_win_over_config_in_any_spelling(monkeypatch, tmp_path, scenario, flags):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"cross_sweeps": 3, "seed": 5}))
+    argv = [scenario, *SCENARIO_ARGS[scenario], "--config", str(config), *flags,
+            "--out", "sweep.csv"]
+    cfg = captured_config(monkeypatch, argv)
+    assert cfg.cross.n_sweeps == 7
     assert cfg.master_seed == 9
 
 
@@ -157,3 +213,43 @@ def test_bad_schedule_exits_with_usage_error(monkeypatch, tmp_path, capsys, sche
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "ttinfer decode" in err and "strictly increasing" in err
+
+
+SHARED_OUT_OF_RANGE = [
+    ("--cross-max-rank", 0),
+    ("--cross-sweeps", 0),
+    ("--cross-oversample", -1),
+    ("--cross-conv-tol", 0),
+    ("--taylor-p", -1),
+    ("--tol", -1),
+    ("--seed", -1),
+    ("--min-block-errors", 0),
+    ("--max-trials", 0),
+    ("--workers", 0),
+    ("--workers", -3),
+]
+REQUIRED_ARGS = {"mimo": [], "decode": ["--code", "hamming_7_4"]}
+OUT_OF_RANGE = [
+    *((scenario, flag, value) for scenario in REQUIRED_ARGS for flag, value in SHARED_OUT_OF_RANGE),
+    ("mimo", "--rmax", 0),
+    ("mimo", "--qam", 5),
+    ("mimo", "--nt", 0),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("scenario, flag, value", OUT_OF_RANGE)
+def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys, scenario,
+                                                   flag, value, source):
+    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+    argv = [scenario, *REQUIRED_ARGS[scenario], "--out", "s.csv"]
+    if source == "flag":
+        argv += [flag, str(value)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        argv += ["--config", str(config)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"ttinfer {scenario}: error" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests of the Monte Carlo harness: the exact oracles and their cached
 enumeration tables, the configuration checks, the per-trial records of
-failed inferences, and the worker-count independence of ``run_sweep``."""
+failed inferences and their count in the sweep log, the realized-SNR noise
+scaling, and the worker-count independence of ``run_sweep``."""
 
 import itertools
 
@@ -98,6 +99,18 @@ class TestRunSweep:
         run_sweep(hamming_sweep(tmp_path, 2))
         assert len(built) == 1
 
+    def test_log_reports_failed_inferences(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InferenceFailureError("no usable mass")
+
+        monkeypatch.setattr(harness, "ttdec", fail)
+        lines = []
+        result = run_sweep(hamming_sweep(tmp_path, 1), log=lines.append)
+        assert result.inference_failures == 2 * 2 * 6
+        assert len(lines) == 2
+        for line in lines:
+            assert ", 6 sample failures, 6 sweep failures, " in line
+
 
 class TestSimConfig:
     @pytest.mark.parametrize("batch_size", [0, -1])
@@ -128,3 +141,33 @@ class TestTrialRecords:
         assert rec["trial"] == 3
         assert rec["sample"] == {"errors": symbols, "block": 1, "rmax": 0, "early": 0, "failed": 1}
         assert rec["oracle"]["failed"] == 0
+
+
+class TestRealizedSnr:
+    @pytest.mark.parametrize("snr_db", [0.0, 12.5])
+    def test_noise_hits_the_realized_snr(self, monkeypatch, snr_db):
+        seen = []
+
+        def capture(y, ch, alphabet):
+            seen.append((y, ch.h))
+            return np.zeros(ch.nt)
+
+        truths = []
+        score = harness._trial_records
+
+        def records(cfg, trial, truth, detect):
+            truths.append(truth)
+            return score(cfg, trial, truth, detect)
+
+        monkeypatch.setattr(harness, "lmmse_detect", capture)
+        monkeypatch.setattr(harness, "_trial_records", records)
+        cfg = SimConfig(scenario="mimo", snr_grid=(snr_db,), detectors=("lmmse",),
+                        nt_complex=3, qam=16, realized_snr=True)
+        for trial in range(4):
+            harness._mimo_trial(cfg, snr_db, 0, trial)
+        assert len(seen) == len(truths) == 4
+        for (y, h), x in zip(seen, truths):
+            signal = h @ x
+            noise = y - signal
+            ratio = np.dot(signal, signal) / (cfg.nt_complex * np.dot(noise, noise))
+            assert ratio == pytest.approx(10.0 ** (snr_db / 10.0), rel=1e-12, abs=0)
