@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .chancode import builtin_code_path
+from .chancode import _builtin_code_names, builtin_code_path
 from .cross import CrossConfig
 from .harness import SimConfig, rank_stats, run_sweep
 
@@ -32,29 +32,41 @@ __all__ = ["main"]
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError("grid must be start:step:stop or a comma list")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError("grid step must be positive")
-        values = []
-        v = start
-        while v <= stop + 1e-9:
-            values.append(round(v, 9))
-            v += step
-        return tuple(values)
-    return tuple(float(p) for p in text.split(",") if p)
+    try:
+        if ":" not in text:
+            return tuple(float(p) for p in text.split(",") if p)
+        start, step, stop = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: a grid is start:step:stop (inclusive) or a comma list of numbers, "
+            "e.g. 0:2.5:10 or 3,4") from None
+    if step <= 0:
+        raise argparse.ArgumentTypeError("grid step must be positive")
+    values = []
+    v = start
+    while v <= stop + 1e-9:
+        values.append(round(v, 9))
+        v += step
+    return tuple(values)
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p)
+    try:
+        return tuple(int(p) for p in text.split(",") if p)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: a schedule is a comma list of increasing integer ranks, e.g. 4,10") from None
 
 
 def _code_path(text: str) -> str:
     """A generator matrix file, else the packaged code of that name."""
-    return text if os.path.isfile(text) else str(builtin_code_path(text))
+    if os.path.isfile(text):
+        return text
+    path = builtin_code_path(text)
+    if not path.is_file():
+        raise argparse.ArgumentTypeError(f"{text!r} is neither a file nor a packaged code "
+                                         f"({', '.join(_builtin_code_names())})")
+    return str(path)
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -72,7 +84,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variant", default="sample", choices=("sample", "sweep", "both"))
     parser.add_argument("--taylor-p", type=int,
                         help="Taylor degree of the exp init (0: all ones; 10: the paper's init)")
-    parser.add_argument("--tol", dest="trunc_tol", type=float, help="TT truncation tolerance")
+    parser.add_argument("--tol", dest="trunc_tol", type=float,
+                        help="relative tolerance of a TT rounding of the exact metric "
+                             "(default 0: no rounding)")
     parser.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     parser.add_argument("--min-block-errors", type=int)
     parser.add_argument("--max-trials", type=int)

@@ -87,7 +87,7 @@ class SimConfig:
     schedule: tuple[int, ...] = (10,)
     # shared pipeline knobs
     taylor_p: int = 0
-    trunc_tol: float = 1e-12
+    trunc_tol: float = 0.0
     cross: CrossConfig = CrossConfig()
     # run control
     min_block_errors: int = 100

@@ -254,15 +254,16 @@ def ttdet(
     taylor_p: int = 0,
     taylor_max_rank: int = 10,
     variant: str = "sample",
-    trunc_tol: float = 1e-12,
+    trunc_tol: float = 0.0,
 ) -> DetectionTrial:
     """TT-based symbol-wise MAP detection of one transmission.
 
     Builds the log-likelihood -||y - H x||^2 / (2 sigma^2) as one exact TT
-    (the uniform prior is omitted), recompresses it once when ``trunc_tol``
-    is positive, exponentiates and marginalizes via the selected cross
-    variant seeded with the sphere decoder's list of the ``SEED_LIST_SIZE``
-    most likely hypotheses, and takes per-symbol MAP decisions.  The maximum
+    of ranks min(b, N - b) + 2 (the uniform prior is omitted), rounds it by
+    ``tt_truncate`` only when ``trunc_tol`` is positive (the default 0 keeps
+    it exact), exponentiates and marginalizes via the selected cross variant
+    seeded with the sphere decoder's list of the ``SEED_LIST_SIZE`` most
+    likely hypotheses, and takes per-symbol MAP decisions.  The maximum
     interior TT rank of the exponentiated posterior is recorded.
     """
     y = np.asarray(y, dtype=np.float64)

@@ -1,8 +1,11 @@
-"""Tests of the decoding layer: the early-stopping threshold against a
+"""Tests of the decoding layer: the exact log-APP TT against a dense oracle
+and its straddle rank bound, the early-stopping threshold against a
 full-range noncentral chi-squared reference, the BI-AWGN capacity limits,
 code-file validation, the rank schedule, the ordered-statistics candidate
 list, and paired agreement of the TT decoder with the exact bit-wise MAP
 decoder."""
+
+import gc
 
 import numpy as np
 import pytest
@@ -12,16 +15,123 @@ from scipy.special import chndtrix, gammainc, gammaln, xlogy
 from ttinfer import (
     CrossConfig,
     biawgn_capacity_dispersion,
+    build_code_logapp_tt,
     builtin_code_path,
     code_exact_bitwise_map,
     load_code,
     n0_from_ebn0,
     normal_approx_pe,
     stopping_threshold,
+    tt_eval_many,
+    tt_to_dense,
     ttdec,
 )
-from ttinfer import chancode
+from ttinfer import chancode, posterior
 from ttinfer.chancode import _gf2_column_rank, _osd_list, _stopping_rule_values
+
+
+def direct_logapp(code, y, n0, words):
+    """Lambda(u) = sum_j (2 y_j / N_0) prod_{i: G_ji = 1} (-1)^{u_i}, term by
+    term, for each row of ``words``."""
+    signs = 1.0 - 2.0 * ((words @ code.g.T) % 2)
+    return signs @ ((2.0 / n0) * np.asarray(y))
+
+
+def straddle_bound(g, b):
+    """min(distinct prefixes g[j, :b], distinct suffixes g[j, b:]) over the
+    rows whose support has positions both left and right of bond b, plus 2."""
+    rows = [j for j in range(g.shape[0]) if g[j, :b].any() and g[j, b:].any()]
+    prefixes = {tuple(g[j, :b]) for j in rows}
+    suffixes = {tuple(g[j, b:]) for j in rows}
+    return min(len(prefixes), len(suffixes)) + 2
+
+
+class TestLogAppMetric:
+    @pytest.mark.parametrize("name", ["hamming_7_4", "bch_15_7", "bch_31_16"])
+    def test_matches_dense_oracle_on_every_word(self, name):
+        code = load_code(builtin_code_path(name))
+        rng = np.random.default_rng(5)
+        n0 = n0_from_ebn0(2.0, code.rate)
+        y = 1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))
+        y = y + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+        words = chancode._all_information_words(code.k)
+        dense = tt_to_dense(build_code_logapp_tt(code, y, n0)).data
+        expect = direct_logapp(code, y, n0, words)
+        err = np.abs(dense[tuple(words.T)] - expect).max()
+        assert err <= 1e-12 * np.abs(expect).max()
+
+    def test_matches_direct_sum_on_bch_63_30(self):
+        code = load_code(builtin_code_path("bch_63_30"))
+        rng = np.random.default_rng(6)
+        n0 = n0_from_ebn0(4.0, code.rate)
+        y = 1.0 + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+        words = rng.integers(0, 2, size=(2000, code.k))
+        got = tt_eval_many(build_code_logapp_tt(code, y, n0), words)
+        expect = direct_logapp(code, y, n0, words)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("name", ["hamming_7_4", "bch_15_7", "bch_31_16", "bch_63_30"])
+    def test_ranks_within_straddle_bound(self, name):
+        code = load_code(builtin_code_path(name))
+        ranks = build_code_logapp_tt(code, np.ones(code.n), 1.0).ranks
+        assert ranks[0] == ranks[-1] == 1
+        for b in range(1, code.k):
+            assert ranks[b] <= straddle_bound(code.g, b), b
+
+    def test_reloaded_codes_build_their_own_metric(self):
+        """Codes loaded and dropped in turn reuse object ids; each build
+        must still follow its own code."""
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            for name in ("hamming_7_4", "bch_15_7"):
+                code = load_code(builtin_code_path(name))
+                y = rng.standard_normal(code.n)
+                words = chancode._all_information_words(code.k)
+                got = tt_eval_many(build_code_logapp_tt(code, y, 0.8), words)
+                np.testing.assert_allclose(got, direct_logapp(code, y, 0.8, words),
+                                           rtol=0, atol=1e-12 * np.abs(got).max())
+                del code
+                gc.collect()
+
+    def test_all_zero_row_is_a_constant_term(self):
+        g = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]])
+        code = chancode.LinearCode(g=g, n=5, k=3, d_min=1)
+        y = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
+        words = chancode._all_information_words(3)
+        got = tt_eval_many(build_code_logapp_tt(code, y, 0.5), words)
+        np.testing.assert_allclose(got, direct_logapp(code, y, 0.5, words), rtol=1e-13)
+
+    def test_single_information_bit(self):
+        code = chancode.LinearCode(g=np.ones((3, 1)), n=3, k=1, d_min=3)
+        y = np.array([0.5, -0.25, 1.0])
+        tt = build_code_logapp_tt(code, y, 2.0)
+        np.testing.assert_allclose(tt_to_dense(tt).data, [1.25, -1.25])
+
+
+def test_default_ttdec_never_rounds(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("tt_truncate ran")
+
+    for module in (chancode, posterior):
+        monkeypatch.setattr(module, "tt_truncate", forbidden)
+    code = load_code(builtin_code_path("bch_15_7"))
+    n0 = n0_from_ebn0(3.0, code.rate)
+    y = 1.0 + np.sqrt(n0 / 2.0) * np.random.default_rng(9).standard_normal(code.n)
+    ttdec(y, code, n0, (10,), CrossConfig(rng_seed=1))
+
+
+@pytest.mark.parametrize("variant", ["sample", "sweep"])
+def test_ttdec_rounded_metric_keeps_decisions(variant):
+    code = load_code(builtin_code_path("bch_31_16"))
+    n0 = n0_from_ebn0(3.0, code.rate)
+    rng = np.random.default_rng(41)
+    for trial in range(5):
+        y = 1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))
+        y = y + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+        cfg = CrossConfig(rng_seed=trial)
+        exact = ttdec(y, code, n0, (10,), cfg, variant=variant)
+        rounded = ttdec(y, code, n0, (10,), cfg, variant=variant, trunc_tol=1e-9)
+        np.testing.assert_array_equal(rounded.u_hat, exact.u_hat, err_msg=f"trial {trial}")
 
 
 def ncx2_cdf_reference(x, df, nc):

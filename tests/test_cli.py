@@ -253,3 +253,34 @@ def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys
         main(argv)
     assert exc.value.code == 2
     assert f"ttinfer {scenario}: error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mimo", "--snr", "abc"], "argument --snr: 'abc': a grid is start:step:stop"),
+    (["mimo", "--snr", "0:5"], "argument --snr: '0:5': a grid is start:step:stop"),
+    (["decode", "--code", "hamming_7_4", "--ebn0", "3,x"], "argument --ebn0: '3,x': a grid is"),
+    (["decode", "--code", "hamming_7_4", "--schedule", "x"],
+     "argument --schedule: 'x': a schedule is a comma list of increasing integer ranks"),
+    (["decode", "--code", "nosuch"],
+     "argument --code: 'nosuch' is neither a file nor a packaged code "
+     "(bch_15_7, bch_31_16, bch_63_30, hamming_7_4)"),
+])
+def test_malformed_values_exit_with_usage_error(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "s.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "_parse" not in err and "_code_path" not in err
+
+
+def test_unknown_code_in_config_exits_with_usage_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"code": "nosuch"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--code", "hamming_7_4", "--config", str(config), "--out", "s.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "config key 'code'" in err and "neither a file nor a packaged code" in err

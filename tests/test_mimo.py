@@ -21,6 +21,7 @@ from ttinfer import (
     tt_truncate,
     ttdet,
 )
+from ttinfer import mimo, posterior
 from ttinfer.mimo import _sphere_list
 
 
@@ -337,3 +338,23 @@ def test_ttdet_agrees_with_exact_marginals_trial_by_trial(variant):
             trial.x_hat, const.alphabet[np.argmax(oracle.probs, axis=1)], err_msg=f"trial {index}"
         )
         assert np.abs(trial.marginals.probs - oracle.probs).max() <= 1e-3, index
+
+
+def test_default_ttdet_never_rounds(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("tt_truncate ran")
+
+    for module in (mimo, posterior):
+        monkeypatch.setattr(module, "tt_truncate", forbidden)
+    const, ch, y, seeds = perfbench_mimo16_inputs(7, 0)
+    ttdet(y, ch, const.alphabet, CrossConfig(rng_seed=seeds["sweep"]), variant="sweep")
+
+
+@pytest.mark.parametrize("variant", ["sample", "sweep"])
+def test_ttdet_rounded_metric_keeps_decisions(variant):
+    for index in range(5):
+        const, ch, y, seeds = perfbench_mimo16_inputs(3, index, snr_db=10.0)
+        cfg = CrossConfig(rng_seed=seeds[variant])
+        exact = ttdet(y, ch, const.alphabet, cfg, variant=variant)
+        rounded = ttdet(y, ch, const.alphabet, cfg, variant=variant, trunc_tol=1e-9)
+        np.testing.assert_array_equal(rounded.x_hat, exact.x_hat, err_msg=f"trial {index}")
