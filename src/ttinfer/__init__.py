@@ -20,7 +20,7 @@ from .tt import (
     tt_eval_many,
     tt_from_dense,
     tt_hadamard,
-    tt_marginalize_except,
+    tt_marginals,
     tt_norm,
     tt_scale,
     tt_to_dense,

@@ -425,6 +425,18 @@ class DecodeResult:
     max_rank_observed: int
 
 
+@lru_cache(maxsize=16)
+def _flip_patterns(k: int) -> np.ndarray:
+    """The OSD flip patterns of k bits, one row each, by weight 0..OSD_ORDER
+    and then lexicographically (read-only; shared by every call)."""
+    flips = [f for w in range(OSD_ORDER + 1) for f in combinations(range(k), w)]
+    table = np.zeros((len(flips), k), dtype=np.int64)
+    for row, f in enumerate(flips):
+        table[row, list(f)] = 1
+    table.flags.writeable = False
+    return table
+
+
 def _osd_list(code: LinearCode, y: np.ndarray, size: int = SEED_LIST_SIZE) -> np.ndarray:
     """The ``size`` information words of highest correlation y^T x among the
     candidates of ordered-statistics decoding (Fossorier & Lin, IEEE T-IT
@@ -452,10 +464,7 @@ def _osd_list(code: LinearCode, y: np.ndarray, size: int = SEED_LIST_SIZE) -> np
             break
     # Row i of the systematic generator a[:, :n] has a 1 at basis[i] alone
     # among B, and a[:, n:] maps the bits on B back to the information word.
-    flips = [f for w in range(OSD_ORDER + 1) for f in combinations(range(k), w)]
-    v = np.tile((y[basis] < 0).astype(np.int64), (len(flips), 1))
-    for row, f in enumerate(flips):
-        v[row, list(f)] ^= 1
+    v = _flip_patterns(k) ^ (y[basis] < 0).astype(np.int64)
     x = 1.0 - 2.0 * ((v @ a[:, :n]) % 2)
     order = np.argsort(-(x @ y), kind="stable")[:size]
     return (v[order] @ a[:, n:]) % 2

@@ -19,7 +19,12 @@ enriches the search with random indices each half sweep, and stops when the
 values at a fixed random probe set change by less than ``conv_tol`` between
 full sweeps.  A half sweep draws all its random fibers in one generator
 call and builds their argument interfaces in one pass over the cores, so it
-costs O(N) numpy calls on N modes.  All randomness flows from
+costs O(N) numpy calls on N modes.  Each block update costs one SVD (the
+local rank), one LAPACK getrf (maxvol's starting rows) and one solve, whose
+B = U @ U[rows]^-1 is both maxvol's swap criterion and the interpolative
+factor of the new core; only a maxvol swap adds a second solve.  At the
+ranks the pipelines reach these are tiny matrices, so the count of calls,
+not their flops, sets the cost.  All randomness flows from
 ``CrossConfig.rng_seed``; fixed seed means bit-identical output.
 """
 
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf
 
 from .tt import TensorTrain, _chop_ranks, _round_gram, ones_tt, tt_add, tt_eval_many, tt_hadamard, tt_scale
 
@@ -101,21 +107,12 @@ class CrossResult:
     converged: bool
 
 
-def maxvol(
-    m: np.ndarray,
-    dom_tol: float = MAXVOL_DOM_TOL,
-    max_iters: int = MAXVOL_MAX_ITERS,
-    return_history: bool = False,
-):
-    """Select r rows of an n x r matrix (n >= r) with quasi-maximal volume.
+def _maxvol(m: np.ndarray, dom_tol: float, max_iters: int):
+    """Rows, factor M @ M[rows]^-1 and swap gains of ``maxvol``.
 
-    Starts from the partial-pivoting LU rows, then swaps rows while some
-    entry of M @ M[rows]^-1 exceeds 1 + dom_tol in magnitude.  Each swap
-    multiplies |det(M[rows])| by that entry, so the volume is
-    non-decreasing and the final submatrix is dominant up to dom_tol.
-
-    Returns the row indices, plus the list of swap gains (each > 1+dom_tol)
-    when ``return_history`` is set.
+    The factor is the solve at the LU rows, kept when no swap happens; after
+    swaps it is solved again at the final rows, so it always equals
+    ``np.linalg.solve(m[rows].T, m.T).T`` byte for byte.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -123,9 +120,12 @@ def maxvol(
     n, r = m.shape
     if n < r:
         raise ValueError(f"need at least as many rows as columns, got {m.shape}")
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    if m.size == 0:  # getrf rejects a 0 x 0 matrix
+        raise DegenerateMatrixError("pivoted pre-factorization failed: columns are dependent")
+    # The getrf that scipy.linalg.lu_factor wraps: same pivots, no wrapper.
+    lu, piv, _ = dgetrf(m)
     diag = np.abs(np.diag(lu)[:r])
-    if diag.max(initial=0.0) == 0.0 or diag.min() <= 1e-12 * diag.max():
+    if diag.max() == 0.0 or diag.min() <= 1e-12 * diag.max():
         raise DegenerateMatrixError("pivoted pre-factorization failed: columns are dependent")
     perm = np.arange(n)
     for i, p in enumerate(piv[:r]):
@@ -145,6 +145,35 @@ def maxvol(
         ej[j] = 1.0
         b -= np.outer(b[:, j], b[i, :] - ej) / b[i, j]
         rows[j] = i
+    if history:
+        b = np.linalg.solve(m[rows].T, m.T).T
+    return rows, b, history
+
+
+def maxvol(
+    m: np.ndarray,
+    dom_tol: float = MAXVOL_DOM_TOL,
+    max_iters: int = MAXVOL_MAX_ITERS,
+    return_history: bool = False,
+):
+    """Select r rows of an n x r matrix (n >= r) with quasi-maximal volume.
+
+    Starts from the partial-pivoting LU rows, then swaps rows while some
+    entry of M @ M[rows]^-1 exceeds 1 + dom_tol in magnitude.  Each swap
+    multiplies |det(M[rows])| by that entry, so the volume is
+    non-decreasing and the final submatrix is dominant up to dom_tol.
+
+    The cost is one LAPACK getrf and one solve for B = M @ M[rows]^-1, plus
+    a second solve only if a row was swapped.  At the ranks the pipelines
+    reach, the cross hands over matrices of a few rows and columns, so call
+    overhead, not flops, dominates: getrf is called directly rather than
+    through ``scipy.linalg.lu_factor``, and the cross reuses B as its
+    interpolative factor instead of solving the same system again.
+
+    Returns the row indices, plus the list of swap gains (each > 1+dom_tol)
+    when ``return_history`` is set.
+    """
+    rows, _, history = _maxvol(m, dom_tol, max_iters)
     if return_history:
         return rows, history
     return rows
@@ -332,10 +361,9 @@ class _CrossEngine:
 
     def _interpolative(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows J via maxvol and the factor basis @ basis[J]^-1 (rows J give
-        the identity, making the core exact at its pivots)."""
-        rows = maxvol(basis)
-        # numpy's solve, not scipy's: scipy's bundled BLAS stalls in this pipeline.
-        factor = np.linalg.solve(basis[rows].T, basis.T).T
+        the identity, making the core exact at its pivots); maxvol's own B
+        is that factor."""
+        rows, factor, _ = _maxvol(basis, MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)
         return rows, factor
 
     def _probe_converged(self) -> bool:

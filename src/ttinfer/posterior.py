@@ -4,11 +4,11 @@ The unnormalized log-APP metric of a discrete-input additive noise model is
 built exactly in TT form by the model layer (for MIMO, one quadratic-form TT
 of the whole Gaussian log-likelihood; a separable log-prior adds a rank-2
 TT), exponentiated with a TT-cross seeded by the model's top-K candidate
-list (else a random-probe mode estimate), and marginalized mode by mode to
-produce symbol-wise posteriors and MAP hard decisions.  Additive constants
-of the log-posterior are never represented: the cross subtracts the
-estimated maximum inside the exponential it samples, and normalization of
-the marginals restores proper probabilities.
+list (else a random-probe mode estimate), and marginalized in one pass over
+the cores to produce symbol-wise posteriors and MAP hard decisions.
+Additive constants of the log-posterior are never represented: the cross
+subtracts the estimated maximum inside the exponential it samples, and
+normalization of the marginals restores proper probabilities.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .tt import (
     constant_tt,
     tt_add,
     tt_eval_many,
-    tt_marginalize_except,
+    tt_marginals,
     tt_truncate,
 )
 
@@ -197,8 +197,7 @@ def infer_marginals(
 
     result = tt_cross(f, lp.tt, init, cfg, variant=variant, seed_indices=seeds)
     table = np.empty((lp.n_modes, lp.alphabet.size))
-    for mode in range(lp.n_modes):
-        vec = tt_marginalize_except(result.tt, mode)
+    for mode, vec in enumerate(tt_marginals(result.tt)):
         vec = np.clip(vec, 0.0, None)
         total = vec.sum()
         if not np.isfinite(total) or total <= 0.0:

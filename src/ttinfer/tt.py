@@ -10,7 +10,8 @@ and the boundary ranks are r_0 = r_N = 1.  All indices in this module are
 0-based.
 
 Provided operations: entry evaluation, densification and TT-SVD, addition,
-Hadamard product, scalar multiplication, marginalization, the
+Hadamard product, scalar multiplication, all single-mode marginals in one
+pass of core sums and shared prefix/suffix products, the
 orthogonalization-based norm, and SVD rank truncation (rounding), through QR
 or, for the Taylor init's Horner steps, Gram matrices.  All operations
 allocate fresh outputs; TensorTrain values are immutable.
@@ -36,7 +37,7 @@ __all__ = [
     "tt_eval_many",
     "tt_from_dense",
     "tt_hadamard",
-    "tt_marginalize_except",
+    "tt_marginals",
     "tt_norm",
     "tt_scale",
     "tt_to_dense",
@@ -277,21 +278,26 @@ def tt_scale(a: TensorTrain, lam: float) -> TensorTrain:
     return TensorTrain(cores)
 
 
-def tt_marginalize_except(a: TensorTrain, mode: int) -> np.ndarray:
-    """Sum the tensor over every mode except ``mode`` without densifying.
+def tt_marginals(a: TensorTrain) -> list[np.ndarray]:
+    """Every single-mode marginal without densifying: vector i, of length
+    n_i, sums the tensor over every mode except i.
 
-    Every other core is contracted with the all-ones vector; the result is
-    a vector of length n_mode.
+    Each core is summed over its physical index once; the prefix products
+    of those sums (left to right) and suffix products (right to left) are
+    shared by all modes, so one pass costs O(N) small matmuls.
     """
-    if not 0 <= mode < a.order:
-        raise IndexError(f"mode {mode} out of range for order {a.order}")
-    left = np.ones((1, 1))
-    for core in a.cores[:mode]:
-        left = left @ core.sum(axis=1)
-    right = np.ones((1, 1))
-    for core in a.cores[:mode:-1]:
-        right = core.sum(axis=1) @ right
-    return np.einsum("l,lkr,r->k", left[0], a.cores[mode], right[:, 0])
+    sums = [core.sum(axis=1) for core in a.cores]
+    lefts = [np.ones((1, 1))]
+    for s in sums[:-1]:
+        lefts.append(lefts[-1] @ s)
+    rights = [np.ones((1, 1))]
+    for s in sums[:0:-1]:
+        rights.append(s @ rights[-1])
+    rights.reverse()
+    return [
+        np.einsum("l,lkr,r->k", left[0], core, right[:, 0])
+        for left, core, right in zip(lefts, a.cores, rights)
+    ]
 
 
 def _orthogonalize_lr(cores: list[np.ndarray]) -> list[np.ndarray]:

@@ -6,6 +6,7 @@ list, and paired agreement of the TT decoder with the exact bit-wise MAP
 decoder."""
 
 import gc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from ttinfer import (
     ttdec,
 )
 from ttinfer import chancode, posterior
-from ttinfer.chancode import _gf2_column_rank, _osd_list, _stopping_rule_values
+from ttinfer.chancode import (
+    OSD_ORDER,
+    _builtin_code_names,
+    _gf2_column_rank,
+    _osd_list,
+    _stopping_rule_values,
+)
 
 
 def direct_logapp(code, y, n0, words):
@@ -307,6 +314,47 @@ def test_osd_list_equals_brute_force(name):
         corr = (1.0 - 2.0 * codewords[keep]) @ y
         expect = words[keep[np.argsort(-corr, kind="stable")[:16]]]
         np.testing.assert_array_equal(_osd_list(code, y), expect)
+
+
+def osd_list_flip_loop(code, y, size=16):
+    """``_osd_list`` as it was before the flip table was cached: the flip
+    patterns are built and XORed onto the hard decisions row by row."""
+    n, k = code.n, code.k
+    a = np.concatenate([code.g.T, np.eye(k, dtype=np.int64)], axis=1).astype(np.uint8)
+    basis = []
+    for col in np.argsort(-np.abs(y), kind="stable"):
+        rank = len(basis)
+        hits = np.nonzero(a[rank:, col])[0]
+        if hits.size == 0:
+            continue
+        piv = rank + hits[0]
+        a[[rank, piv]] = a[[piv, rank]]
+        others = np.nonzero(a[:, col])[0]
+        a[others[others != rank]] ^= a[rank]
+        basis.append(col)
+        if len(basis) == k:
+            break
+    flips = [f for w in range(OSD_ORDER + 1) for f in combinations(range(k), w)]
+    v = np.tile((y[basis] < 0).astype(np.int64), (len(flips), 1))
+    for row, f in enumerate(flips):
+        v[row, list(f)] ^= 1
+    x = 1.0 - 2.0 * ((v @ a[:, :n]) % 2)
+    order = np.argsort(-(x @ y), kind="stable")[:size]
+    return (v[order] @ a[:, n:]) % 2
+
+
+@pytest.mark.parametrize("name", _builtin_code_names())
+def test_osd_list_equals_flip_loop(name):
+    """The cached flip table gives the same list, bit for bit and dtype."""
+    code = load_code(builtin_code_path(name))
+    n0 = n0_from_ebn0(3.0, code.rate)
+    rng = np.random.default_rng(33)
+    for trial in range(200):
+        y = 1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))
+        y = y + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+        got, expect = _osd_list(code, y), osd_list_flip_loop(code, y)
+        assert got.dtype == expect.dtype and got.shape == expect.shape, f"trial {trial}"
+        assert got.tobytes() == expect.tobytes(), f"trial {trial}"
 
 
 def perfbench_bch31_inputs(code, n0, seed, index):

@@ -76,6 +76,39 @@ class TestMaxvol:
         with pytest.raises(DegenerateMatrixError):
             maxvol(np.hstack([col, 2 * col]))
 
+    @staticmethod
+    def assert_factor_is_fresh_solve(m):
+        rows, factor, history = cross_module._maxvol(m, 1e-2, 100)
+        np.testing.assert_array_equal(rows, maxvol(m))
+        expect = np.linalg.solve(m[rows].T, m.T).T
+        assert factor.shape == expect.shape
+        assert factor.tobytes() == expect.tobytes()
+        return history
+
+    def test_factor_equals_solve_bytewise(self):
+        """The factor the cross uses as its core is the solve at the final
+        rows, byte for byte, also for the strided views the cross passes
+        (leading columns of U, transposed rows of V^T)."""
+        rng = np.random.default_rng(8)
+        for n, r in [(2, 1), (4, 1), (6, 2), (12, 4), (16, 3), (9, 9)]:
+            for _ in range(5):
+                wide = rng.standard_normal((n, r + 2))
+                self.assert_factor_is_fresh_solve(wide[:, :r])
+                self.assert_factor_is_fresh_solve(np.ascontiguousarray(wide[:, :r]))
+                self.assert_factor_is_fresh_solve(wide.T[:r].T)
+
+    def test_factor_after_swaps_equals_solve_bytewise(self):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((40, 5))
+        assert self.assert_factor_is_fresh_solve(m)  # swaps happened
+
+    def test_factor_degenerate_raises(self):
+        col = np.arange(6.0)[:, None]
+        with pytest.raises(DegenerateMatrixError):
+            cross_module._maxvol(np.hstack([col, 2 * col]), 1e-2, 100)
+        with pytest.raises(DegenerateMatrixError):
+            cross_module._maxvol(np.zeros((3, 2)), 1e-2, 100)
+
 
 class TestTaylorExp:
     def test_zero_gives_ones(self):

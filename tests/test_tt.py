@@ -24,7 +24,7 @@ from ttinfer import (
     tt_eval_many,
     tt_from_dense,
     tt_hadamard,
-    tt_marginalize_except,
+    tt_marginals,
     tt_norm,
     tt_scale,
     tt_to_dense,
@@ -212,17 +212,30 @@ class TestArithmetic:
         np.testing.assert_allclose(tt_to_dense(scaled).data, lam * dense, rtol=1e-12)
 
 
+def per_mode_marginal(a, mode):
+    """One mode's marginal from its own prefix and suffix products of core
+    sums, multiplied in the order ``tt_marginals`` shares across modes."""
+    left = np.ones((1, 1))
+    for core in a.cores[:mode]:
+        left = left @ core.sum(axis=1)
+    right = np.ones((1, 1))
+    for core in a.cores[:mode:-1]:
+        right = core.sum(axis=1) @ right
+    return np.einsum("l,lkr,r->k", left[0], a.cores[mode], right[:, 0])
+
+
 class TestModeOps:
     def test_marginalize_all_ones(self):
-        tt = ones_tt((3, 3, 3, 3))
-        for mode in range(4):
-            np.testing.assert_allclose(tt_marginalize_except(tt, mode), 27.0)
+        out = tt_marginals(ones_tt((3, 3, 3, 3)))
+        assert len(out) == 4
+        for vec in out:
+            np.testing.assert_allclose(vec, 27.0)
 
     def test_marginalize_separable(self):
         vecs = [np.array([1.0, 2.0]), np.array([0.5, 1.5, 2.5]), np.array([3.0, 1.0])]
         tt = rank_one_tt(vecs)
         expect = vecs[1] * vecs[0].sum() * vecs[2].sum()
-        np.testing.assert_allclose(tt_marginalize_except(tt, 1), expect, rtol=1e-12)
+        np.testing.assert_allclose(tt_marginals(tt)[1], expect, rtol=1e-12)
 
     def test_marginalize_dense_oracle(self):
         rng = np.random.default_rng(26)
@@ -232,20 +245,31 @@ class TestModeOps:
             mode = int(rng.integers(0, a.order))
             axes = tuple(i for i in range(a.order) if i != mode)
             np.testing.assert_allclose(
-                tt_marginalize_except(a, mode), dense.sum(axis=axes), rtol=1e-10, atol=1e-11
+                tt_marginals(a)[mode], dense.sum(axis=axes), rtol=1e-10, atol=1e-11
             )
 
     def test_marginalize_invariant_under_exact_truncation(self):
         rng = np.random.default_rng(27)
         a = random_instance(rng)
         t = tt_truncate(a, 0.0)
-        for mode in range(a.order):
-            np.testing.assert_allclose(
-                tt_marginalize_except(a, mode),
-                tt_marginalize_except(t, mode),
-                rtol=1e-10,
-                atol=1e-11,
-            )
+        for mode, (va, vt) in enumerate(zip(tt_marginals(a), tt_marginals(t), strict=True)):
+            np.testing.assert_allclose(va, vt, rtol=1e-10, atol=1e-11, err_msg=f"mode {mode}")
+
+    @pytest.mark.parametrize("order", range(1, 8))
+    def test_marginals_match_per_mode_products_bitwise(self, order):
+        rng = np.random.default_rng([29, order])
+        for _ in range(5):
+            dims = rng.integers(2, 5, size=order)
+            ranks = rng.integers(1, 7, size=order - 1)
+            a = random_tt(dims, ranks, rng)
+            out = tt_marginals(a)
+            assert len(out) == order
+            dense = tt_to_dense(a).data
+            for mode, vec in enumerate(out):
+                assert vec.shape == (dims[mode],)
+                assert vec.tobytes() == per_mode_marginal(a, mode).tobytes()
+                axes = tuple(i for i in range(order) if i != mode)
+                np.testing.assert_allclose(vec, dense.sum(axis=axes), rtol=1e-10, atol=1e-11)
 
 
 class TestTruncate:
