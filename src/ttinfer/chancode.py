@@ -7,17 +7,14 @@ quadratic log-likelihood and dropping the u-independent constant leaves
 
     Lambda(u) = sum_j (2 y_j / N_0) * prod_{i: G_ji = 1} (-1)^{u_i},
 
-a sum of n rank-1 sign products.  This module writes it exactly as a TT in
-one pass, without rounding: bond b carries the constant, the running sum of
-the terms that ended left of b, and one channel per distinct pattern of the
-terms straddling b, so its rank is at most min(#prefixes, #suffixes) + 2,
-the TT analogue of a trellis span profile (Oseledets, Constr. Approx. 2013).
-Decoding exponentiates and marginalizes the metric (posterior module) inside
-an adaptive rank loop with a Neyman-Pearson early stopping test on the
-squared Euclidean distance between the re-encoded candidate and the
-observation.  The test's threshold is a noncentral chi-squared quantile
-(``scipy.special.chndtrix``) at an error target from the normal
-approximation of the code's block error probability.
+a sum of n sign products, which this module tabulates for the exact
+sum-of-products TT builder of the tt module.  Decoding exponentiates and
+marginalizes the metric (posterior module) inside an adaptive rank loop
+with a Neyman-Pearson early stopping test on the squared Euclidean distance
+between the re-encoded candidate and the observation.  The test's threshold
+is a noncentral chi-squared quantile (``scipy.special.chndtrix``) at an
+error target from the normal approximation of the code's block error
+probability.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +38,7 @@ from .posterior import (
     infer_marginals,
     map_decision,
 )
-from .tt import TensorTrain, tt_truncate
+from .tt import TensorTrain, _sum_of_products, _SumOfProducts, tt_truncate
 
 __all__ = [
     "DecodeResult",
@@ -124,7 +122,7 @@ class LinearCode:
     k: int
     d_min: int
     d_min_verified: bool = True
-    _metric_layout: _MetricLayout | None = field(default=None, repr=False, compare=False)
+    _metric_layout: _SumOfProducts | None = field(default=None, repr=False, compare=False)
     _codebook: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -181,7 +179,7 @@ def load_code(path) -> LinearCode:
     otherwise it is trusted and flagged unverified.
     """
     try:
-        text = path.read_text() if hasattr(path, "read_text") else open(path).read()
+        text = path.read_text() if hasattr(path, "read_text") else Path(path).read_text()
     except OSError as err:
         raise ValueError(f"cannot read code file {path}: {err}") from err
     lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
@@ -214,130 +212,24 @@ def n0_from_ebn0(eb_n0_db: float, rate: float) -> float:
     return 10.0 ** (-eb_n0_db / 10.0) / rate
 
 
-class _MetricLayout(NamedTuple):
-    """The observation-independent part of a code's log-APP TT: its cores
-    laid end to end in one flat array ``base`` holding every constant entry,
-    and the entries that scale with the coefficients c = 2 y / N_0, where
-    entry ``pos[e]`` adds ``mix[e] @ c``."""
-
-    shapes: tuple
-    splits: np.ndarray
-    base: np.ndarray
-    pos: np.ndarray
-    mix: np.ndarray
-
-    def build(self, c: np.ndarray) -> TensorTrain:
-        flat = self.base.copy()
-        flat[self.pos] += self.mix @ c
-        parts = np.split(flat, self.splits)
-        return TensorTrain([part.reshape(shape) for part, shape in zip(parts, self.shapes)],
-                           copy=False)
-
-
-_ONE, _SUM = "one", "sum"  # the two channels every interior bond carries
-
-
-def _straddle_channels(g: np.ndarray) -> tuple[list[dict], np.ndarray, np.ndarray, int]:
-    """The channels of bonds b = 0..k of the log-APP TT (see
-    build_code_logapp_tt), each a dict from key to index; also each row's
-    first and last support position (k and -1 for an all-zero row) and the
-    switch bond, the first that takes suffix patterns."""
-    k = g.shape[1]
-    support = g.any(axis=1)
-    first = np.where(support, g.argmax(axis=1), k)
-    last = np.where(support, k - 1 - g[:, ::-1].argmax(axis=1), -1)
-    straddling = [np.flatnonzero((first < b) & (b <= last)) for b in range(k + 1)]
-    prefixes = [dict.fromkeys(g[j, :b].tobytes() for j in rows) for b, rows in enumerate(straddling)]
-    suffixes = [dict.fromkeys(g[j, b:].tobytes() for j in rows) for b, rows in enumerate(straddling)]
-    n_pre = np.array([len(p) for p in prefixes])
-    n_suf = np.array([len(s) for s in suffixes])
-    # cost[s]: pattern channels of all bonds when bonds b < s take prefixes
-    cost = np.concatenate([[0], np.cumsum(n_pre)[:-1]]) + np.cumsum(n_suf[::-1])[::-1]
-    switch = 1 + int(np.argmin(cost[1:]))
-    channels = [{_ONE: 0}]
-    for b in range(1, k):
-        keys = prefixes[b] if b < switch else suffixes[b]
-        channels.append({_ONE: 0, _SUM: 1, **{key: 2 + q for q, key in enumerate(keys)}})
-    channels.append({_SUM: 0})
-    return channels, first, last, switch
-
-
-def _logapp_layout(code: LinearCode) -> _MetricLayout:
-    """The code's cached log-APP layout (built on first use).
-
-    Term j of Lambda is c_j times the sign product over its support S_j.
-    Its path through the cores runs ONE -> prefix channels -> suffix
-    channels -> SUM, entering at its first support position and leaving at
-    its last; each step multiplies by (-1)^{u_i} where i is in S_j and by 1
-    elsewhere.  The one step from the sign side (ONE, prefix) to the
-    coefficient side (suffix, SUM) also multiplies by c_j; every other
-    entry is a constant 0 or +-1, the same for every term that shares it.
-    """
-    if code._metric_layout is None:
-        g = code.g
-        n, k = g.shape
-        channels, first, last, switch = _straddle_channels(g)
-        cores = [np.zeros((len(channels[i]), 2, len(channels[i + 1]))) for i in range(k)]
-        for i in range(1, k - 1):
-            cores[i][0, :, 0] = cores[i][1, :, 1] = 1.0
-        if k > 1:
-            cores[0][0, :, 0] = cores[-1][1, :, 0] = 1.0
-
-        def state(j, b):
-            """Term j's channel at bond b, and whether that channel holds c_j."""
-            if b <= first[j]:
-                return _ONE, False
-            if b > last[j]:
-                return _SUM, True
-            return (g[j, :b].tobytes(), False) if b < switch else (g[j, b:].tobytes(), True)
-
-        dynamic = {}  # (core, row, u, column) -> weights over the n terms
-        for j in range(n):
-            for i in range(first[j], last[j] + 1):
-                (src, c_in), (dst, c_out) = state(j, i), state(j, i + 1)
-                a, b = channels[i][src], channels[i + 1][dst]
-                signs = (1.0, -1.0) if g[j, i] else (1.0, 1.0)
-                if c_out and not c_in:
-                    for u in (0, 1):
-                        dynamic.setdefault((i, a, u, b), np.zeros(n))[j] += signs[u]
-                else:
-                    cores[i][a, :, b] = signs
-        for j in np.flatnonzero(first == k):  # an all-zero row is a constant term
-            for u in (0, 1):
-                dynamic.setdefault((0, 0, u, channels[1][_SUM]), np.zeros(n))[j] += 1.0
-        offsets = np.cumsum([0] + [core.size for core in cores])
-        pos = [offsets[i] + np.ravel_multi_index((a, u, b), cores[i].shape)
-               for i, a, u, b in dynamic]
-        code._metric_layout = _MetricLayout(
-            shapes=tuple(core.shape for core in cores),
-            splits=offsets[1:-1],
-            base=np.concatenate([core.ravel() for core in cores]),
-            pos=np.array(pos, dtype=np.int64),
-            mix=np.array(list(dynamic.values())).reshape(len(pos), n),
-        )
-    return code._metric_layout
-
-
 def build_code_logapp_tt(code: LinearCode, y: np.ndarray, n0: float) -> TensorTrain:
     """Exact TT of the log-APP metric Lambda(u) with the code constraint
     folded in, built in one pass without rounding.
 
-    Entry u equals sum_j c_j prod_{i: G_ji = 1} (-1)^{u_i} with
-    c_j = 2 y_j / N_0.  Bond b carries the constant 1, the running sum of
-    the terms whose support ends left of b, and one channel per distinct
-    pattern of the terms that straddle b: the sign product of each distinct
-    prefix G[j, :b] left of a switch bond, and from it on the coefficient
-    still owed to each distinct suffix G[j, b:].  With the switch where the
-    rank sum is least, bond ranks are at most min(#prefixes, #suffixes) + 2.
-    The layout depends on the code alone and is cached on it; per
-    observation only the n coefficients are scattered into it.
+    Term j is c_j = 2 y_j / N_0 times the sign factor (1, -1) on each
+    position of row j's support and 1 elsewhere; ``tt._sum_of_products``
+    lays the n terms out with bond ranks at most min(#prefixes,
+    #suffixes) + 2.  The layout depends on the code alone and is cached on
+    it; per observation only the n coefficients are scattered into it.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size != code.n:
         raise ValueError(f"observation length {y.size} != block length {code.n}")
     if not n0 > 0:
         raise ValueError("noise density must be positive")
-    return _logapp_layout(code).build((2.0 / n0) * y)
+    if code._metric_layout is None:
+        code._metric_layout = _sum_of_products(np.where(code.g[:, :, None] == 1, (1.0, -1.0), 1.0))
+    return code._metric_layout.build((2.0 / n0) * y)
 
 
 def _q_function(x: float) -> float:
@@ -363,16 +255,22 @@ def biawgn_capacity_dispersion(n0: float, order: int = 64) -> tuple[float, float
     return capacity, dispersion
 
 
+# The largest error target below 1: stopping_threshold needs one in [0, 1),
+# and far below capacity the normal approximation rounds to 1.
+_PE_MAX = float(np.nextafter(1.0, 0.0))
+
+
 def normal_approx_pe(code: LinearCode, n0: float) -> float:
     """Refined normal approximation of the minimum block error probability:
-    Q((C - R + log2(n)/(2n)) / sqrt(V/n))."""
+    Q((C - R + log2(n)/(2n)) / sqrt(V/n)), at most the largest double
+    below 1."""
     capacity, dispersion = biawgn_capacity_dispersion(n0)
     rate = code.rate
     numerator = capacity - rate + math.log2(code.n) / (2.0 * code.n)
     denom = math.sqrt(max(dispersion, 0.0) / code.n)
     if denom < 1e-12:
-        return 0.0 if numerator > 0 else 1.0
-    return float(np.clip(_q_function(numerator / denom), 0.0, 1.0))
+        return 0.0 if numerator > 0 else _PE_MAX
+    return float(np.clip(_q_function(numerator / denom), 0.0, _PE_MAX))
 
 
 def stopping_threshold(code: LinearCode, n0: float, target_pe: float, safety: float = 100.0) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -40,6 +41,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(
             f"{text!r}: a grid is start:step:stop (inclusive) or a comma list of numbers, "
             "e.g. 0:2.5:10 or 3,4") from None
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise argparse.ArgumentTypeError(f"{text!r}: grid bounds and step must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
     values = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -103,6 +104,8 @@ class SimConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not self.snr_grid:
             raise ValueError("SNR grid must be nonempty")
+        if not all(math.isfinite(v) for v in self.snr_grid):
+            raise ValueError(f"SNR grid values must be finite, got {list(self.snr_grid)}")
         if not self.detectors:
             raise ValueError("need at least one detector")
         allowed = MIMO_DETECTORS if self.scenario == "mimo" else DECODE_DETECTORS

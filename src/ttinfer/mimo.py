@@ -1,7 +1,7 @@
 """MIMO detection pieces: Rayleigh channel sampling, complex-to-real channel
-decomposition, QAM alphabets, the exact TT of the Gaussian log-likelihood
--||y - H x||^2 / (2 sigma^2) (ranks min(b, N - b) + 2, built in one pass
-without rounding), a list sphere decoder, and the TT detector.
+decomposition, QAM alphabets, the terms of the Gaussian log-likelihood
+-||y - H x||^2 / (2 sigma^2) for the exact sum-of-products TT builder of
+the tt module, a list sphere decoder, and the TT detector.
 
 The complex model y~ = H~ x~ + n~ with M-QAM symbols is rewritten as the real
 model y = H x + n with H = [[Re, -Im], [Im, Re]], stacked (Re; Im) vectors,
@@ -13,12 +13,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .cross import CrossConfig
 from .posterior import SEED_LIST_SIZE, LogPosterior, MarginalTable, infer_marginals, map_decision
-from .tt import TensorTrain, tt_truncate
+from .tt import TensorTrain, _sum_of_products, _SumOfProducts, tt_truncate
 
 __all__ = [
     "ChannelRealization",
@@ -153,16 +154,30 @@ def noise_variance_for_snr(h_complex: np.ndarray, symbol_energy: float, snr_db: 
     return fro2 * symbol_energy / (2.0 * nr * nt * 10.0 ** (snr_db / 10.0))
 
 
+@lru_cache(maxsize=16)
+def _quadratic_layout(n_modes: int, alphabet: tuple[float, ...]) -> _SumOfProducts:
+    """The cached layout of the quadratic metric's terms, in the order of
+    ``build_quadratic_metric``'s coefficients: x_i x_j for i < j, then x_i,
+    then x_i^2, then the constant."""
+    a = np.array(alphabet)
+    rows, cols = np.triu_indices(n_modes, 1)
+    pairs, modes = np.arange(rows.size), np.arange(n_modes)
+    factors = np.ones((rows.size + 2 * n_modes + 1, n_modes, a.size))
+    factors[pairs, rows] = factors[pairs, cols] = a
+    factors[rows.size + modes, modes] = a
+    factors[rows.size + n_modes + modes, modes] = a**2
+    return _sum_of_products(factors)
+
+
 def build_quadratic_metric(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) -> TensorTrain:
     """Exact TT of the Gaussian log-likelihood -||y - H x||^2 / (2 sigma^2).
 
     Written as const + l^T x + x^T Q x with Q = -H^T H / (2 sigma^2) and
-    l = H^T y / sigma^2.  Reading the bonds left to right, bond b carries the
-    partial sum S (every term in x_0..x_{b-1} alone) and a constant 1, plus
-    either the symbols x_0..x_{b-1} themselves (b < N/2) or the cross-term
-    coefficients w_k = sum_{i<b} 2 Q_ik x_i still owed to the symbols
-    k = b..N-1 (b >= N/2); one core at the middle bond switches between the
-    two.  Bond ranks are min(b, N - b) + 2 and no rounding is involved.
+    l = H^T y / sigma^2, its terms are x_i x_j with coefficient
+    2 Q_ij = -(H^T H)_ij / sigma^2 for i < j, x_i with l_i, x_i^2 with Q_ii,
+    and the constant -||y||^2 / (2 sigma^2).  ``tt._sum_of_products`` lays
+    them out, once per (N, alphabet), with bond ranks min(b, N - b) + 2 and
+    no rounding; per observation only the coefficients are scattered.
     """
     if not sigma2 > 0:
         raise ValueError("noise variance must be positive")
@@ -173,37 +188,13 @@ def build_quadratic_metric(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet
         raise ValueError(f"observation shape {y.shape} does not match channel shape {h.shape}")
     n_modes = h.shape[1]
     q2 = -(h.T @ h) / sigma2  # 2 Q
-    lin = (h.T @ y) / sigma2
-    powers = np.stack([np.ones_like(alphabet), alphabet, alphabet**2])
-    cores = []
-    for b in range(n_modes):
-        # Bond state (S, linear coordinates, 1) on the left and right of x_b.
-        left_x, right_x = 2 * b < n_modes, 2 * (b + 1) < n_modes
-        ml = b if left_x else n_modes - b
-        mr = b + 1 if right_x else n_modes - b - 1
-        # poly[p] is the coefficient matrix of x_b^p in the core slice.
-        poly = np.zeros((3, ml + 2, mr + 2))
-        poly[0, 0, 0] = poly[0, -1, -1] = 1.0
-        poly[1, -1, 0] = lin[b]
-        poly[2, -1, 0] = 0.5 * q2[b, b]
-        if left_x:
-            poly[1, 1 : ml + 1, 0] = q2[:b, b]
-        else:
-            poly[1, 1, 0] = 1.0  # S += x_b * w_b
-        if right_x:
-            poly[0, 1 : ml + 1, 1 : ml + 1] = np.eye(ml)
-            poly[1, -1, mr] = 1.0  # append x_b
-        else:
-            if left_x:
-                poly[0, 1 : ml + 1, 1 : mr + 1] = q2[:b, b + 1 :]
-            else:
-                poly[0, 2 : ml + 1, 1 : mr + 1] = np.eye(mr)
-            poly[1, -1, 1 : mr + 1] = q2[b, b + 1 :]
-        cores.append(np.einsum("pk,pij->ikj", powers, poly))
-    cores[0] = cores[0][-1:]
-    cores[0][0, :, 0] -= 0.5 * float(y @ y) / sigma2
-    cores[-1] = np.ascontiguousarray(cores[-1][..., :1])
-    return TensorTrain(cores, copy=False)
+    coefficients = np.concatenate([
+        q2[np.triu_indices(n_modes, 1)],
+        (h.T @ y) / sigma2,
+        0.5 * np.diag(q2),
+        [-0.5 * float(y @ y) / sigma2],
+    ])
+    return _quadratic_layout(n_modes, tuple(alphabet.tolist())).build(coefficients)
 
 
 def _sphere_list(y: np.ndarray, h: np.ndarray, alphabet, size: int = SEED_LIST_SIZE) -> np.ndarray:

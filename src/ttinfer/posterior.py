@@ -20,6 +20,7 @@ import numpy as np
 from .cross import CrossConfig, _check_seed_indices, tt_cross, tt_exp_taylor
 from .tt import (
     TensorTrain,
+    _sum_of_products,
     constant_tt,
     tt_add,
     tt_eval_many,
@@ -95,35 +96,23 @@ class MarginalTable:
 
 
 def build_prior_tt(v, n_modes: int) -> TensorTrain:
-    """Exact rank-2 TT of the separable log-prior sum_i v[k_i].
+    """Exact TT of the separable log-prior sum_i v[k_i].
 
-    First core (1, v), interior slices [[1, v_k], [0, 1]], last core
-    stacking (v^T; 1^T); all interior ranks are exactly 2.  A single mode
-    degenerates to the rank-1 TT holding v itself.
+    Its terms are one per mode i, with factor v on mode i alone and
+    coefficient 1, laid out by ``tt._sum_of_products``: first core (1, v),
+    interior slices [[1, v_k], [0, 1]], last core stacking (v^T; 1^T), so
+    all interior ranks are exactly 2 (a v of all ones is a constant, which
+    the first core holds).  A single mode gives the rank-1 TT holding v.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("log-prior must be a nonempty vector")
     if n_modes < 1:
         raise ValueError("need at least one mode")
-    length = v.size
-    if n_modes == 1:
-        return TensorTrain([v.reshape(1, length, 1)])
-    first = np.empty((1, length, 2))
-    first[0, :, 0] = 1.0
-    first[0, :, 1] = v
-    last = np.empty((2, length, 1))
-    last[0, :, 0] = v
-    last[1, :, 0] = 1.0
-    cores = [first]
-    for _ in range(n_modes - 2):
-        mid = np.zeros((2, length, 2))
-        mid[0, :, 0] = 1.0
-        mid[0, :, 1] = v
-        mid[1, :, 1] = 1.0
-        cores.append(mid)
-    cores.append(last)
-    return TensorTrain(cores, copy=False)
+    modes = np.arange(n_modes)
+    factors = np.ones((n_modes, n_modes, v.size))
+    factors[modes, modes] = v
+    return _sum_of_products(factors).build(np.ones(n_modes))
 
 
 def _estimate_log_shift(

@@ -14,12 +14,15 @@ Hadamard product, scalar multiplication, all single-mode marginals in one
 pass of core sums and shared prefix/suffix products, the
 orthogonalization-based norm, and SVD rank truncation (rounding), through QR
 or, for the Taylor init's Horner steps, Gram matrices.  All operations
-allocate fresh outputs; TensorTrain values are immutable.
+allocate fresh outputs; TensorTrain values are immutable.  The exact
+sum-of-products builder ``_sum_of_products`` writes the code log-APP metric,
+the MIMO log-likelihood and the separable log-prior as TTs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -430,3 +433,105 @@ def random_tt(dims, ranks, rng: np.random.Generator, scale: float = 1.0) -> Tens
         raise ValueError("need len(dims)-1 interior ranks")
     cores = [scale * rng.standard_normal((full[i], dims[i], full[i + 1])) for i in range(len(dims))]
     return TensorTrain(cores, copy=False)
+
+
+
+_ONE, _SUM = "one", "sum"  # the two channels every interior bond carries
+
+
+class _SumOfProducts(NamedTuple):
+    """A sum-of-products TT laid out for any coefficients c (see
+    ``_sum_of_products``): the cores end to end in one flat array ``base``
+    of constant entries, where entries ``pos[g]`` add ``weight[g] * c[term[g]]``.
+    The arrays are read-only, so one layout may serve every caller."""
+
+    shapes: tuple
+    splits: np.ndarray
+    base: np.ndarray
+    pos: np.ndarray
+    term: np.ndarray
+    weight: np.ndarray
+
+    def build(self, c: np.ndarray) -> TensorTrain:
+        """The TT of sum_t c[t] prod_i F[t, i, x_i]."""
+        flat = self.base.copy()
+        np.add.at(flat, self.pos, self.weight * c[self.term, None])
+        parts = np.split(flat, self.splits)
+        return TensorTrain([part.reshape(shape) for part, shape in zip(parts, self.shapes)],
+                           copy=False)
+
+
+def _sum_of_products(factors: np.ndarray) -> _SumOfProducts:
+    """Layout of the exact TT of f(x) = sum_t c_t prod_i F[t, i, x_i] for a
+    (terms x modes x alphabet) factor table F, built in one pass without
+    rounding; ``build(c)`` then scatters the coefficients into it.
+
+    Term t's support is the set of modes whose factor row F[t, i] is not all
+    ones (mode 0 alone for a constant term).  Bond b carries the constant 1
+    (channel ONE), the running sum of the terms whose support ends left of b
+    (SUM), and one channel per distinct pattern of the terms that straddle b
+    (support on both sides): left of a switch bond, the partial product of
+    each distinct prefix F[t, :b]; from the switch bond on, the coefficient
+    still owed to each distinct suffix F[t, b:].  Term t's path runs ONE ->
+    prefix channels -> suffix channels -> SUM, entering at its first support
+    mode and leaving at its last; each step multiplies by F[t, i, x_i].  The
+    one step from the product side (ONE, prefix) to the coefficient side
+    (suffix, SUM) also multiplies by c_t; every other entry is a constant,
+    the same for every term that shares it.  With the switch bond where the
+    rank sum is least, bond b has rank at most min(#prefixes, #suffixes) + 2:
+    the TT analogue of a trellis span profile (Oseledets, Constr. Approx.
+    2013).
+    """
+    n_terms, order, size = factors.shape
+    support = ~np.all(factors == 1.0, axis=2)
+    support[~support.any(axis=1), 0] = True
+    first = support.argmax(axis=1)
+    last = order - 1 - support[:, ::-1].argmax(axis=1)
+    straddling = [np.flatnonzero((first < b) & (b <= last)) for b in range(order + 1)]
+    prefixes = [dict.fromkeys(factors[t, :b].tobytes() for t in rows)
+                for b, rows in enumerate(straddling)]
+    suffixes = [dict.fromkeys(factors[t, b:].tobytes() for t in rows)
+                for b, rows in enumerate(straddling)]
+    n_pre = np.array([len(p) for p in prefixes])
+    n_suf = np.array([len(s) for s in suffixes])
+    # cost[s]: pattern channels of all bonds when bonds b < s take prefixes
+    cost = np.concatenate([[0], np.cumsum(n_pre)[:-1]]) + np.cumsum(n_suf[::-1])[::-1]
+    switch = 1 + int(np.argmin(cost[1:]))
+    channels = [{_ONE: 0}]
+    for b in range(1, order):
+        keys = prefixes[b] if b < switch else suffixes[b]
+        channels.append({_ONE: 0, _SUM: 1, **{key: 2 + q for q, key in enumerate(keys)}})
+    channels.append({_SUM: 0})
+
+    cores = [np.zeros((len(channels[i]), size, len(channels[i + 1]))) for i in range(order)]
+    for i in range(1, order - 1):
+        cores[i][0, :, 0] = cores[i][1, :, 1] = 1.0
+    if order > 1:
+        cores[0][0, :, 0] = cores[-1][1, :, 0] = 1.0
+    offsets = np.cumsum([0] + [core.size for core in cores])
+
+    def state(t, b):
+        """Term t's channel at bond b, and whether that channel holds c_t."""
+        if b <= first[t]:
+            return _ONE, False
+        if b > last[t]:
+            return _SUM, True
+        return (factors[t, :b].tobytes(), False) if b < switch else (factors[t, b:].tobytes(), True)
+
+    pos, term, weight = [], [], []
+    for t in range(n_terms):
+        for i in range(first[t], last[t] + 1):
+            (src, c_in), (dst, c_out) = state(t, i), state(t, i + 1)
+            a, b = channels[i][src], channels[i + 1][dst]
+            if c_out and not c_in:
+                pos.append(offsets[i] + (a * size + np.arange(size)) * cores[i].shape[2] + b)
+                term.append(t)
+                weight.append(factors[t, i])
+            else:
+                cores[i][a, :, b] = factors[t, i]
+    layout = _SumOfProducts(shapes=tuple(core.shape for core in cores), splits=offsets[1:-1],
+                            base=np.concatenate([core.ravel() for core in cores]),
+                            pos=np.array(pos), term=np.array(term), weight=np.array(weight))
+    for arr in layout[1:]:
+        arr.flags.writeable = False
+    return layout

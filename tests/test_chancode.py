@@ -191,6 +191,19 @@ class TestNoncentralChi2:
                 stopping_threshold(code, 1.0, target_pe)
 
 
+@pytest.mark.parametrize("name", ["hamming_7_4", "bch_15_7"])
+def test_ttdec_far_below_capacity_returns_a_result(name):
+    """At -30 dB the normal approximation rounds to 1; the error target stays
+    just below it, so the stopping threshold exists and the decoder decides."""
+    code = load_code(builtin_code_path(name))
+    n0 = n0_from_ebn0(-30.0, code.rate)
+    assert normal_approx_pe(code, n0) == np.nextafter(1.0, 0.0)
+    y = 1.0 + np.sqrt(n0 / 2.0) * np.random.default_rng(4).standard_normal(code.n)
+    res = ttdec(y, code, n0, (4, 10), CrossConfig(rng_seed=2))
+    assert res.u_hat.shape == (code.k,) and set(res.u_hat.tolist()) <= {0, 1}
+    assert np.isfinite(res.eta) and res.target_pe < 1.0
+
+
 @pytest.mark.parametrize("ebn0", [0.0, 2.0, 4.0, 6.0, 8.0])
 @pytest.mark.parametrize("name", ["hamming_7_4", "bch_15_7", "bch_31_16", "bch_63_30"])
 def test_stopping_threshold_matches_full_range_mixture(name, ebn0):

@@ -234,6 +234,8 @@ OUT_OF_RANGE = [
     ("mimo", "--rmax", 0),
     ("mimo", "--qam", 5),
     ("mimo", "--nt", 0),
+    ("mimo", "--snr", "nan"),
+    ("decode", "--ebn0", "inf"),
 ]
 
 
@@ -258,6 +260,7 @@ def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys
 @pytest.mark.parametrize("argv, message", [
     (["mimo", "--snr", "abc"], "argument --snr: 'abc': a grid is start:step:stop"),
     (["mimo", "--snr", "0:5"], "argument --snr: '0:5': a grid is start:step:stop"),
+    (["mimo", "--snr", "0:1:inf"], "argument --snr: '0:1:inf': grid bounds and step must be finite"),
     (["decode", "--code", "hamming_7_4", "--ebn0", "3,x"], "argument --ebn0: '3,x': a grid is"),
     (["decode", "--code", "hamming_7_4", "--schedule", "x"],
      "argument --schedule: 'x': a schedule is a comma list of increasing integer ranks"),

@@ -68,6 +68,20 @@ class TestPrior:
             expect = expect + v.reshape(shape)
         np.testing.assert_allclose(dense, expect, rtol=1e-11, atol=1e-12)
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 6])
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_cores_are_the_explicit_rank_two_cores(self, n_modes, length):
+        """First core (1, v), interior [[1, v], [0, 1]], last (v; 1), and v
+        for a single mode, byte for byte."""
+        v = np.random.default_rng([42, n_modes, length]).standard_normal(length)
+        first, mid, last = np.zeros((1, length, 2)), np.zeros((2, length, 2)), np.zeros((2, length, 1))
+        first[0, :, 0] = mid[0, :, 0] = mid[1, :, 1] = last[1, :, 0] = 1.0
+        first[0, :, 1] = mid[0, :, 1] = last[0, :, 0] = v
+        expect = [v.reshape(1, length, 1)] if n_modes == 1 else [first, *[mid] * (n_modes - 2), last]
+        got = build_prior_tt(v, n_modes).cores
+        assert [c.shape for c in got] == [c.shape for c in expect]
+        assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expect))
+
     def test_single_mode_degenerates_to_vector(self):
         v = np.array([0.1, -0.4])
         tt = build_prior_tt(v, 1)

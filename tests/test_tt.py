@@ -31,7 +31,7 @@ from ttinfer import (
     tt_truncate,
     zeros_tt,
 )
-from ttinfer.tt import _orthogonalize_lr, _round_gram
+from ttinfer.tt import _orthogonalize_lr, _round_gram, _sum_of_products
 
 
 def random_instance(rng, max_order=8, max_dim=4, max_rank=6):
@@ -270,6 +270,72 @@ class TestModeOps:
                 assert vec.tobytes() == per_mode_marginal(a, mode).tobytes()
                 axes = tuple(i for i in range(order) if i != mode)
                 np.testing.assert_allclose(vec, dense.sum(axis=axes), rtol=1e-10, atol=1e-11)
+
+
+def random_factor_table(rng, order, size, n_terms=9):
+    """A (terms x modes x alphabet) factor table whose supports cycle
+    through empty, single-mode, full, gapped and repeated (a copy of an
+    earlier term); the rows come from a pool of three, so that terms share
+    prefixes and suffixes."""
+    pool = rng.standard_normal((3, size))
+    factors = np.ones((n_terms, order, size))
+    for t in range(n_terms):
+        kind = t % 5
+        if kind == 4:
+            factors[t] = factors[int(rng.integers(t))]
+            continue
+        if kind == 0:
+            support = []
+        elif kind == 1:
+            support = [int(rng.integers(order))]
+        elif kind == 2:
+            support = range(order)
+        else:
+            support = [0, order - 1] + [i for i in range(1, order - 1) if rng.random() < 0.4]
+        for i in support:
+            factors[t, i] = pool[rng.integers(3)]
+    return factors
+
+
+def sum_of_products_dense(factors, c):
+    """sum_t c_t prod_i F[t, i, x_i] as a dense array, term by term."""
+    dense = 0.0
+    for coef, rows in zip(c, factors):
+        term = np.array(coef)
+        for row in rows:
+            term = np.multiply.outer(term, row)
+        dense = dense + term
+    return dense
+
+
+class TestSumOfProducts:
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_matches_dense_oracle(self, order, size):
+        rng = np.random.default_rng([33, order, size])
+        for _ in range(4):
+            factors = random_factor_table(rng, order, size)
+            layout = _sum_of_products(factors)
+            for _ in range(2):  # one layout serves every coefficient vector
+                c = rng.standard_normal(factors.shape[0])
+                got = tt_to_dense(layout.build(c)).data
+                expect = sum_of_products_dense(factors, c)
+                assert got.shape == (size,) * order
+                assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_ranks_within_straddle_bound(self, order):
+        rng = np.random.default_rng([34, order])
+        for _ in range(4):
+            factors = random_factor_table(rng, order, 3, n_terms=15)
+            ranks = _sum_of_products(factors).build(np.ones(15)).ranks
+            support = ~np.all(factors == 1.0, axis=2)
+            assert ranks[0] == ranks[-1] == 1
+            for b in range(1, order):
+                rows = [t for t in range(15) if support[t, :b].any() and support[t, b:].any()]
+                prefixes = {factors[t, :b].tobytes() for t in rows}
+                suffixes = {factors[t, b:].tobytes() for t in rows}
+                assert ranks[b] <= min(len(prefixes), len(suffixes)) + 2, b
 
 
 class TestTruncate:
