@@ -260,13 +260,13 @@ def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys
 @pytest.mark.parametrize("argv, message", [
     (["mimo", "--snr", "abc"], "argument --snr: 'abc': a grid is start:step:stop"),
     (["mimo", "--snr", "0:5"], "argument --snr: '0:5': a grid is start:step:stop"),
-    (["mimo", "--snr", "0:1:inf"], "argument --snr: '0:1:inf': grid bounds and step must be finite"),
     (["decode", "--code", "hamming_7_4", "--ebn0", "3,x"], "argument --ebn0: '3,x': a grid is"),
     (["decode", "--code", "hamming_7_4", "--schedule", "x"],
      "argument --schedule: 'x': a schedule is a comma list of increasing integer ranks"),
     (["decode", "--code", "nosuch"],
      "argument --code: 'nosuch' is neither a file nor a packaged code "
      "(bch_15_7, bch_31_16, bch_63_30, hamming_7_4)"),
+    (["mimo", "--snr", "0:1:inf"], "argument --snr: '0:1:inf': grid bounds and step must be finite"),
 ])
 def test_malformed_values_exit_with_usage_error(monkeypatch, capsys, argv, message):
     monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
