@@ -11,7 +11,9 @@ file can preload any flag (keys match the long option names with underscores);
 a flag given on the command line wins however it is spelled, abbreviated or
 not.  Every sweep setting left unset takes its default from ``SimConfig``,
 which also checks it: an out-of-range value, as a flag or as a config key, is
-a usage error (exit status 2) and no trial runs.
+a usage error (exit status 2) and no trial runs.  So are a config file that
+cannot be read or holds no JSON object, and an output path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -159,8 +161,15 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key:
 
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     """The --config file's values, converted, keyed by their flags' ``dest``."""
-    with open(path) as fh:
-        overrides = json.load(fh)
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except OSError as err:
+        parser.error(f"cannot read config file {path!r}: {err.strerror}")
+    except ValueError as err:
+        parser.error(f"config file {path!r} is not valid JSON: {err}")
+    if not isinstance(overrides, dict):
+        parser.error(f"config file {path!r} must hold a JSON object, got {type(overrides).__name__}")
     defaults = {}
     for key, value in overrides.items():
         action = parser._option_string_actions.get("--" + key.replace("_", "-"))
@@ -183,21 +192,30 @@ def _sim_config(settings: dict) -> SimConfig:
                      cross=CrossConfig(**cross), **settings)
 
 
-def _run_ranks(args) -> int:
+def _run_ranks(args, parser: argparse.ArgumentParser) -> int:
     values = []
-    with open(args.infile, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if "rmax" not in row:
-                raise SystemExit("input CSV has no rmax column")
-            if args.detector and row.get("detector") != args.detector:
-                continue
-            values.append(int(float(row["rmax"])))
+    try:
+        with open(args.infile, newline="") as fh:
+            for row in csv.DictReader(fh):
+                if "rmax" not in row:
+                    raise SystemExit("input CSV has no rmax column")
+                if args.detector and row.get("detector") != args.detector:
+                    continue
+                values.append(int(float(row["rmax"])))
+    except OSError as err:
+        parser.error(f"cannot read {args.infile!r}: {err.strerror}")
+    if not values:
+        of_detector = f" of detector {args.detector!r}" if args.detector else ""
+        raise SystemExit(f"{args.infile} has no rank records{of_detector}")
     stats = rank_stats(values)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rmax", "count"])
-        for value in sorted(stats.histogram):
-            writer.writerow([value, stats.histogram[value]])
+    try:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["rmax", "count"])
+            for value in sorted(stats.histogram):
+                writer.writerow([value, stats.histogram[value]])
+    except OSError as err:
+        parser.error(f"cannot write {args.out!r}: {err.strerror}")
     print(f"records={len(values)} mean={stats.mean:.6g} median={stats.median:.6g}")
     print(f"wrote {args.out}")
     return 0
@@ -207,7 +225,7 @@ def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "ranks":
-        return _run_ranks(args)
+        return _run_ranks(args, commands["ranks"])
     sweep_parser = commands[args.command]
     if "config" in args:
         # the file's values become defaults, so that any flag given wins
@@ -217,7 +235,12 @@ def main(argv=None) -> int:
         cfg = _sim_config(vars(args))
     except ValueError as err:
         sweep_parser.error(str(err))
-    run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
+    try:
+        run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
+    except OSError as err:
+        if err.filename not in (cfg.out_path, cfg.trial_dump):
+            raise
+        sweep_parser.error(f"cannot write {err.filename!r}: {err.strerror}")
     print(f"wrote {cfg.out_path}")
     return 0
 

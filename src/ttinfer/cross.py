@@ -5,8 +5,9 @@ Building blocks:
 * ``maxvol`` -- iterative row selection maximizing the submatrix determinant
   magnitude (the pivot engine of the cross).
 * ``tt_exp_taylor`` -- Horner evaluation of the elementwise truncated Taylor
-  series of exp, the paper's initialization of the cross (degree 0, the
-  all-ones tensor, is the pipeline default).
+  series of exp, each step rounded by ``tt_truncate``: the paper's
+  initialization of the cross (degree 0, the all-ones tensor, is the
+  pipeline default).
 * ``tt_cross`` -- apply a scalar function f elementwise to a TT without
   densification.  One engine serves both variants: a half sweep updates
   blocks of one core ("sample", classical TT-cross interpolation) or of two
@@ -36,7 +37,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgetrf
 
-from .tt import TensorTrain, _chop_ranks, _round_gram, ones_tt, tt_add, tt_eval_many, tt_hadamard, tt_scale
+from .tt import TensorTrain, _chop_ranks, ones_tt, tt_add, tt_eval_many, tt_hadamard, tt_scale, tt_truncate
 
 __all__ = [
     "CrossConfig",
@@ -202,11 +203,7 @@ def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTr
     Horner form keeps intermediate ranks bounded: starting from the all-ones
     tensor, b <- round(a o b / k + 1, tol, max_rank) for k = p, ..., 1.
     With p = 0 the all-ones tensor is returned.  The pointwise error is the
-    Taylor remainder plus the accumulated truncation error.  Each Horner step
-    is rounded by Gram SVD (``_round_gram``) rather than QR, which spares
-    the QR of the wide uncompressed product but resolves each bond only down
-    to about 1e-7 of its largest singular value: a ``tol`` below that acts
-    as about 1e-7.
+    Taylor remainder plus the accumulated truncation error of ``tt_truncate``.
     """
     if p < 0:
         raise ValueError("polynomial degree must be >= 0")
@@ -215,7 +212,7 @@ def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTr
     one = ones_tt(a.dims)
     b = one
     for k in range(p, 0, -1):
-        b = _round_gram(tt_add(tt_scale(tt_hadamard(a, b), 1.0 / k), one).cores, tol, max_rank)
+        b = tt_truncate(tt_add(tt_scale(tt_hadamard(a, b), 1.0 / k), one), tol, max_rank)
     return b
 
 
@@ -359,13 +356,6 @@ class _CrossEngine:
             raise NonFiniteValueError(_index(prefixes, suffixes, vals.shape, flat))
         return out
 
-    def _interpolative(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows J via maxvol and the factor basis @ basis[J]^-1 (rows J give
-        the identity, making the core exact at its pivots); maxvol's own B
-        is that factor."""
-        rows, factor, _ = _maxvol(basis, MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)
-        return rows, factor
-
     def _probe_converged(self) -> bool:
         tt = TensorTrain(self.cores, copy=False)
         vals = tt_eval_many(tt, self.probe_idx)
@@ -421,7 +411,7 @@ class _CrossEngine:
             delta = self.cfg.conv_tol * np.linalg.norm(s)  # adaptive local rank
             r_new = min(_chop_ranks(s, delta), *mat.shape, self.cfg.max_rank)
             if lr:
-                rows, factor = self._interpolative(u[:, :r_new])
+                rows, factor, _ = _maxvol(u[:, :r_new], MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)
                 self.cores[lo] = factor.reshape(rl, n_lo, r_new)
                 l_idx, k_idx = np.divmod(rows, n_lo)
                 self.left[lo + 1] = np.column_stack([prefixes[l_idx], k_idx])
@@ -431,7 +421,7 @@ class _CrossEngine:
                     # rows of the local matrix are the exact last core.
                     self.cores[hi] = mat[rows].reshape(r_new, n_hi, rr)
             else:
-                rows, factor = self._interpolative(vt[:r_new].T)
+                rows, factor, _ = _maxvol(vt[:r_new].T, MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)
                 self.cores[hi] = factor.T.reshape(r_new, n_hi, rr)
                 k_idx, m_idx = np.divmod(rows, rr)
                 self.right[hi] = np.column_stack([k_idx, suffixes[m_idx]])

@@ -364,9 +364,13 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
     detector reaches the block-error target or the trial cap; every enabled
     detector sees the same realizations.  Returns the aggregated result;
     writes ``cfg.out_path`` (sweep CSV) and ``cfg.trial_dump`` (per-trial
-    CSV) when set.
+    CSV) when set.  An output path that cannot be opened for writing raises
+    OSError before the first trial.
     """
     code = load_code(cfg.code_path) if cfg.scenario == "decode" else None
+    for path in (cfg.out_path, cfg.trial_dump):
+        if path:
+            open(path, "a").close()  # append mode leaves an existing file as it is
     reference = "oracle" if "oracle" in cfg.detectors else cfg.detectors[0]
     symbols_per_trial = 2 * cfg.nt_complex if cfg.scenario == "mimo" else (code.k if code else 0)
     result = SweepResult()

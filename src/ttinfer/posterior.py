@@ -47,6 +47,10 @@ _EXP_CLIP_MARGIN = 46.0
 # Length K of the candidate lists the models pass as ``seeds``.
 SEED_LIST_SIZE = 16
 
+# Relative tolerance of the roundings on the Taylor-init path: the shifted
+# metric and every Horner step of ``tt_exp_taylor``.
+_TAYLOR_TOL = 1e-12
+
 
 class InferenceFailureError(RuntimeError):
     """Marginalization produced no usable mass; retry with larger ranks."""
@@ -149,7 +153,6 @@ def infer_marginals(
     taylor_p: int,
     taylor_max_rank: int,
     variant: str = "sample",
-    taylor_tol: float = 1e-12,
     seeds=None,
 ) -> tuple[MarginalTable, int]:
     """Symbol-wise posteriors of a log-posterior TT.
@@ -177,8 +180,8 @@ def infer_marginals(
         shift = float(tt_eval_many(lp.tt, seeds).max())
     base = lp.tt
     if taylor_p > 0:
-        base = tt_truncate(tt_add(lp.tt, constant_tt(lp.tt.dims, -shift)), taylor_tol)
-    init = tt_exp_taylor(base, taylor_p, taylor_max_rank, taylor_tol)
+        base = tt_truncate(tt_add(lp.tt, constant_tt(lp.tt.dims, -shift)), _TAYLOR_TOL)
+    init = tt_exp_taylor(base, taylor_p, taylor_max_rank, _TAYLOR_TOL)
     lo = -(_EXP_CLIP_MARGIN + float(np.sum(np.log(lp.tt.dims))))
 
     def f(values):

@@ -12,11 +12,11 @@ and the boundary ranks are r_0 = r_N = 1.  All indices in this module are
 Provided operations: entry evaluation, densification and TT-SVD, addition,
 Hadamard product, scalar multiplication, all single-mode marginals in one
 pass of core sums and shared prefix/suffix products, the
-orthogonalization-based norm, and SVD rank truncation (rounding), through QR
-or, for the Taylor init's Horner steps, Gram matrices.  All operations
-allocate fresh outputs; TensorTrain values are immutable.  The exact
-sum-of-products builder ``_sum_of_products`` writes the code log-APP metric,
-the MIMO log-likelihood and the separable log-prior as TTs.
+orthogonalization-based norm, and SVD rank truncation (rounding) after a QR
+sweep.  All operations allocate fresh outputs; TensorTrain values are
+immutable.  The exact sum-of-products builder ``_sum_of_products`` writes the
+code log-APP metric, the MIMO log-likelihood and the separable log-prior as
+TTs.
 """
 
 from __future__ import annotations
@@ -350,57 +350,6 @@ def tt_truncate(a: TensorTrain, tol: float, max_rank: int | None = None) -> Tens
         cores[i] = vt[:r].reshape(r, n, rr)
         left = cores[i - 1]
         cores[i - 1] = (left.reshape(-1, rl) @ (u[:, :r] * s[:r])).reshape(*left.shape[:2], r)
-    return TensorTrain(cores, copy=False)
-
-
-# Singular values from a Gram eigensolve are resolved only down to about
-# sqrt(eps) * s_max; those below this fraction of s_max are eigen-noise.
-GRAM_RANK_FLOOR = 1e-7
-
-
-def _round_gram(cores, tol: float, max_rank: int | None = None) -> TensorTrain:
-    """TT rounding from Gram matrices instead of QR (Al Daas, Ballard &
-    Manning, "Parallel Tensor Train Rounding using Gram SVD", 2022).
-
-    The left Grams G_i of the unorthogonalized cores stand in for the R
-    factors of ``tt_truncate``'s QR sweep: at each bond the right-to-left
-    sweep takes the eigendecomposition of Z^T G_i Z, whose square-rooted
-    eigenvalues are the singular values that ``tt_truncate`` would chop with
-    the same budget.  It costs matmuls and small symmetric eigensolves, but
-    resolves singular values only down to about GRAM_RANK_FLOOR * s_max per
-    bond; smaller ones are dropped whatever ``tol`` asks.
-    """
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    cores = list(cores)
-    order = len(cores)
-    if order == 1:
-        return TensorTrain(cores)
-    grams = [np.ones((1, 1))]
-    for core in cores[:-1]:
-        rl, n, rr = core.shape
-        weighted = (grams[-1] @ core.reshape(rl, n * rr)).reshape(rl * n, rr)
-        grams.append(core.reshape(rl * n, rr).T @ weighted)
-    block = cores[-1]
-    for i in range(order - 1, 0, -1):
-        rl, n, rr = block.shape
-        z = block.reshape(rl, n * rr)
-        w, v = np.linalg.eigh(z.T @ (grams[i] @ z))
-        w, v = w[::-1], v[:, ::-1]
-        if i == order - 1:
-            norm = np.sqrt(max(w.sum(), 0.0))
-            if norm == 0.0:
-                return zeros_tt(tuple(c.shape[1] for c in cores))
-            delta = tol * norm / np.sqrt(order - 1)
-        s = np.sqrt(np.clip(w, 0.0, None))
-        s[s < GRAM_RANK_FLOOR * s[0]] = 0.0
-        r = _chop_ranks(s, delta)
-        if max_rank is not None:
-            r = min(r, max_rank)
-        cores[i] = np.ascontiguousarray(v[:, :r].T).reshape(r, n, rr)
-        left = cores[i - 1]
-        block = (left.reshape(-1, rl) @ (z @ v[:, :r])).reshape(*left.shape[:2], r)
-    cores[0] = block
     return TensorTrain(cores, copy=False)
 
 

@@ -2,7 +2,9 @@
 exits with 0 and writes CSVs with the expected headers and row counts, the
 sweep subcommands carry every flag and config-file key into the SimConfig
 and take every other setting from SimConfig's defaults, and out-of-range
-values exit with a usage error before any trial runs."""
+values, unreadable config files and unwritable output paths exit with a
+usage error before any trial runs; ``ranks`` exits with a message on an
+unusable input or output path or an input without rank records."""
 
 import csv
 import json
@@ -185,6 +187,7 @@ def test_config_values_pass_through_flag_types(monkeypatch, tmp_path, overrides,
     ({"workers": "two"}, "invalid value 'two'"),
     ({"with_oracle": "yes"}, "expected true or false"),
     ({"no_such_flag": 1}, "unknown config key 'no_such_flag'"),
+    ([1, 2], "must hold a JSON object, got list"),
 ])
 def test_bad_config_values_exit_with_usage_error(monkeypatch, tmp_path, capsys, overrides, message):
     config = tmp_path / "run.json"
@@ -195,6 +198,23 @@ def test_bad_config_values_exit_with_usage_error(monkeypatch, tmp_path, capsys, 
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "ttinfer decode" in err and message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file"),
+    ("{bad", "is not valid JSON"),
+    ("", "is not valid JSON"),
+], ids=["missing", "malformed", "empty"])
+def test_unreadable_config_exits_with_usage_error(monkeypatch, tmp_path, capsys, text, message):
+    config = tmp_path / "run.json"
+    if text is not None:
+        config.write_text(text)
+    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["mimo", "--config", str(config), "--out", "s.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "ttinfer mimo: error" in err and message in err
 
 
 @pytest.mark.parametrize("schedule", ["10,4", ","])
@@ -287,3 +307,49 @@ def test_unknown_code_in_config_exits_with_usage_error(monkeypatch, tmp_path, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "config key 'code'" in err and "neither a file nor a packaged code" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trial-dump"])
+def test_unwritable_output_exits_with_usage_error_before_any_trial(monkeypatch, tmp_path, capsys,
+                                                                   flag):
+    monkeypatch.setattr("ttinfer.harness._run_trial", lambda args: pytest.fail("trial ran"))
+    paths = {"--out": str(tmp_path / "s.csv"), "--trial-dump": str(tmp_path / "t.csv")}
+    paths[flag] = str(tmp_path / "missing" / "x.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["mimo", "--max-trials", "1", *(arg for item in paths.items() for arg in item)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "ttinfer mimo: error: cannot write" in err and "x.csv" in err
+
+
+@pytest.mark.parametrize("missing, message", [
+    ("--in", "ttinfer ranks: error: cannot read"),
+    ("--out", "ttinfer ranks: error: cannot write"),
+])
+def test_ranks_unusable_path_exits_with_usage_error(tmp_path, capsys, missing, message):
+    dump = tmp_path / "trials.csv"
+    dump.write_text(",".join(TRIAL_HEADER) + "\nsample,10,0,0,1,0\n")
+    paths = {"--in": str(dump), "--out": str(tmp_path / "r.csv")}
+    paths[missing] = str(tmp_path / "missing" / "x.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["ranks", *(arg for item in paths.items() for arg in item)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, detector, message", [
+    ("", None, "has no rank records"),
+    (",".join(TRIAL_HEADER) + "\n", None, "has no rank records"),
+    (",".join(TRIAL_HEADER) + "\nsample,10,0,0,1,0\n", "nosuch",
+     "has no rank records of detector 'nosuch'"),
+], ids=["empty-file", "header-only", "unknown-detector"])
+def test_ranks_without_records_exits_with_message(tmp_path, text, detector, message):
+    dump, hist = tmp_path / "trials.csv", tmp_path / "r.csv"
+    dump.write_text(text)
+    argv = ["ranks", "--in", str(dump), "--out", str(hist)]
+    if detector:
+        argv += ["--detector", detector]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert message in str(exc.value.code)
+    assert not hist.exists()

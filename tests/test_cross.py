@@ -134,6 +134,18 @@ class TestTaylorExp:
         out = tt_exp_taylor(a, 8, 3, 1e-14)
         assert max(out.ranks) <= 3
 
+    def test_ranks_within_unfolding_bounds(self):
+        # A 1e-12 rounding of each Horner step keeps no bond above the rank
+        # of its unfolding; unrounded, bond 1 alone would reach 85.
+        rng = np.random.default_rng(41)
+        dims = (2, 3, 2, 2, 3, 2, 2)
+        for _ in range(5):
+            a = random_tt(dims, (4, 5, 5, 5, 5, 4), rng)
+            out = tt_exp_taylor(a, 3, 10_000, 1e-12)
+            for bond in range(1, len(dims)):
+                bound = min(np.prod(dims[:bond]), np.prod(dims[bond:]))
+                assert out.ranks[bond] <= bound
+
 
 def small_cfg(seed, conv_tol=1e-10, max_rank=64, oversample=4, sweeps=8):
     return CrossConfig(

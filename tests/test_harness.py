@@ -1,9 +1,11 @@
 """Tests of the Monte Carlo harness: the exact oracles and their cached
 enumeration tables, the configuration checks, the per-trial records of
 failed inferences and their count in the sweep log, the realized-SNR noise
-scaling, and the worker-count independence of ``run_sweep``."""
+scaling, and the worker-count independence of ``run_sweep`` and its
+failure on an unwritable output path before any trial runs."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,6 +112,14 @@ class TestRunSweep:
         assert len(lines) == 2
         for line in lines:
             assert ", 6 sample failures, 6 sweep failures, " in line
+
+    @pytest.mark.parametrize("field", ["out_path", "trial_dump"])
+    def test_unwritable_output_fails_before_any_trial(self, tmp_path, monkeypatch, field):
+        monkeypatch.setattr(harness, "_run_trial", lambda args: pytest.fail("trial ran"))
+        bad = str(tmp_path / "missing" / "x.csv")
+        with pytest.raises(OSError) as exc:
+            run_sweep(replace(hamming_sweep(tmp_path, 1), **{field: bad}))
+        assert exc.value.filename == bad
 
 
 class TestSimConfig:

@@ -101,8 +101,7 @@ class TestInferMarginals:
             dense = 3.0 * rng.standard_normal((2, 2, 2, 2))
             lp = LogPosterior(tt_from_dense(dense, 0.0), np.array([-1.0, 1.0]))
             table, _ = infer_marginals(
-                lp, generous_cfg(trial), taylor_p=10, taylor_max_rank=16, variant=variant,
-                taylor_tol=0.0,
+                lp, generous_cfg(trial), taylor_p=10, taylor_max_rank=16, variant=variant
             )
             expect = enumerate_marginals(dense)
             assert np.abs(table.probs - expect).max() <= 1e-6
@@ -113,8 +112,8 @@ class TestInferMarginals:
         base = tt_from_dense(dense, 0.0)
         lifted = tt_add(base, constant_tt(base.dims, 11.7))
         alpha = np.array([-1.0, 1.0])
-        t1, _ = infer_marginals(LogPosterior(base, alpha), generous_cfg(3), 10, 16, taylor_tol=0.0)
-        t2, _ = infer_marginals(LogPosterior(lifted, alpha), generous_cfg(3), 10, 16, taylor_tol=0.0)
+        t1, _ = infer_marginals(LogPosterior(base, alpha), generous_cfg(3), 10, 16)
+        t2, _ = infer_marginals(LogPosterior(lifted, alpha), generous_cfg(3), 10, 16)
         assert np.abs(t1.probs - t2.probs).max() <= 1e-9
 
     @pytest.mark.parametrize("variant", ["sample", "sweep"])
@@ -200,8 +199,8 @@ class TestNormalizationKillsConstant:
         dense = rng.standard_normal((2, 2, 2))
         base = tt_from_dense(dense, 0.0)
         alpha = np.array([0.0, 1.0])
-        t1, _ = infer_marginals(LogPosterior(base, alpha), generous_cfg(5), 10, 8, taylor_tol=0.0)
+        t1, _ = infer_marginals(LogPosterior(base, alpha), generous_cfg(5), 10, 8)
         t2, _ = infer_marginals(
-            LogPosterior(tt_truncate(base, 0.0), alpha), generous_cfg(5), 10, 8, taylor_tol=0.0
+            LogPosterior(tt_truncate(base, 0.0), alpha), generous_cfg(5), 10, 8
         )
         assert np.abs(t1.probs - t2.probs).max() <= 1e-8

@@ -8,7 +8,7 @@ rank-1 compressibility case.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttinfer import (
@@ -31,7 +31,7 @@ from ttinfer import (
     tt_truncate,
     zeros_tt,
 )
-from ttinfer.tt import _orthogonalize_lr, _round_gram, _sum_of_products
+from ttinfer.tt import _orthogonalize_lr, _sum_of_products
 
 
 def random_instance(rng, max_order=8, max_dim=4, max_rank=6):
@@ -451,54 +451,6 @@ class TestRoundingProperties:
         err = np.linalg.norm(tt_to_dense(tt_truncate(step, tol)).data - dense)
         # tol * ||step|| plus a round-off floor for the smallest tolerance
         assert err <= tol * norm * (1 + 1e-9) + 1e-12 * norm
-
-
-def horner_step(a, b, k):
-    return tt_add(tt_scale(tt_hadamard(a, b), 1.0 / k), ones_tt(a.dims))
-
-
-class TestGramRounding:
-    # Either the tolerance sits above the Gram route's 1e-7 resolution, or a
-    # tiny tolerance is overruled by a rank cap that binds at every bond.
-    @settings(max_examples=80, deadline=None)
-    @given(
-        tt_pairs(),
-        st.integers(1, 10),
-        st.sampled_from([(None, 1e-1), (None, 1e-3), (None, 1e-6), (1, 1e-12), (2, 1e-12)]),
-    )
-    def test_matches_qr_rounding(self, pair, k, case):
-        max_rank, tol = case
-        step = horner_step(*pair, k)
-        qr = tt_truncate(step, tol, max_rank)
-        if max_rank is not None:
-            assume(all(r == max_rank for r in qr.ranks[1:-1]))
-        gram = _round_gram(step.cores, tol, max_rank)
-        assert gram.ranks == qr.ranks
-        dense = tt_to_dense(qr).data
-        err = np.linalg.norm(tt_to_dense(gram).data - dense)
-        assert err <= 1e-10 * np.linalg.norm(tt_to_dense(step).data)
-
-    def test_ranks_within_unfolding_bounds(self):
-        # Gram eigen-noise sits near 1e-8 * s_max, far above a 1e-12
-        # tolerance; without the rank floor it inflated the outer bonds.
-        rng = np.random.default_rng(41)
-        dims = (2, 3, 2, 2, 3, 2, 2)
-        for _ in range(5):
-            a = random_tt(dims, (4, 5, 5, 5, 5, 4), rng)
-            b = random_tt(dims, (3, 4, 4, 4, 4, 3), rng)
-            out = _round_gram(horner_step(a, b, 3).cores, 1e-12)
-            for bond in range(1, len(dims)):
-                bound = min(np.prod(dims[:bond]), np.prod(dims[bond:]))
-                assert out.ranks[bond] <= bound
-
-    def test_edge_cases_as_qr_rounding(self):
-        single = TensorTrain([np.arange(3.0).reshape(1, 3, 1)])
-        np.testing.assert_array_equal(_round_gram(single.cores, 1e-6).cores[0], single.cores[0])
-        out = _round_gram(zeros_tt((2, 3, 2)).cores, 1e-6)
-        assert out.max_rank == 1
-        np.testing.assert_array_equal(tt_to_dense(out).data, 0.0)
-        with pytest.raises(ValueError):
-            _round_gram(ones_tt((2, 2)).cores, -1.0)
 
 
 class TestNorm:
