@@ -20,21 +20,22 @@ probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import chndtrix, erfc
 
 from .cross import CrossConfig
 from .posterior import (
+    ASSIGNMENT_LIMIT,
     SEED_LIST_SIZE,
     InferenceFailureError,
     LogPosterior,
+    _assignment_digits,
     infer_marginals,
     map_decision,
 )
@@ -55,66 +56,54 @@ __all__ = [
 
 BIT_ALPHABET = np.array([0.0, 1.0])
 
-# Exhaustive checks (minimum distance, bit-wise MAP) enumerate 2^k words.
-ENUMERATION_LIMIT_K = 20
-
 # Order of the ordered-statistics decoder whose best words seed ttdec's cross.
 OSD_ORDER = 2
 
 
-def _gf2_column_rank(g: np.ndarray) -> int:
-    a = (g % 2).astype(np.uint8).copy()
-    n, k = a.shape
-    rank = 0
-    for col in range(k):
-        pivots = np.nonzero(a[rank:, col])[0]
-        if pivots.size == 0:
+def _gf2_eliminate(a: np.ndarray, column_order) -> list:
+    """Gauss-Jordan elimination over GF(2) of the 0/1 array ``a``, in place,
+    taking pivot columns in ``column_order`` and skipping the dependent ones;
+    stops once every row holds a pivot.  Returns the pivot columns: row i
+    ends with a 1 at pivot column i and 0 at every other pivot column."""
+    basis = []
+    for col in column_order:
+        rank = len(basis)
+        hits = np.nonzero(a[rank:, col])[0]
+        if hits.size == 0:
             continue
-        piv = rank + pivots[0]
+        piv = rank + hits[0]
         a[[rank, piv]] = a[[piv, rank]]
-        hits = np.nonzero(a[:, col])[0]
-        hits = hits[hits != rank]
-        a[hits] ^= a[rank]
-        rank += 1
-        if rank == n:
+        others = np.nonzero(a[:, col])[0]
+        a[others[others != rank]] ^= a[rank]
+        basis.append(col)
+        if len(basis) == a.shape[0]:
             break
-    return rank
-
-
-def _information_words(k: int, start: int, stop: int) -> np.ndarray:
-    ids = np.arange(start, stop, dtype=np.int64)
-    return ((ids[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int64)
-
-
-@lru_cache(maxsize=4)
-def _all_information_words(k: int) -> np.ndarray:
-    """All 2^k information words, row i holding the bits of i (LSB first);
-    built once per k and shared read-only by the codebook and the oracle."""
-    words = _information_words(k, 0, 1 << k)
-    words.flags.writeable = False
-    return words
+    return basis
 
 
 def _min_distance(g: np.ndarray) -> int:
     """Exhaustive minimum Hamming weight over all 2^k - 1 nonzero codewords."""
     n, k = g.shape
+    words = _assignment_digits(k, 2)
     best = n
     batch = 1 << 14
     for start in range(1, 1 << k, batch):
-        u = _information_words(k, start, min(start + batch, 1 << k))
-        weights = ((u @ g.T) % 2).sum(axis=1)
+        weights = ((words[start:start + batch] @ g.T) % 2).sum(axis=1)
         best = min(best, int(weights.min()))
     return best
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """Binary linear block code given by its n x k generator matrix.
 
     ``d_min_verified`` records whether the minimum distance was confirmed by
-    exhaustive enumeration (codes with k <= 20) or trusted from the file.
-    The observation-independent layout of the log-APP metric's TT and the
-    BPSK codebook are cached per code.
+    exhaustive enumeration (codes with 2^k within the enumeration limit) or
+    trusted from the file.  A code is immutable (``g`` is read-only) and
+    compares and hashes by value, (n, k, d_min, g), so every copy of it,
+    pickled into a worker or loaded again from its file, shares the
+    module-level caches of its metric layout, BPSK codebook and stopping
+    rule.
     """
 
     g: np.ndarray
@@ -122,20 +111,32 @@ class LinearCode:
     k: int
     d_min: int
     d_min_verified: bool = True
-    _metric_layout: _SumOfProducts | None = field(default=None, repr=False, compare=False)
-    _codebook: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=np.int64) % 2
+        g.flags.writeable = False
         object.__setattr__(self, "g", g)
         if g.shape != (self.n, self.k):
             raise ValueError(f"generator must be {self.n}x{self.k}, got {g.shape}")
         if not 1 <= self.k <= self.n:
             raise ValueError("need 1 <= k <= n")
-        if _gf2_column_rank(g) != self.k:
+        if len(_gf2_eliminate(g.T.astype(np.uint8), range(self.n))) != self.k:
             raise ValueError("generator matrix is rank-deficient over GF(2)")
         if not 1 <= self.d_min <= self.n:
             raise ValueError("minimum distance out of range")
+
+    def _key(self) -> tuple:
+        return self.n, self.k, self.d_min, self.g.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, LinearCode) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so that a pickled copy's g is read-only too.
+        return LinearCode, (self.g, self.n, self.k, self.d_min, self.d_min_verified)
 
     @property
     def rate(self) -> float:
@@ -146,12 +147,18 @@ class LinearCode:
 
     def bpsk_codebook(self) -> np.ndarray:
         """All 2^k BPSK codewords, row i for the information word with bits
-        of integer i (LSB first).  Enumeration-guarded."""
-        if self.k > ENUMERATION_LIMIT_K:
-            raise ValueError(f"codebook of 2^{self.k} words exceeds the enumeration limit")
-        if self._codebook is None:
-            self._codebook = 1.0 - 2.0 * ((_all_information_words(self.k) @ self.g.T) % 2)
-        return self._codebook
+        of integer i (LSB first), read-only.  Raises ValueError when 2^k
+        exceeds the enumeration limit."""
+        return _bpsk_codebook(self)
+
+
+# One codebook of 2^k x n doubles (at most 2^20 rows) is kept: a sweep
+# decodes one code at a time.
+@lru_cache(maxsize=1)
+def _bpsk_codebook(code: LinearCode) -> np.ndarray:
+    codebook = 1.0 - 2.0 * ((_assignment_digits(code.k, 2)[:, ::-1] @ code.g.T) % 2)
+    codebook.flags.writeable = False
+    return codebook
 
 
 def _builtin_codes():
@@ -174,9 +181,10 @@ def load_code(path) -> LinearCode:
     """Read a generator matrix file: first line ``n k d_min``, then n lines
     of k space-separated bits (rows of G).
 
-    The generator must have full column rank over GF(2); for k <= 20 the
-    stated minimum distance is verified by exhaustive weight enumeration,
-    otherwise it is trusted and flagged unverified.
+    The generator must have full column rank over GF(2); when the 2^k words
+    are within the enumeration limit (k <= 20) the stated minimum distance
+    is verified by exhaustive weight enumeration, otherwise it is trusted
+    and flagged unverified.
     """
     try:
         text = path.read_text() if hasattr(path, "read_text") else Path(path).read_text()
@@ -198,7 +206,7 @@ def load_code(path) -> LinearCode:
             raise ValueError(f"malformed generator row {line!r}")
         rows.append([int(b) for b in bits])
     g = np.array(rows, dtype=np.int64)
-    verified = k <= ENUMERATION_LIMIT_K
+    verified = k <= math.log2(ASSIGNMENT_LIMIT)
     code = LinearCode(g=g, n=n, k=k, d_min=d_min, d_min_verified=verified)
     if verified:
         actual = _min_distance(g)
@@ -219,17 +227,21 @@ def build_code_logapp_tt(code: LinearCode, y: np.ndarray, n0: float) -> TensorTr
     Term j is c_j = 2 y_j / N_0 times the sign factor (1, -1) on each
     position of row j's support and 1 elsewhere; ``tt._sum_of_products``
     lays the n terms out with bond ranks at most min(#prefixes,
-    #suffixes) + 2.  The layout depends on the code alone and is cached on
-    it; per observation only the n coefficients are scattered into it.
+    #suffixes) + 2.  The layout depends on the code alone and is cached
+    per code value; per observation only the n coefficients are scattered
+    into it.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size != code.n:
         raise ValueError(f"observation length {y.size} != block length {code.n}")
     if not n0 > 0:
         raise ValueError("noise density must be positive")
-    if code._metric_layout is None:
-        code._metric_layout = _sum_of_products(np.where(code.g[:, :, None] == 1, (1.0, -1.0), 1.0))
-    return code._metric_layout.build((2.0 / n0) * y)
+    return _logapp_layout(code).build((2.0 / n0) * y)
+
+
+@lru_cache(maxsize=16)
+def _logapp_layout(code: LinearCode) -> _SumOfProducts:
+    return _sum_of_products(np.where(code.g[:, :, None] == 1, (1.0, -1.0), 1.0))
 
 
 def _q_function(x: float) -> float:
@@ -287,27 +299,13 @@ def stopping_threshold(code: LinearCode, n0: float, target_pe: float, safety: fl
     return 0.5 * n0 * chndtrix(target_pe / safety, code.n, 8.0 * code.d_min / n0)
 
 
-class _CodeParams(NamedTuple):
-    """The parameters of a code that the stopping rule reads (n, rate,
-    d_min); a hashable stand-in for LinearCode in normal_approx_pe and
-    stopping_threshold."""
-
-    n: int
-    k: int
-    d_min: int
-
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
-
 @lru_cache(maxsize=256)
-def _stopping_rule_values(params: _CodeParams, n0: float, safety: float) -> tuple[float, float]:
+def _stopping_rule_values(code: LinearCode, n0: float, safety: float) -> tuple[float, float]:
     """(target_pe, eta) of the early stop.  Both depend on the observation
     only through N0, and the Gauss-Hermite quadrature behind target_pe costs
     about 1 ms, so they are computed once per operating point."""
-    target_pe = normal_approx_pe(params, n0)
-    return target_pe, stopping_threshold(params, n0, target_pe, safety)
+    target_pe = normal_approx_pe(code, n0)
+    return target_pe, stopping_threshold(code, n0, target_pe, safety)
 
 
 @dataclass
@@ -347,19 +345,7 @@ def _osd_list(code: LinearCode, y: np.ndarray, size: int = SEED_LIST_SIZE) -> np
     """
     n, k = code.n, code.k
     a = np.concatenate([code.g.T, np.eye(k, dtype=np.int64)], axis=1).astype(np.uint8)
-    basis = []
-    for col in np.argsort(-np.abs(y), kind="stable"):
-        rank = len(basis)
-        hits = np.nonzero(a[rank:, col])[0]
-        if hits.size == 0:
-            continue
-        piv = rank + hits[0]
-        a[[rank, piv]] = a[[piv, rank]]
-        others = np.nonzero(a[:, col])[0]
-        a[others[others != rank]] ^= a[rank]
-        basis.append(col)
-        if len(basis) == k:
-            break
+    basis = _gf2_eliminate(a, np.argsort(-np.abs(y), kind="stable"))
     # Row i of the systematic generator a[:, :n] has a 1 at basis[i] alone
     # among B, and a[:, n:] maps the bits on B back to the information word.
     v = _flip_patterns(k) ^ (y[basis] < 0).astype(np.int64)
@@ -408,7 +394,7 @@ def ttdec(
     is empty, not strictly increasing or below rank 1 raises ValueError.
     """
     schedule = _rank_schedule(schedule)
-    target_pe, eta = _stopping_rule_values(_CodeParams(code.n, code.k, code.d_min), n0, safety)
+    target_pe, eta = _stopping_rule_values(code, n0, safety)
     metric = build_code_logapp_tt(code, y, n0)
     if trunc_tol > 0:
         metric = tt_truncate(metric, trunc_tol)

@@ -11,9 +11,9 @@ file can preload any flag (keys match the long option names with underscores);
 a flag given on the command line wins however it is spelled, abbreviated or
 not.  Every sweep setting left unset takes its default from ``SimConfig``,
 which also checks it: an out-of-range value, as a flag or as a config key, is
-a usage error (exit status 2) and no trial runs.  So are a config file that
-cannot be read or holds no JSON object, and an output path that cannot be
-written.
+a usage error (exit status 2) and no trial runs.  So are a code file that
+``load_code`` rejects, a config file that cannot be read or holds no JSON
+object, and an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .chancode import _builtin_code_names, builtin_code_path
+from .chancode import _builtin_code_names, builtin_code_path, load_code
 from .cross import CrossConfig
 from .harness import SimConfig, rank_stats, run_sweep
 
@@ -64,8 +64,13 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
 
 
 def _code_path(text: str) -> str:
-    """A generator matrix file, else the packaged code of that name."""
+    """A generator matrix file that ``load_code`` accepts, else the packaged
+    code of that name."""
     if os.path.isfile(text):
+        try:
+            load_code(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
         return text
     path = builtin_code_path(text)
     if not path.is_file():
@@ -196,12 +201,17 @@ def _run_ranks(args, parser: argparse.ArgumentParser) -> int:
     values = []
     try:
         with open(args.infile, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            for row in reader:
                 if "rmax" not in row:
                     raise SystemExit("input CSV has no rmax column")
                 if args.detector and row.get("detector") != args.detector:
                     continue
-                values.append(int(float(row["rmax"])))
+                try:
+                    values.append(int(float(row["rmax"])))
+                except (TypeError, ValueError, OverflowError):  # missing, not a number, inf
+                    raise SystemExit(f"{args.infile}, line {reader.line_num}: rmax {row['rmax']!r} "
+                                     "is not a finite number") from None
     except OSError as err:
         parser.error(f"cannot read {args.infile!r}: {err.strerror}")
     if not values:

@@ -16,23 +16,22 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .chancode import LinearCode, _all_information_words, _rank_schedule, load_code, n0_from_ebn0, ttdec
+from .chancode import LinearCode, _rank_schedule, load_code, n0_from_ebn0, ttdec
 from .cross import CrossConfig
 from .mimo import (
     ChannelRealization,
     QamConstellation,
     noise_variance_for_snr,
-    realify_channel,
     sample_channel,
     ttdet,
 )
 from .posterior import (
     InferenceFailureError,
     MarginalTable,
+    _assignment_digits,
     map_decision,
 )
 
@@ -52,8 +51,6 @@ CSV_HEADER = (
     "detector,snr_db,trials,sym_errors,blk_errors,rate,"
     "mean_rmax,median_rmax,max_rmax,early_stop_rate,wall_ms"
 )
-
-ORACLE_ASSIGNMENT_LIMIT = 1 << 20
 
 MIMO_DETECTORS = ("oracle", "sample", "sweep", "lmmse")
 DECODE_DETECTORS = ("oracle", "sample", "sweep")
@@ -187,19 +184,6 @@ def rank_stats(records) -> RankStats:
 # ---------------------------------------------------------------------------
 
 
-# The enumeration tables depend only on the problem size: built once, shared read-only.
-@lru_cache(maxsize=4)
-def _assignment_digits(n_modes: int, base: int) -> np.ndarray:
-    total = base**n_modes
-    if total > ORACLE_ASSIGNMENT_LIMIT:
-        raise ValueError(f"{total} assignments exceed the oracle limit {ORACLE_ASSIGNMENT_LIMIT}")
-    idx = np.arange(total)
-    powers = base ** np.arange(n_modes - 1, -1, -1)
-    digits = (idx[:, None] // powers[None, :]) % base
-    digits.flags.writeable = False
-    return digits
-
-
 def mimo_exact_marginals(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) -> MarginalTable:
     """Exact symbol-wise posteriors of y = Hx + n by direct enumeration of
     all |A|^{N_T} assignments (independent of any TT construction)."""
@@ -226,7 +210,7 @@ def code_exact_bitwise_map(y: np.ndarray, code: LinearCode, n0: float):
     codebook = code.bpsk_codebook()
     logits = (2.0 / n0) * (codebook @ np.asarray(y, dtype=np.float64))
     weights = np.exp(logits - logits.max())
-    bits = _all_information_words(code.k)
+    bits = _assignment_digits(code.k, 2)[:, ::-1]
     table = np.empty((code.k, 2))
     for i in range(code.k):
         ones = bits[:, i] == 1
@@ -288,20 +272,18 @@ def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> dict:
     rng, seeds = _trial_streams(cfg.master_seed, point, trial)
     h_c = sample_channel(cfg.nt_complex, cfg.nt_complex, rng)
     sigma2 = noise_variance_for_snr(h_c, const.energy_complex, snr_db)
-    n_t = 2 * cfg.nt_complex
-    x = const.alphabet[rng.integers(0, const.size_real, size=n_t)]
-    noise = np.sqrt(sigma2) * rng.standard_normal(n_t)
-    h = realify_channel(h_c)
-    signal = h @ x
+    ch = ChannelRealization.from_complex(h_c, sigma2)
+    x = const.alphabet[rng.integers(0, const.size_real, size=ch.nt)]
+    noise = np.sqrt(sigma2) * rng.standard_normal(ch.nt)
+    signal = ch.h @ x
     if cfg.realized_snr:
         target = np.dot(signal, signal) * 10.0 ** (-snr_db / 10.0) / cfg.nt_complex
         noise *= np.sqrt(target / np.dot(noise, noise))
     y = signal + noise
-    ch = ChannelRealization(h=h, sigma2=sigma2, nt_complex=cfg.nt_complex, nr_complex=cfg.nt_complex)
 
     def detect(det):
         if det == "oracle":
-            marg = mimo_exact_marginals(y, h, sigma2, const.alphabet)
+            marg = mimo_exact_marginals(y, ch.h, sigma2, const.alphabet)
             return map_decision(marg, const.alphabet), 0, 0
         if det == "lmmse":
             return lmmse_detect(y, ch, const.alphabet), 0, 0

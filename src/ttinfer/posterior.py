@@ -14,6 +14,7 @@ normalization of the marginals restores proper probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,10 @@ _EXP_CLIP_MARGIN = 46.0
 # Length K of the candidate lists the models pass as ``seeds``.
 SEED_LIST_SIZE = 16
 
+# Exact enumeration (the oracles, the BPSK codebook, a code's minimum
+# distance) visits at most this many assignments.
+ASSIGNMENT_LIMIT = 1 << 20
+
 # Relative tolerance of the roundings on the Taylor-init path: the shifted
 # metric and every Horner step of ``tt_exp_taylor``.
 _TAYLOR_TOL = 1e-12
@@ -54,6 +59,23 @@ _TAYLOR_TOL = 1e-12
 
 class InferenceFailureError(RuntimeError):
     """Marginalization produced no usable mass; retry with larger ranks."""
+
+
+@lru_cache(maxsize=4)
+def _assignment_digits(n_modes: int, base: int) -> np.ndarray:
+    """All base^n_modes assignments, row i holding the base-``base`` digits
+    of i, most significant first (so ``[:, ::-1]`` of a base-2 table puts
+    bit j of i in column j).  Built once per size and shared read-only;
+    raises ValueError above ``ASSIGNMENT_LIMIT`` rows."""
+    total = base**n_modes
+    if total > ASSIGNMENT_LIMIT:
+        raise ValueError(f"{total} assignments exceed the enumeration limit {ASSIGNMENT_LIMIT}")
+    digits = np.empty((total, n_modes), dtype=np.min_scalar_type(base - 1))
+    idx = np.arange(total)
+    for mode in range(n_modes - 1, -1, -1):
+        idx, digits[:, mode] = np.divmod(idx, base)
+    digits.flags.writeable = False
+    return digits
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ list, and paired agreement of the TT decoder with the exact bit-wise MAP
 decoder."""
 
 import gc
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -31,7 +32,6 @@ from ttinfer import chancode, posterior
 from ttinfer.chancode import (
     OSD_ORDER,
     _builtin_code_names,
-    _gf2_column_rank,
     _osd_list,
     _stopping_rule_values,
 )
@@ -61,7 +61,7 @@ class TestLogAppMetric:
         n0 = n0_from_ebn0(2.0, code.rate)
         y = 1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))
         y = y + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
-        words = chancode._all_information_words(code.k)
+        words = posterior._assignment_digits(code.k, 2)
         dense = tt_to_dense(build_code_logapp_tt(code, y, n0)).data
         expect = direct_logapp(code, y, n0, words)
         err = np.abs(dense[tuple(words.T)] - expect).max()
@@ -93,18 +93,36 @@ class TestLogAppMetric:
             for name in ("hamming_7_4", "bch_15_7"):
                 code = load_code(builtin_code_path(name))
                 y = rng.standard_normal(code.n)
-                words = chancode._all_information_words(code.k)
+                words = posterior._assignment_digits(code.k, 2)
                 got = tt_eval_many(build_code_logapp_tt(code, y, 0.8), words)
                 np.testing.assert_allclose(got, direct_logapp(code, y, 0.8, words),
                                            rtol=0, atol=1e-12 * np.abs(got).max())
                 del code
                 gc.collect()
 
+    def test_pickled_copy_reuses_the_cached_tables(self, monkeypatch):
+        """A code pickled into a worker job finds the metric layout and the
+        codebook that the original built."""
+        calls = []
+        real = chancode._sum_of_products
+        monkeypatch.setattr(chancode, "_sum_of_products", lambda f: calls.append(f) or real(f))
+        rng = np.random.default_rng(12)
+        g = np.vstack([np.eye(5, dtype=np.int64), rng.integers(0, 2, size=(4, 5))])
+        code = chancode.LinearCode(g=g, n=9, k=5, d_min=1)
+        copy = pickle.loads(pickle.dumps(code))
+        assert not copy.g.flags.writeable
+        y = rng.standard_normal(9)
+        first = build_code_logapp_tt(code, y, 0.8)
+        again = build_code_logapp_tt(copy, y, 0.8)
+        assert len(calls) == 1
+        assert [c.tobytes() for c in first.cores] == [c.tobytes() for c in again.cores]
+        assert copy.bpsk_codebook() is code.bpsk_codebook()
+
     def test_all_zero_row_is_a_constant_term(self):
         g = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]])
         code = chancode.LinearCode(g=g, n=5, k=3, d_min=1)
         y = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
-        words = chancode._all_information_words(3)
+        words = posterior._assignment_digits(3, 2)
         got = tt_eval_many(build_code_logapp_tt(code, y, 0.5), words)
         np.testing.assert_allclose(got, direct_logapp(code, y, 0.5, words), rtol=1e-13)
 
@@ -249,6 +267,17 @@ class TestLoadCode:
         code = load_code(path)
         assert (code.n, code.k, code.d_min, code.d_min_verified) == (7, 4, 3, True)
 
+    def test_codes_compare_and_hash_by_value(self):
+        path = builtin_code_path("bch_15_7")
+        code, again = load_code(path), load_code(path)
+        assert code is not again and code == again and hash(code) == hash(again)
+        with pytest.raises(ValueError):
+            code.g[0, 0] = 1 - code.g[0, 0]
+        g = code.g.copy()
+        g[0, 0] ^= 1
+        flipped = chancode.LinearCode(g=g, n=code.n, k=code.k, d_min=code.d_min)
+        assert flipped != code and hash(flipped) != hash(code)
+
     @pytest.mark.parametrize(
         "lines,message",
         [
@@ -318,9 +347,12 @@ def test_osd_list_equals_brute_force(name):
     for _ in range(10):
         y = 1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))
         y = y + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+        # Positions S are independent when the codewords take all 2^|S|
+        # patterns on them.
         basis = []
         for j in np.argsort(-np.abs(y)):
-            if len(basis) < code.k and _gf2_column_rank(code.g[basis + [j]].T) > len(basis):
+            patterns = np.unique(codewords[:, basis + [j]], axis=0)
+            if len(basis) < code.k and len(patterns) > 1 << len(basis):
                 basis.append(j)
         flips = np.sum(codewords[:, basis] != (y[basis] < 0), axis=1)
         keep = np.nonzero(flips <= 2)[0]

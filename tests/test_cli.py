@@ -2,9 +2,10 @@
 exits with 0 and writes CSVs with the expected headers and row counts, the
 sweep subcommands carry every flag and config-file key into the SimConfig
 and take every other setting from SimConfig's defaults, and out-of-range
-values, unreadable config files and unwritable output paths exit with a
-usage error before any trial runs; ``ranks`` exits with a message on an
-unusable input or output path or an input without rank records."""
+values, malformed code files, unreadable config files and unwritable
+output paths exit with a usage error before any trial runs; ``ranks`` exits
+with a message on an unusable input or output path, an input without rank
+records or a rank that is not a finite number."""
 
 import csv
 import json
@@ -309,6 +310,25 @@ def test_unknown_code_in_config_exits_with_usage_error(monkeypatch, tmp_path, ca
     assert "config key 'code'" in err and "neither a file nor a packaged code" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_malformed_code_file_exits_with_usage_error(monkeypatch, tmp_path, capsys, source):
+    monkeypatch.setattr("ttinfer.harness._run_trial", lambda args: pytest.fail("trial ran"))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("garbage\n")
+    argv = ["decode", "--code", str(bad), "--out", str(tmp_path / "s.csv")]
+    if source == "config":
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"code": str(bad)}))
+        argv = ["decode", "--code", "hamming_7_4", "--config", str(config),
+                "--out", str(tmp_path / "s.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "ttinfer decode: error:" in err
+    assert "malformed header 'garbage'; expected 'n k d_min'" in err
+
+
 @pytest.mark.parametrize("flag", ["--out", "--trial-dump"])
 def test_unwritable_output_exits_with_usage_error_before_any_trial(monkeypatch, tmp_path, capsys,
                                                                    flag):
@@ -342,7 +362,14 @@ def test_ranks_unusable_path_exits_with_usage_error(tmp_path, capsys, missing, m
     (",".join(TRIAL_HEADER) + "\n", None, "has no rank records"),
     (",".join(TRIAL_HEADER) + "\nsample,10,0,0,1,0\n", "nosuch",
      "has no rank records of detector 'nosuch'"),
-], ids=["empty-file", "header-only", "unknown-detector"])
+    (",".join(TRIAL_HEADER) + "\nsample,10,0,0,1,0\nsample,10,1,0,abc,0\n", None,
+     "trials.csv, line 3: rmax 'abc' is not a finite number"),
+    (",".join(TRIAL_HEADER) + "\nsample,10,0,0,nan,0\n", None,
+     "trials.csv, line 2: rmax 'nan' is not a finite number"),
+    (",".join(TRIAL_HEADER) + "\nsample,10,0,0\n", None,
+     "trials.csv, line 2: rmax None is not a finite number"),
+], ids=["empty-file", "header-only", "unknown-detector", "non-numeric-rmax", "nan-rmax",
+        "short-row"])
 def test_ranks_without_records_exits_with_message(tmp_path, text, detector, message):
     dump, hist = tmp_path / "trials.csv", tmp_path / "r.csv"
     dump.write_text(text)

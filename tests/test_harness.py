@@ -18,9 +18,9 @@ from ttinfer import (
     harness,
     load_code,
     n0_from_ebn0,
+    posterior,
     run_sweep,
 )
-from ttinfer.chancode import _all_information_words
 
 
 class TestDecodingOracle:
@@ -40,15 +40,22 @@ class TestDecodingOracle:
 
 class TestOracleTables:
     def test_tables_are_cached_read_only(self):
-        digits = harness._assignment_digits(3, 4)
-        bits = _all_information_words(5)
-        assert harness._assignment_digits(3, 4) is digits
-        assert _all_information_words(5) is bits
+        digits = posterior._assignment_digits(3, 4)
+        bits = posterior._assignment_digits(5, 2)
+        assert posterior._assignment_digits(3, 4) is digits
+        assert digits.dtype == bits.dtype == np.uint8
         assert not digits.flags.writeable and not bits.flags.writeable
         with pytest.raises(ValueError):
             digits[0, 0] = 1
         np.testing.assert_array_equal(digits, list(itertools.product(range(4), repeat=3)))
-        np.testing.assert_array_equal(bits[:, ::-1], list(itertools.product(range(2), repeat=5)))
+        np.testing.assert_array_equal(bits, list(itertools.product(range(2), repeat=5)))
+
+    def test_table_size_is_limited(self):
+        assert posterior._assignment_digits(20, 2).shape == (1 << 20, 20)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            posterior._assignment_digits(21, 2)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            harness.mimo_exact_marginals(np.zeros(11), np.eye(11), 1.0, [-3.0, -1.0, 1.0, 3.0])
 
     def test_repeated_oracle_calls_are_identical(self):
         rng = np.random.default_rng(60)
