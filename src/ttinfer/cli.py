@@ -208,10 +208,14 @@ def _run_ranks(args, parser: argparse.ArgumentParser) -> int:
                 if args.detector and row.get("detector") != args.detector:
                     continue
                 try:
-                    values.append(int(float(row["rmax"])))
+                    value = float(row["rmax"])
+                    values.append(int(value))
                 except (TypeError, ValueError, OverflowError):  # missing, not a number, inf
                     raise SystemExit(f"{args.infile}, line {reader.line_num}: rmax {row['rmax']!r} "
                                      "is not a finite number") from None
+                if values[-1] != value:
+                    raise SystemExit(f"{args.infile}, line {reader.line_num}: rmax {row['rmax']!r} "
+                                     "is not an integer")
     except OSError as err:
         parser.error(f"cannot read {args.infile!r}: {err.strerror}")
     if not values:

@@ -19,19 +19,21 @@ indices x right suffix), adapts ranks through a local SVD threshold,
 enriches the search with random indices each half sweep, and stops when the
 values at a fixed random probe set change by less than ``conv_tol`` between
 full sweeps.  A half sweep draws all its random fibers in one generator
-call and builds their argument interfaces in one pass over the cores, so it
-costs O(N) numpy calls on N modes.  Each block update costs one SVD (the
-local rank), one LAPACK getrf (maxvol's starting rows) and one solve, whose
-B = U @ U[rows]^-1 is both maxvol's swap criterion and the interpolative
-factor of the new core; only a maxvol swap adds a second solve.  At the
-ranks the pipelines reach these are tiny matrices, so the count of calls,
-not their flops, sets the cost.  All randomness flows from
-``CrossConfig.rng_seed``; fixed seed means bit-identical output.
+call, placed by a cached layout, and builds their argument interfaces in
+one pass over the cores.  Each block update costs its einsums, f, one SVD
+(the local rank), one getrf (maxvol's starting rows) and one solve, whose
+B = U @ U[rows]^-1 is both maxvol's swap criterion and the new core's
+interpolative factor; only a maxvol swap adds a second solve.  At pipeline
+ranks (mostly a dozen rows, rank 1) call overhead outweighs flops, so rank
+chop, pivot permutation and B's argmax run on Python scalars.  All
+randomness flows from ``CrossConfig.rng_seed``: fixed seed, same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -109,15 +111,11 @@ class CrossResult:
 
 
 def _maxvol(m: np.ndarray, dom_tol: float, max_iters: int):
-    """Rows, factor M @ M[rows]^-1 and swap gains of ``maxvol``.
-
-    The factor is the solve at the LU rows, kept when no swap happens; after
-    swaps it is solved again at the final rows, so it always equals
-    ``np.linalg.solve(m[rows].T, m.T).T`` byte for byte.
+    """Rows, factor M @ M[rows]^-1 and swap gains of ``maxvol`` for a 2-D
+    float64 ``m``.  The factor is the solve at the LU rows, kept when no swap
+    happens; after swaps it is solved again at the final rows, so it always
+    equals ``np.linalg.solve(m[rows].T, m.T).T`` byte for byte.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("maxvol expects a matrix")
     n, r = m.shape
     if n < r:
         raise ValueError(f"need at least as many rows as columns, got {m.shape}")
@@ -125,19 +123,20 @@ def _maxvol(m: np.ndarray, dom_tol: float, max_iters: int):
         raise DegenerateMatrixError("pivoted pre-factorization failed: columns are dependent")
     # The getrf that scipy.linalg.lu_factor wraps: same pivots, no wrapper.
     lu, piv, _ = dgetrf(m)
-    diag = np.abs(np.diag(lu)[:r])
-    if diag.max() == 0.0 or diag.min() <= 1e-12 * diag.max():
+    diag = np.abs(lu.diagonal())
+    top = diag.max()
+    if top == 0.0 or diag.min() <= 1e-12 * top:
         raise DegenerateMatrixError("pivoted pre-factorization failed: columns are dependent")
-    perm = np.arange(n)
-    for i, p in enumerate(piv[:r]):
+    perm = list(range(n))
+    for i, p in enumerate(piv.tolist()):
         perm[i], perm[p] = perm[p], perm[i]
-    rows = perm[:r].copy()
+    rows = np.array(perm[:r])
     # B = M @ M[rows]^-1; row j of the selected set maps to unit vector e_j.
     # numpy's solve, not scipy's: scipy's bundled BLAS stalls in this pipeline.
     b = np.linalg.solve(m[rows].T, m.T).T
     history: list[float] = []
     for _ in range(max_iters):
-        i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+        i, j = divmod(int(np.abs(b).argmax()), r)
         gain = abs(b[i, j])
         if gain <= 1.0 + dom_tol:
             break
@@ -165,15 +164,21 @@ def maxvol(
     non-decreasing and the final submatrix is dominant up to dom_tol.
 
     The cost is one LAPACK getrf and one solve for B = M @ M[rows]^-1, plus
-    a second solve only if a row was swapped.  At the ranks the pipelines
-    reach, the cross hands over matrices of a few rows and columns, so call
-    overhead, not flops, dominates: getrf is called directly rather than
-    through ``scipy.linalg.lu_factor``, and the cross reuses B as its
+    a second solve only if a row was swapped.  The cross hands over matrices
+    of a few rows and mostly one column, so call overhead, not flops,
+    dominates: getrf is called directly rather than through
+    ``scipy.linalg.lu_factor``, the row permutation and the search for B's
+    largest entry run on Python ints, and the cross reuses B as its
     interpolative factor instead of solving the same system again.
 
     Returns the row indices, plus the list of swap gains (each > 1+dom_tol)
-    when ``return_history`` is set.
+    when ``return_history`` is set.  Raises ValueError on input that is not
+    a matrix with at least as many rows as columns, DegenerateMatrixError
+    (a ValueError) on empty input or numerically dependent columns.
     """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError("maxvol expects a matrix")
     rows, _, history = _maxvol(m, dom_tol, max_iters)
     if return_history:
         return rows, history
@@ -235,6 +240,19 @@ def _index(prefixes: np.ndarray, suffixes: np.ndarray, shape, flat: int) -> np.n
     return np.concatenate([prefixes[pos[0]], pos[1:-1], suffixes[pos[-1]]])
 
 
+@lru_cache(maxsize=64)
+def _draw_layout(dims: tuple, lr: bool, width: int, kick: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds and flat fiber-array positions of one half sweep's draws: bond by
+    bond in visit order, ``kick`` per free mode, draw q of the p-th bond in row
+    kick * p + q.  Read-only, as every engine over the same dims shares them."""
+    n = len(dims)
+    bonds = range(width, n) if lr else range(n - width, 0, -1)
+    table = np.array([(dims[m], (p * kick + q) * n + m) for p, b in enumerate(bonds)
+                      for m in (range(b, n) if lr else range(b)) for q in range(kick)])
+    table.setflags(write=False)
+    return table[:, 0], table[:, 1]
+
+
 class _CrossEngine:
     """Shared state of the sampled cross sweeps over one argument TT."""
 
@@ -259,15 +277,13 @@ class _CrossEngine:
         self.left_if[0] = np.ones((1, 1))
         self.right_if[self.n] = np.ones((1, 1))
         self._init_right_pivots(init)
-        self.probe_idx = np.column_stack(
-            [self.rng.integers(0, d, size=N_PROBE) for d in self.dims]
-        )
+        self.probe_idx = self.rng.integers(0, np.repeat(self.dims, N_PROBE)).reshape(self.n, -1).T
         if seed_indices is not None:
             seeds = _check_seed_indices(seed_indices, self.dims)
             self._seed_pivots(seeds)
             # Seeds anchor the convergence metric: where f is concentrated,
             # random probes alone would compare noise against noise.
-            self.probe_idx = np.vstack([self.probe_idx, seeds])
+            self.probe_idx = np.concatenate([self.probe_idx, seeds])
         self.probe_vals = tt_eval_many(init, self.probe_idx)
 
     # -- initialization ---------------------------------------------------
@@ -283,7 +299,7 @@ class _CrossEngine:
             cand = np.einsum("pkq,mq->kmp", core, v_init).reshape(n_b * count, -1)
             rows = _rank_revealing_maxvol(cand)
             k_idx, m_idx = np.divmod(rows, count)
-            self.right[b] = np.column_stack([k_idx, self.right[b + 1][m_idx]])
+            self.right[b] = np.concatenate([k_idx[:, None], self.right[b + 1][m_idx]], axis=1)
             v_init = cand[rows]
             arg_cand = np.einsum(
                 "pkq,mq->kmp", self.arg.cores[b], self.right_if[b + 1]
@@ -301,29 +317,25 @@ class _CrossEngine:
         vec = np.ones((seeds.shape[0], 1))
         for b in range(self.n - 1, 0, -1):
             vec = np.einsum("lcr,cr->cl", self.arg.cores[b][:, seeds[:, b], :], vec)
-            self.right[b] = np.vstack([self.right[b], seeds[:, b:]])
-            self.right_if[b] = np.vstack([self.right_if[b], vec])
+            self.right[b] = np.concatenate([self.right[b], seeds[:, b:]])
+            self.right_if[b] = np.concatenate([self.right_if[b], vec])
 
     # -- shared helpers ----------------------------------------------------
 
     def _draw_oversampling(self, lr: bool, width: int) -> None:
         """Random oversampling fibers, with their argument interfaces, of
         every bond the coming half sweep visits.  One ``integers`` call over
-        an array of bounds consumes the stream exactly as one call per free
-        mode and bond in visit order would.  In visit order, the fibers still
-        open at core j are a prefix of the rows (bonds <= j going right,
-        bonds > j going left), so one pass over the cores builds them all."""
+        the bounds of ``_draw_layout`` consumes the stream exactly as one
+        call per free mode and bond in visit order would.  In visit order, the
+        fibers still open at core j are a prefix of the rows (bonds <= j going
+        right, bonds > j going left), so one pass over the cores builds them."""
         n, kick = self.n, self.cfg.sample_oversample
-        bonds = range(width, n) if lr else range(n - width, 0, -1)
         self.extra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if kick == 0 or not bonds:
+        if kick == 0 or n <= width:
             return
-        modes = [range(b, n) if lr else range(b) for b in bonds]
-        high = np.concatenate([np.repeat([self.dims[m] for m in ms], kick) for ms in modes])
-        blocks = np.split(self.rng.integers(0, high), kick * np.cumsum([len(ms) for ms in modes]))
-        fibers = np.zeros((kick * len(bonds), n), dtype=np.int64)
-        for p, (ms, block) in enumerate(zip(modes, blocks)):
-            fibers[p * kick : (p + 1) * kick, ms.start : ms.stop] = block.reshape(-1, kick).T
+        high, pos = _draw_layout(self.dims, lr, width, kick)
+        fibers = np.zeros((kick * (n - width), n), dtype=np.int64)
+        fibers.put(pos, self.rng.integers(0, high))
         vec = np.ones((fibers.shape[0], 1))
         if lr:
             for j in range(n - 1, width - 1, -1):
@@ -344,14 +356,14 @@ class _CrossEngine:
         if bond not in self.extra:
             return pivots[bond], interfaces[bond]
         extra, extra_if = self.extra[bond]
-        return np.vstack([pivots[bond], extra]), np.vstack([interfaces[bond], extra_if])
+        return np.concatenate([pivots[bond], extra]), np.concatenate([interfaces[bond], extra_if])
 
     def _apply_f(self, vals: np.ndarray, prefixes: np.ndarray, suffixes: np.ndarray) -> np.ndarray:
         self.n_evals += vals.size
         out = np.asarray(self.f(vals), dtype=np.float64)
         if out.shape != vals.shape:
             raise ValueError("f must act elementwise and preserve the shape")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             flat = int(np.argmin(np.isfinite(out).ravel()))
             raise NonFiniteValueError(_index(prefixes, suffixes, vals.shape, flat))
         return out
@@ -408,13 +420,13 @@ class _CrossEngine:
             n_lo, n_hi = self.dims[lo], self.dims[hi]
             mat = fvals.reshape(rl * n_lo, -1) if lr else fvals.reshape(-1, n_hi * rr)
             u, s, vt = np.linalg.svd(mat, full_matrices=False)
-            delta = self.cfg.conv_tol * np.linalg.norm(s)  # adaptive local rank
+            delta = self.cfg.conv_tol * math.sqrt(s.dot(s))  # conv_tol * np.linalg.norm(s)
             r_new = min(_chop_ranks(s, delta), *mat.shape, self.cfg.max_rank)
             if lr:
                 rows, factor, _ = _maxvol(u[:, :r_new], MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)
                 self.cores[lo] = factor.reshape(rl, n_lo, r_new)
                 l_idx, k_idx = np.divmod(rows, n_lo)
-                self.left[lo + 1] = np.column_stack([prefixes[l_idx], k_idx])
+                self.left[lo + 1] = np.concatenate([prefixes[l_idx], k_idx[:, None]], axis=1)
                 self.left_if[lo + 1] = t_left.reshape(rl * n_lo, -1)[rows]
                 if width == 2 and hi == n - 1:
                     # Bond N has the single empty suffix, so the raw pivot
@@ -424,7 +436,7 @@ class _CrossEngine:
                 rows, factor, _ = _maxvol(vt[:r_new].T, MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)
                 self.cores[hi] = factor.T.reshape(r_new, n_hi, rr)
                 k_idx, m_idx = np.divmod(rows, rr)
-                self.right[hi] = np.column_stack([k_idx, suffixes[m_idx]])
+                self.right[hi] = np.concatenate([k_idx[:, None], suffixes[m_idx]], axis=1)
                 self.right_if[hi] = t_right.transpose(1, 2, 0).reshape(n_hi * rr, -1)[rows]
                 if width == 2 and lo == 0:
                     self.cores[0] = mat[:, rows].reshape(rl, n_lo, r_new)

@@ -210,11 +210,12 @@ def code_exact_bitwise_map(y: np.ndarray, code: LinearCode, n0: float):
     codebook = code.bpsk_codebook()
     logits = (2.0 / n0) * (codebook @ np.asarray(y, dtype=np.float64))
     weights = np.exp(logits - logits.max())
-    bits = _assignment_digits(code.k, 2)[:, ::-1]
+    # Word t has u_i = bit i of t: [:, b] of this view holds the words with u_i = b
+    # in increasing t, so raveled it sums what a boolean mask selects, in order.
     table = np.empty((code.k, 2))
     for i in range(code.k):
-        ones = bits[:, i] == 1
-        table[i] = (weights[~ones].sum(), weights[ones].sum())
+        w3 = weights.reshape(-1, 2, 1 << i)
+        table[i] = (w3[:, 0].ravel().sum(), w3[:, 1].ravel().sum())
     table /= table.sum(axis=1, keepdims=True)
     marginals = MarginalTable(table)
     u_hat = map_decision(marginals, np.array([0.0, 1.0])).astype(np.int64)

@@ -207,7 +207,7 @@ def infer_marginals(
     lo = -(_EXP_CLIP_MARGIN + float(np.sum(np.log(lp.tt.dims))))
 
     def f(values):
-        return np.exp(np.clip(values - shift, lo, _EXP_CLIP_HI))
+        return np.exp((values - shift).clip(lo, _EXP_CLIP_HI))
 
     result = tt_cross(f, lp.tt, init, cfg, variant=variant, seed_indices=seeds)
     table = np.empty((lp.n_modes, lp.alphabet.size))

@@ -21,6 +21,7 @@ TTs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -192,11 +193,12 @@ def _chop_ranks(s: np.ndarray, delta: float) -> int:
         return 1
     if delta <= 0.0:
         return max(1, int(np.count_nonzero(s)))
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||s[r:]||
-    keep = np.nonzero(tail > delta)[0]
-    if keep.size == 0:
-        return 1
-    return int(keep[-1]) + 1
+    vals, tail = s.tolist(), 0.0
+    for r in range(len(vals) - 1, 0, -1):  # the sums of np.cumsum(s[::-1] ** 2), in order
+        tail += vals[r] * vals[r]
+        if math.sqrt(tail) > delta:
+            return r + 1
+    return 1
 
 
 def tt_from_dense(t, tol: float = 0.0, max_rank: int | None = None) -> TensorTrain:

@@ -368,8 +368,10 @@ def test_ranks_unusable_path_exits_with_usage_error(tmp_path, capsys, missing, m
      "trials.csv, line 2: rmax 'nan' is not a finite number"),
     (",".join(TRIAL_HEADER) + "\nsample,10,0,0\n", None,
      "trials.csv, line 2: rmax None is not a finite number"),
+    (",".join(TRIAL_HEADER) + "\nsample,10,0,0,1.7,0\nsample,10,1,0,2,0\n", None,
+     "trials.csv, line 2: rmax '1.7' is not an integer"),
 ], ids=["empty-file", "header-only", "unknown-detector", "non-numeric-rmax", "nan-rmax",
-        "short-row"])
+        "short-row", "fractional-rmax"])
 def test_ranks_without_records_exits_with_message(tmp_path, text, detector, message):
     dump, hist = tmp_path / "trials.csv", tmp_path / "r.csv"
     dump.write_text(text)

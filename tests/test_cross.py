@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf
 
 from ttinfer import (
     CrossConfig,
@@ -75,6 +76,17 @@ class TestMaxvol:
         col = np.arange(6.0)[:, None]
         with pytest.raises(DegenerateMatrixError):
             maxvol(np.hstack([col, 2 * col]))
+
+    @pytest.mark.parametrize("m, match", [
+        (np.arange(3.0), "expects a matrix"),
+        (np.float64(2.0), "expects a matrix"),
+        (np.ones((2, 3)), "at least as many rows"),
+        (np.zeros((0, 0)), "columns are dependent"),
+        (np.zeros((3, 0)), "columns are dependent"),
+    ], ids=["1-d", "scalar", "wide", "empty", "no-columns"])
+    def test_rejects_non_tall_matrix(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            maxvol(m)
 
     @staticmethod
     def assert_factor_is_fresh_solve(m):
@@ -364,6 +376,18 @@ class PerBondDrawEngine(RecordingEngine):
         return np.vstack([pivots[bond], extra]), np.vstack([interfaces[bond], extra_if])
 
 
+def test_one_draw_over_bounds_matches_one_draw_per_bound():
+    """What the probe and oversampling draws rely on: one ``integers`` call
+    over an array of bounds yields, and consumes, what one call per bound
+    would, also for a bound of 1 (which draws nothing)."""
+    dims = (2, 3, 1, 4, 5)
+    one, per = np.random.default_rng(44), np.random.default_rng(44)
+    got = one.integers(0, np.repeat(dims, 7)).reshape(len(dims), -1).T
+    want = np.column_stack([per.integers(0, d, size=7) for d in dims])
+    np.testing.assert_array_equal(got, want)
+    assert one.bit_generator.state == per.bit_generator.state
+
+
 class TestBatchedOversampling:
     """One draw per half sweep and one interface pass reproduce the
     per-bond reference bit for bit, so the random stream is pinned on every
@@ -401,6 +425,170 @@ class TestBatchedOversampling:
         for got_sets, want_sets in zip(RecordingEngine.pivot_sets(), PerBondDrawEngine.pivot_sets()):
             for s1, s2 in zip(got_sets, want_sets, strict=True):
                 np.testing.assert_array_equal(s1, s2)
+
+
+def cumsum_chop_ranks(s, delta):
+    """The rank chop before it became a scan over the spectrum."""
+    if s.size == 0:
+        return 1
+    if delta <= 0.0:
+        return max(1, int(np.count_nonzero(s)))
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+    keep = np.nonzero(tail > delta)[0]
+    if keep.size == 0:
+        return 1
+    return int(keep[-1]) + 1
+
+
+def array_maxvol(m, dom_tol, max_iters):
+    """``_maxvol`` as whole-array numpy operations: np.diag for the pivots,
+    a permutation array, np.unravel_index for B's largest entry."""
+    m = np.asarray(m, dtype=np.float64)
+    n, r = m.shape
+    lu, piv, _ = dgetrf(m)
+    diag = np.abs(np.diag(lu)[:r])
+    if diag.max() == 0.0 or diag.min() <= 1e-12 * diag.max():
+        raise DegenerateMatrixError("pivoted pre-factorization failed: columns are dependent")
+    perm = np.arange(n)
+    for i, p in enumerate(piv[:r]):
+        perm[i], perm[p] = perm[p], perm[i]
+    rows = perm[:r].copy()
+    b = np.linalg.solve(m[rows].T, m.T).T
+    history = []
+    for _ in range(max_iters):
+        i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+        gain = abs(b[i, j])
+        if gain <= 1.0 + dom_tol:
+            break
+        history.append(float(gain))
+        ej = np.zeros(r)
+        ej[j] = 1.0
+        b -= np.outer(b[:, j], b[i, :] - ej) / b[i, j]
+        rows[j] = i
+    if history:
+        b = np.linalg.solve(m[rows].T, m.T).T
+    return rows, b, history
+
+
+def test_maxvol_matches_array_reference():
+    """Rows, factor bytes and swap gains, on shapes with and without swaps
+    and on the strided views the cross passes."""
+    rng = np.random.default_rng(43)
+    n_swapped = 0
+    for n, r in [(1, 1), (5, 1), (12, 1), (6, 2), (12, 4), (40, 5), (9, 9)]:
+        for _ in range(10):
+            wide = rng.standard_normal((n, r + 3))
+            for m in (wide[:, :r], wide.T[:r].T, np.ascontiguousarray(wide[:, :r])):
+                rows, b, history = cross_module._maxvol(m, 1e-2, 100)
+                want_rows, want_b, want_history = array_maxvol(m, 1e-2, 100)
+                assert rows.dtype == want_rows.dtype
+                np.testing.assert_array_equal(rows, want_rows)
+                assert b.tobytes() == want_b.tobytes()
+                assert history == want_history
+                n_swapped += bool(history)
+    assert n_swapped > 0
+
+
+class ArrayBlockEngine(RecordingEngine):
+    """Reference cross that lays out its oversampling draw with repeat,
+    split and reshape and stacks candidates with vstack; run with
+    ``array_maxvol`` and ``cumsum_chop_ranks`` patched in."""
+
+    def _draw_oversampling(self, lr, width):
+        n, kick = self.n, self.cfg.sample_oversample
+        bonds = range(width, n) if lr else range(n - width, 0, -1)
+        self.extra = {}
+        if kick == 0 or not bonds:
+            return
+        modes = [range(b, n) if lr else range(b) for b in bonds]
+        high = np.concatenate([np.repeat([self.dims[m] for m in ms], kick) for ms in modes])
+        blocks = np.split(self.rng.integers(0, high), kick * np.cumsum([len(ms) for ms in modes]))
+        fibers = np.zeros((kick * len(bonds), n), dtype=np.int64)
+        for p, (ms, block) in enumerate(zip(modes, blocks)):
+            fibers[p * kick : (p + 1) * kick, ms.start : ms.stop] = block.reshape(-1, kick).T
+        vec = np.ones((fibers.shape[0], 1))
+        if lr:
+            for j in range(n - 1, width - 1, -1):
+                end = kick * (j - width + 1)
+                vec = np.einsum("lcr,cr->cl", self.arg.cores[j][:, fibers[:end, j], :], vec[:end])
+                self.extra[j] = (fibers[end - kick : end, j:], vec[end - kick :])
+        else:
+            for j in range(n - width):
+                end = kick * (n - width - j)
+                vec = np.einsum("cl,lcr->cr", vec[:end], self.arg.cores[j][:, fibers[:end, j], :])
+                self.extra[j + 1] = (fibers[end - kick : end, : j + 1], vec[end - kick :])
+
+    def _candidates(self, bond, right):
+        pivots, interfaces = (self.right, self.right_if) if right else (self.left, self.left_if)
+        if bond not in self.extra:
+            return pivots[bond], interfaces[bond]
+        extra, extra_if = self.extra[bond]
+        return np.vstack([pivots[bond], extra]), np.vstack([interfaces[bond], extra_if])
+
+
+class TestBlockUpdateReference:
+    """The block updates reproduce the whole-array reference byte for byte:
+    cores, sampled blocks, pivot sets and counters."""
+
+    @pytest.mark.parametrize("variant", ["sample", "sweep"])
+    @pytest.mark.parametrize("oversample", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_matches_array_reference(self, monkeypatch, variant, oversample, seeded):
+        rng = np.random.default_rng(41 + oversample)
+        dims = (3, 2, 4, 2, 5, 3, 2)
+        a = random_tt(dims, (2, 3, 4, 3, 2, 2), rng, scale=0.7)
+        seeds = np.column_stack([rng.integers(0, d, size=5) for d in dims]) if seeded else None
+        cfg = CrossConfig(max_rank=10, n_sweeps=3, sample_oversample=oversample,
+                          conv_tol=1e-10, rng_seed=7 + oversample)
+        sampled = {"got": [], "want": []}
+
+        def recording_exp(key):
+            def f(v):
+                sampled[key].append(v.tobytes())
+                return np.exp(v)
+            return f
+
+        def reference_chop(s, delta):
+            # the local threshold is conv_tol * np.linalg.norm(s), bit for bit
+            assert delta == cfg.conv_tol * np.linalg.norm(s)
+            return cumsum_chop_ranks(s, delta)
+
+        monkeypatch.setattr(cross_module, "_CrossEngine", RecordingEngine)
+        got = tt_cross(recording_exp("got"), a, ones_tt(dims), cfg, variant, seed_indices=seeds)
+        monkeypatch.setattr(cross_module, "_CrossEngine", ArrayBlockEngine)
+        monkeypatch.setattr(cross_module, "_maxvol", array_maxvol)
+        monkeypatch.setattr(cross_module, "_chop_ranks", reference_chop)
+        want = tt_cross(recording_exp("want"), a, ones_tt(dims), cfg, variant, seed_indices=seeds)
+        assert sampled["got"] == sampled["want"]
+        assert got.tt.ranks == want.tt.ranks
+        assert (got.n_evals, got.n_half_sweeps, got.converged) == (
+            want.n_evals, want.n_half_sweeps, want.converged)
+        for c1, c2 in zip(got.tt.cores, want.tt.cores, strict=True):
+            assert c1.tobytes() == c2.tobytes()
+        for got_sets, want_sets in zip(RecordingEngine.pivot_sets(), ArrayBlockEngine.pivot_sets()):
+            for s1, s2 in zip(got_sets, want_sets, strict=True):
+                assert s1.dtype == s2.dtype
+                np.testing.assert_array_equal(s1, s2)
+
+
+class TestDrawLayout:
+    def test_layout_is_cached_read_only(self):
+        rng = np.random.default_rng(42)
+        dims = (2, 3, 2, 4, 3)
+        cfg = CrossConfig(max_rank=6, n_sweeps=2, sample_oversample=3, conv_tol=1e-12)
+        tt_cross(np.exp, random_tt(dims, (2, 2, 2, 2), rng, scale=0.5), ones_tt(dims), cfg)
+        layout = cross_module._draw_layout(dims, True, 1, 3)
+        for arr in layout:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        # a second engine over the same dims reuses both directions' layouts
+        before = cross_module._draw_layout.cache_info()
+        tt_cross(np.exp, random_tt(dims, (3, 3, 3, 3), rng, scale=0.5), ones_tt(dims), cfg)
+        after = cross_module._draw_layout.cache_info()
+        assert after.misses == before.misses
+        assert after.hits >= before.hits + 2
+        assert cross_module._draw_layout(dims, True, 1, 3) is layout
 
 
 class TestSeedValidation:

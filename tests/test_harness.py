@@ -37,6 +37,30 @@ class TestDecodingOracle:
         np.testing.assert_allclose(marginals.probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(u_hat, marginals.probs.argmax(axis=1))
 
+    @pytest.mark.parametrize("name, ebn0", [
+        ("bch_31_16", 1.0), ("bch_31_16", 4.0), ("bch_15_7", 1.0), ("bch_15_7", 4.0),
+        ("hamming_7_4", 4.0),
+    ])
+    def test_table_equals_masked_sums(self, name, ebn0):
+        """Each bit's two sums run over the same weights in the same order
+        as boolean masks would select them, so the table is byte-equal."""
+        code = load_code(builtin_code_path(name))
+        n0 = n0_from_ebn0(ebn0, code.rate)
+        bits = posterior._assignment_digits(code.k, 2)[:, ::-1]
+        rng = np.random.default_rng([61, code.k, int(ebn0)])
+        for _ in range(8):
+            u = rng.integers(0, 2, size=code.k)
+            y = 1.0 - 2.0 * code.encode(u) + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+            logits = (2.0 / n0) * (code.bpsk_codebook() @ y)
+            weights = np.exp(logits - logits.max())
+            want = np.empty((code.k, 2))
+            for i in range(code.k):
+                ones = bits[:, i] == 1
+                want[i] = (weights[~ones].sum(), weights[ones].sum())
+            want /= want.sum(axis=1, keepdims=True)
+            _, marginals = code_exact_bitwise_map(y, code, n0)
+            assert marginals.probs.tobytes() == want.tobytes()
+
 
 class TestOracleTables:
     def test_tables_are_cached_read_only(self):

@@ -31,7 +31,7 @@ from ttinfer import (
     tt_truncate,
     zeros_tt,
 )
-from ttinfer.tt import _orthogonalize_lr, _sum_of_products
+from ttinfer.tt import _chop_ranks, _orthogonalize_lr, _sum_of_products
 
 
 def random_instance(rng, max_order=8, max_dim=4, max_rank=6):
@@ -376,6 +376,53 @@ class TestTruncate:
         out = tt_truncate(zeros_tt((2, 3, 2)), 1e-6)
         assert out.max_rank == 1
         np.testing.assert_array_equal(tt_to_dense(out).data, 0.0)
+
+
+def cumsum_chop_ranks(s, delta):
+    """Reference rank chop: the vectorized cumsum formula it replaced."""
+    if s.size == 0:
+        return 1
+    if delta <= 0.0:
+        return max(1, int(np.count_nonzero(s)))
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||s[r:]||
+    keep = np.nonzero(tail > delta)[0]
+    if keep.size == 0:
+        return 1
+    return int(keep[-1]) + 1
+
+
+class TestChopRanks:
+    def test_matches_cumsum_formula_on_random_spectra(self):
+        """Also at thresholds equal to a tail norm and one ulp either side,
+        where a tail summed in another order would flip the comparison."""
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            s = np.sort(rng.exponential(size=size) * 10.0 ** rng.uniform(-14, 2, size=size))[::-1]
+            tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+            at = tail[int(rng.integers(0, size))]
+            for delta in (at, np.nextafter(at, 0.0), np.nextafter(at, np.inf),
+                          1e-6 * np.linalg.norm(s), float(rng.uniform(0.0, 2.0 * tail[0]))):
+                assert _chop_ranks(s, delta) == cumsum_chop_ranks(s, delta)
+
+    @pytest.mark.parametrize("s, delta, rank", [
+        ([], 1.0, 1),
+        ([3.0, 2.0, 0.0], 0.0, 2),
+        ([3.0, 2.0, 1.0], -1.0, 3),
+        ([0.0, 0.0], 0.0, 1),
+        ([3.0, 1.0, 0.0, 0.0], 1e-12, 2),
+        ([3.0, 1.0, 0.0, 0.0], 0.0, 2),
+        ([0.0, 0.0, 0.0], 1e-12, 1),
+        ([1e-3, 1e-4, 1e-5], 1.0, 1),
+        ([3.0, 4.0], 3.99, 2),
+        ([3.0, 4.0], 4.0, 1),
+        ([3.0, 4.0], 5.0, 1),
+    ], ids=["empty", "zero-delta", "negative-delta", "all-zero", "zero-tail",
+            "zero-tail-zero-delta", "all-zero-positive-delta", "all-below-delta",
+            "tail-above-delta", "tail-at-delta", "total-at-delta"])
+    def test_edge_cases(self, s, delta, rank):
+        s = np.asarray(s, dtype=np.float64)
+        assert _chop_ranks(s, delta) == cumsum_chop_ranks(s, delta) == rank
 
 
 @st.composite
