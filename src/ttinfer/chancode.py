@@ -36,6 +36,7 @@ from .posterior import (
     InferenceFailureError,
     LogPosterior,
     _assignment_digits,
+    _check_enumeration,
     infer_marginals,
     map_decision,
 )
@@ -64,33 +65,47 @@ def _gf2_eliminate(a: np.ndarray, column_order) -> list:
     """Gauss-Jordan elimination over GF(2) of the 0/1 array ``a``, in place,
     taking pivot columns in ``column_order`` and skipping the dependent ones;
     stops once every row holds a pivot.  Returns the pivot columns: row i
-    ends with a 1 at pivot column i and 0 at every other pivot column."""
+    ends with a 1 at pivot column i and 0 at every other pivot column.
+
+    Each row is packed into one Python int (bit j = column j), so a row swap
+    or XOR is a single integer operation."""
+    n_rows, n_cols = a.shape
+    packed = np.packbits(a, axis=1, bitorder="little")
+    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
     basis = []
     for col in column_order:
+        bit = 1 << int(col)
         rank = len(basis)
-        hits = np.nonzero(a[rank:, col])[0]
-        if hits.size == 0:
+        for piv in range(rank, n_rows):
+            if rows[piv] & bit:
+                break
+        else:
             continue
-        piv = rank + hits[0]
-        a[[rank, piv]] = a[[piv, rank]]
-        others = np.nonzero(a[:, col])[0]
-        a[others[others != rank]] ^= a[rank]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot_row = rows[rank]
+        for i in range(n_rows):
+            if i != rank and rows[i] & bit:
+                rows[i] ^= pivot_row
         basis.append(col)
-        if len(basis) == a.shape[0]:
+        if len(basis) == n_rows:
             break
+    width = packed.shape[1]
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
+    a[:] = np.unpackbits(packed.reshape(n_rows, width), axis=1, count=n_cols, bitorder="little")
     return basis
 
 
-def _min_distance(g: np.ndarray) -> int:
-    """Exhaustive minimum Hamming weight over all 2^k - 1 nonzero codewords."""
-    n, k = g.shape
-    words = _assignment_digits(k, 2)
-    best = n
-    batch = 1 << 14
-    for start in range(1, 1 << k, batch):
-        weights = ((words[start:start + batch] @ g.T) % 2).sum(axis=1)
-        best = min(best, int(weights.min()))
-    return best
+def _min_distance(code: LinearCode) -> int:
+    """Minimum Hamming weight over the 2^k - 1 nonzero codewords.
+
+    Over the half tables of ``_half_codebooks``, word (u_a, u_b) has BPSK
+    codeword x_a * x_b and so weight (n - x_a . x_b) / 2: one product of
+    the two tables gives every weight, as integers that float64 holds
+    exactly.  Entry (0, 0) is the zero word."""
+    _, x_a, _, x_b = _half_codebooks(code)
+    twice = code.n - x_a @ x_b.T
+    twice[0, 0] = np.inf
+    return int(twice.min()) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +117,7 @@ class LinearCode:
     trusted from the file.  A code is immutable (``g`` is read-only) and
     compares and hashes by value, (n, k, d_min, g), so every copy of it,
     pickled into a worker or loaded again from its file, shares the
-    module-level caches of its metric layout, BPSK codebook and stopping
+    module-level caches of its metric layout, half codebooks and stopping
     rule.
     """
 
@@ -145,20 +160,25 @@ class LinearCode:
     def encode(self, u: np.ndarray) -> np.ndarray:
         return (self.g @ np.asarray(u, dtype=np.int64)) % 2
 
-    def bpsk_codebook(self) -> np.ndarray:
-        """All 2^k BPSK codewords, row i for the information word with bits
-        of integer i (LSB first), read-only.  Raises ValueError when 2^k
-        exceeds the enumeration limit."""
-        return _bpsk_codebook(self)
 
-
-# One codebook of 2^k x n doubles (at most 2^20 rows) is kept: a sweep
-# decodes one code at a time.
-@lru_cache(maxsize=1)
-def _bpsk_codebook(code: LinearCode) -> np.ndarray:
-    codebook = 1.0 - 2.0 * ((_assignment_digits(code.k, 2)[:, ::-1] @ code.g.T) % 2)
-    codebook.flags.writeable = False
-    return codebook
+@lru_cache(maxsize=16)
+def _half_codebooks(code: LinearCode) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The code's words over two halves of the information bits, u_a = bits
+    0..a-1 and u_b = bits a..k-1 with a = k // 2: (bits_a, x_a, bits_b, x_b),
+    where row r of bits_a is one assignment of u_a (column i holds u_i) and
+    row r of x_a its partial BPSK codeword 1 - 2 (G_a u_a mod 2); likewise
+    for b.  Row 0 of each is the zero assignment, and word (u_a, u_b) has
+    BPSK codeword x_a * x_b.  Read-only and cached per code value; raises
+    ValueError when 2^k exceeds the enumeration limit."""
+    _check_enumeration(code.k, 2)
+    a = code.k // 2
+    tables = []
+    for cols in (slice(0, a), slice(a, code.k)):
+        bits = _assignment_digits(cols.stop - cols.start, 2)
+        x = 1.0 - 2.0 * ((bits @ code.g[:, cols].T) % 2)
+        x.flags.writeable = False
+        tables += [bits, x]
+    return tuple(tables)
 
 
 def _builtin_codes():
@@ -183,8 +203,8 @@ def load_code(path) -> LinearCode:
 
     The generator must have full column rank over GF(2); when the 2^k words
     are within the enumeration limit (k <= 20) the stated minimum distance
-    is verified by exhaustive weight enumeration, otherwise it is trusted
-    and flagged unverified.
+    is verified by enumerating every codeword weight (``_min_distance``),
+    otherwise it is trusted and flagged unverified.
     """
     try:
         text = path.read_text() if hasattr(path, "read_text") else Path(path).read_text()
@@ -209,7 +229,7 @@ def load_code(path) -> LinearCode:
     verified = k <= math.log2(ASSIGNMENT_LIMIT)
     code = LinearCode(g=g, n=n, k=k, d_min=d_min, d_min_verified=verified)
     if verified:
-        actual = _min_distance(g)
+        actual = _min_distance(code)
         if actual != d_min:
             raise ValueError(f"stated d_min {d_min} but enumeration found {actual}")
     return code

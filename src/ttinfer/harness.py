@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chancode import LinearCode, _rank_schedule, load_code, n0_from_ebn0, ttdec
+from .chancode import LinearCode, _half_codebooks, _rank_schedule, load_code, n0_from_ebn0, ttdec
 from .cross import CrossConfig
 from .mimo import (
     ChannelRealization,
@@ -32,6 +32,7 @@ from .posterior import (
     InferenceFailureError,
     MarginalTable,
     _assignment_digits,
+    _check_enumeration,
     map_decision,
 )
 
@@ -184,40 +185,84 @@ def rank_stats(records) -> RankStats:
 # ---------------------------------------------------------------------------
 
 
-def mimo_exact_marginals(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) -> MarginalTable:
-    """Exact symbol-wise posteriors of y = Hx + n by direct enumeration of
-    all |A|^{N_T} assignments (independent of any TT construction)."""
-    alphabet = np.asarray(alphabet, dtype=np.float64)
-    n_modes = h.shape[1]
-    digits = _assignment_digits(n_modes, alphabet.size)
-    x_all = alphabet[digits]
-    resid = y[None, :] - x_all @ h.T
-    logits = -np.einsum("ij,ij->i", resid, resid) / (2.0 * sigma2)
-    weights = np.exp(logits - logits.max())
-    table = np.empty((n_modes, alphabet.size))
-    for mode in range(n_modes):
-        table[mode] = np.bincount(digits[:, mode], weights=weights, minlength=alphabet.size)
+# Offset and floor of the oracles' log-weights, whose maximum is moved to
+# _WEIGHT_OFFSET: exp is slow wherever it underflows, and on [-700, 200]
+# every weight is a normal number while 2^20 weights of at most e^200 sum
+# without overflow.  A weight at the floor is below e^-900 of the largest,
+# far under anything a normalized marginal can hold.
+_WEIGHT_OFFSET = 200.0
+_WEIGHT_FLOOR = -700.0
+
+
+def _split_marginals(log_weights: np.ndarray, digits_a: np.ndarray, digits_b: np.ndarray,
+                     base: int) -> MarginalTable:
+    """Normalized per-mode marginals of a split enumeration: entry (i, j) of
+    ``log_weights`` (overwritten) is the unnormalized log-probability of
+    the assignment whose first modes take the digits ``digits_a[i]`` and
+    whose last modes take ``digits_b[j]``.  A first-half mode bins the row
+    sums and a second-half mode the column sums, so each symbol's mass is
+    summed on its own."""
+    log_weights -= log_weights.max() - _WEIGHT_OFFSET
+    weights = np.exp(np.maximum(log_weights, _WEIGHT_FLOOR, out=log_weights), out=log_weights)
+    halves = ((digits_a, weights.sum(axis=1)), (digits_b, weights.sum(axis=0)))
+    table = np.array([np.bincount(column, weights=mass, minlength=base)
+                      for digits, mass in halves for column in digits.T])
     table /= table.sum(axis=1, keepdims=True)
     return MarginalTable(table)
+
+
+def mimo_exact_marginals(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) -> MarginalTable:
+    """Exact symbol-wise posteriors of y = Hx + n over all |A|^N assignments
+    (independent of any TT construction).
+
+    The modes split into the first a = N // 2 and the last N - a, each
+    enumerated on its own.  With r = y - H_a x_a and s = H_b x_b,
+    ||y - Hx||^2 = ||r||^2 + ||s||^2 - 2 r.s, so the metrics of all
+    |A|^a x |A|^(N - a) pairs come from one matrix product.  Raises
+    ValueError when y does not match H, sigma2 is not positive, or |A|^N
+    exceeds the enumeration limit.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] < 1 or y.shape != h.shape[:1]:
+        raise ValueError(f"observation shape {y.shape} does not match channel shape {h.shape}")
+    if not sigma2 > 0:
+        raise ValueError("noise variance must be positive")
+    alphabet = np.asarray(alphabet, dtype=np.float64)
+    n_modes = h.shape[1]
+    _check_enumeration(n_modes, alphabet.size)
+    a = n_modes // 2
+    digits_a = _assignment_digits(a, alphabet.size)
+    digits_b = _assignment_digits(n_modes - a, alphabet.size)
+    r = y - alphabet[digits_a] @ h[:, :a].T
+    s = alphabet[digits_b] @ h[:, a:].T
+    # -||y - Hx||^2 / (2 sigma^2) = (2 r.s - ||r||^2 - ||s||^2) / (2 sigma^2)
+    logits = r @ s.T
+    logits *= 2.0
+    logits -= np.einsum("ij,ij->i", r, r)[:, None]
+    logits -= np.einsum("ij,ij->i", s, s)
+    logits /= 2.0 * sigma2
+    return _split_marginals(logits, digits_a, digits_b, alphabet.size)
 
 
 def code_exact_bitwise_map(y: np.ndarray, code: LinearCode, n0: float):
     """Exact bit-wise MAP decoding by summing codeword likelihoods.
 
-    Returns (u_hat, marginals) where marginals[i] is P(u_i | y).  Requires
-    k small enough to enumerate the 2^k codewords.
+    Returns (u_hat, marginals) where marginals[i] is P(u_i | y).  The
+    information bits split into two halves (``chancode._half_codebooks``):
+    word (u_a, u_b) has BPSK codeword x_a * x_b, so the log-likelihoods
+    (2 / N0) y.x of all words are the matrix (X_a * (2 / N0) y) X_b^T.
+    Raises ValueError when y is not a vector of length n, n0 is not
+    positive, or 2^k exceeds the enumeration limit.
     """
-    codebook = code.bpsk_codebook()
-    logits = (2.0 / n0) * (codebook @ np.asarray(y, dtype=np.float64))
-    weights = np.exp(logits - logits.max())
-    # Word t has u_i = bit i of t: [:, b] of this view holds the words with u_i = b
-    # in increasing t, so raveled it sums what a boolean mask selects, in order.
-    table = np.empty((code.k, 2))
-    for i in range(code.k):
-        w3 = weights.reshape(-1, 2, 1 << i)
-        table[i] = (w3[:, 0].ravel().sum(), w3[:, 1].ravel().sum())
-    table /= table.sum(axis=1, keepdims=True)
-    marginals = MarginalTable(table)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (code.n,):
+        raise ValueError(f"observation shape {y.shape} does not match block length {code.n}")
+    if not n0 > 0:
+        raise ValueError("noise density must be positive")
+    bits_a, x_a, bits_b, x_b = _half_codebooks(code)
+    logits = (x_a * ((2.0 / n0) * y)) @ x_b.T
+    marginals = _split_marginals(logits, bits_a, bits_b, 2)
     u_hat = map_decision(marginals, np.array([0.0, 1.0])).astype(np.int64)
     return u_hat, marginals
 

@@ -48,8 +48,10 @@ _EXP_CLIP_MARGIN = 46.0
 # Length K of the candidate lists the models pass as ``seeds``.
 SEED_LIST_SIZE = 16
 
-# Exact enumeration (the oracles, the BPSK codebook, a code's minimum
-# distance) visits at most this many assignments.
+# Exact enumeration (the two oracles and a code's minimum distance) visits
+# at most this many assignments; each enumerates two halves of the unknowns
+# and combines them in one matrix product, so its tables hold only about
+# the square root of this many rows.
 ASSIGNMENT_LIMIT = 1 << 20
 
 # Relative tolerance of the roundings on the Taylor-init path: the shifted
@@ -61,15 +63,21 @@ class InferenceFailureError(RuntimeError):
     """Marginalization produced no usable mass; retry with larger ranks."""
 
 
+def _check_enumeration(n_modes: int, base: int) -> None:
+    """Raise ValueError when base^n_modes exceeds ``ASSIGNMENT_LIMIT``."""
+    total = base**n_modes
+    if total > ASSIGNMENT_LIMIT:
+        raise ValueError(f"{total} assignments exceed the enumeration limit {ASSIGNMENT_LIMIT}")
+
+
 @lru_cache(maxsize=4)
 def _assignment_digits(n_modes: int, base: int) -> np.ndarray:
     """All base^n_modes assignments, row i holding the base-``base`` digits
     of i, most significant first (so ``[:, ::-1]`` of a base-2 table puts
     bit j of i in column j).  Built once per size and shared read-only;
     raises ValueError above ``ASSIGNMENT_LIMIT`` rows."""
+    _check_enumeration(n_modes, base)
     total = base**n_modes
-    if total > ASSIGNMENT_LIMIT:
-        raise ValueError(f"{total} assignments exceed the enumeration limit {ASSIGNMENT_LIMIT}")
     digits = np.empty((total, n_modes), dtype=np.min_scalar_type(base - 1))
     idx = np.arange(total)
     for mode in range(n_modes - 1, -1, -1):
@@ -115,6 +123,8 @@ class MarginalTable:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 2:
             raise ValueError("marginal table must be (n_modes, alphabet) shaped")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("marginal probabilities must be finite")
         if np.any(probs < 0):
             raise ValueError("marginal probabilities must be nonnegative")
         if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):

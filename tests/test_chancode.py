@@ -1,11 +1,13 @@
 """Tests of the decoding layer: the exact log-APP TT against a dense oracle
 and its straddle rank bound, the early-stopping threshold against a
 full-range noncentral chi-squared reference, the BI-AWGN capacity limits,
-code-file validation, the rank schedule, the ordered-statistics candidate
-list, and paired agreement of the TT decoder with the exact bit-wise MAP
-decoder."""
+code-file validation, the minimum distance against brute force, the rank
+schedule, the GF(2) elimination against its numpy reference, the
+ordered-statistics candidate list, and paired agreement of the TT decoder
+with the exact bit-wise MAP decoder."""
 
 import gc
+import itertools
 import pickle
 from itertools import combinations
 
@@ -102,7 +104,7 @@ class TestLogAppMetric:
 
     def test_pickled_copy_reuses_the_cached_tables(self, monkeypatch):
         """A code pickled into a worker job finds the metric layout and the
-        codebook that the original built."""
+        half codebooks that the original built."""
         calls = []
         real = chancode._sum_of_products
         monkeypatch.setattr(chancode, "_sum_of_products", lambda f: calls.append(f) or real(f))
@@ -116,7 +118,7 @@ class TestLogAppMetric:
         again = build_code_logapp_tt(copy, y, 0.8)
         assert len(calls) == 1
         assert [c.tobytes() for c in first.cores] == [c.tobytes() for c in again.cores]
-        assert copy.bpsk_codebook() is code.bpsk_codebook()
+        assert chancode._half_codebooks(copy) is chancode._half_codebooks(code)
 
     def test_all_zero_row_is_a_constant_term(self):
         g = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]])
@@ -296,6 +298,46 @@ class TestLoadCode:
             load_code(path)
 
 
+def brute_force_min_distance(g):
+    k = g.shape[1]
+    words = np.array(list(itertools.product(range(2), repeat=k)))[1:]
+    return int(((words @ g.T) % 2).sum(axis=1).min())
+
+
+class TestMinDistance:
+    @pytest.mark.parametrize("name", [c for c in _builtin_code_names()
+                                      if load_code(builtin_code_path(c)).k <= 20])
+    def test_packaged_codes(self, name):
+        code = load_code(builtin_code_path(name))
+        assert chancode._min_distance(code) == brute_force_min_distance(code.g) == code.d_min
+
+    def test_random_small_codes(self):
+        rng = np.random.default_rng(36)
+        for trial in range(50):
+            k = int(rng.integers(1, 9))
+            n = int(rng.integers(k, 16))
+            while True:
+                try:
+                    code = chancode.LinearCode(g=rng.integers(0, 2, size=(n, k)), n=n, k=k,
+                                               d_min=1)
+                    break
+                except ValueError:
+                    continue
+            assert chancode._min_distance(code) == brute_force_min_distance(code.g), trial
+
+    @pytest.mark.parametrize("k, bit", [(1, 0), (2, 0), (2, 1), (4, 1), (4, 3), (5, 0), (5, 4)])
+    def test_lightest_word_in_one_half(self, k, bit):
+        """The only weight-1 codeword is information bit ``bit`` alone, so
+        it is nonzero in one half (bits below k // 2, else the rest): every
+        other column of [I; P] carries a full parity part, so any other
+        word weighs at least 2."""
+        parity = np.ones((6, k), dtype=np.int64)
+        parity[:, bit] = 0
+        code = chancode.LinearCode(g=np.vstack([np.eye(k, dtype=np.int64), parity]), n=k + 6,
+                                   k=k, d_min=1)
+        assert chancode._min_distance(code) == brute_force_min_distance(code.g) == 1
+
+
 def test_cached_stopping_rule_matches_direct_computation():
     code = load_code(builtin_code_path("hamming_7_4"))
     n0 = n0_from_ebn0(3.0, code.rate)
@@ -361,13 +403,12 @@ def test_osd_list_equals_brute_force(name):
         np.testing.assert_array_equal(_osd_list(code, y), expect)
 
 
-def osd_list_flip_loop(code, y, size=16):
-    """``_osd_list`` as it was before the flip table was cached: the flip
-    patterns are built and XORed onto the hard decisions row by row."""
-    n, k = code.n, code.k
-    a = np.concatenate([code.g.T, np.eye(k, dtype=np.int64)], axis=1).astype(np.uint8)
+def gf2_eliminate_reference(a, column_order):
+    """``_gf2_eliminate`` as it was before its rows were packed into ints:
+    per column, ``np.nonzero`` finds the pivot and the rows to clear, and
+    fancy indexing swaps and XORs them."""
     basis = []
-    for col in np.argsort(-np.abs(y), kind="stable"):
+    for col in column_order:
         rank = len(basis)
         hits = np.nonzero(a[rank:, col])[0]
         if hits.size == 0:
@@ -377,8 +418,17 @@ def osd_list_flip_loop(code, y, size=16):
         others = np.nonzero(a[:, col])[0]
         a[others[others != rank]] ^= a[rank]
         basis.append(col)
-        if len(basis) == k:
+        if len(basis) == a.shape[0]:
             break
+    return basis
+
+
+def osd_list_flip_loop(code, y, size=16):
+    """``_osd_list`` as it was before the flip table was cached: the flip
+    patterns are built and XORed onto the hard decisions row by row."""
+    n, k = code.n, code.k
+    a = np.concatenate([code.g.T, np.eye(k, dtype=np.int64)], axis=1).astype(np.uint8)
+    basis = gf2_eliminate_reference(a, np.argsort(-np.abs(y), kind="stable"))
     flips = [f for w in range(OSD_ORDER + 1) for f in combinations(range(k), w)]
     v = np.tile((y[basis] < 0).astype(np.int64), (len(flips), 1))
     for row, f in enumerate(flips):
@@ -386,6 +436,49 @@ def osd_list_flip_loop(code, y, size=16):
     x = 1.0 - 2.0 * ((v @ a[:, :n]) % 2)
     order = np.argsort(-(x @ y), kind="stable")[:size]
     return (v[order] @ a[:, n:]) % 2
+
+
+def assert_same_elimination(a, column_order, label):
+    """``_gf2_eliminate`` and the reference leave byte-equal arrays and
+    return equal pivot lists, element types included."""
+    got_a, want_a = a.copy(), a.copy()
+    got = chancode._gf2_eliminate(got_a, column_order)
+    want = gf2_eliminate_reference(want_a, column_order)
+    assert got == want and list(map(type, got)) == list(map(type, want)), label
+    assert got_a.dtype == want_a.dtype and got_a.tobytes() == want_a.tobytes(), label
+
+
+class TestGf2Eliminate:
+    @pytest.mark.parametrize("name", _builtin_code_names())
+    def test_osd_matrices_equal_reference(self, name):
+        """[G^T | I] in the order of decreasing |y|, 1,000 noisy words."""
+        code = load_code(builtin_code_path(name))
+        n0 = n0_from_ebn0(3.0, code.rate)
+        a = np.concatenate([code.g.T, np.eye(code.k, dtype=np.int64)], axis=1).astype(np.uint8)
+        rng = np.random.default_rng(34)
+        for trial in range(1000):
+            y = 1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))
+            y = y + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+            assert_same_elimination(a, np.argsort(-np.abs(y), kind="stable"), trial)
+
+    def test_perfbench_bch31_inputs_equal_reference(self):
+        code = load_code(builtin_code_path("bch_31_16"))
+        n0 = n0_from_ebn0(4.0, code.rate)
+        a = np.concatenate([code.g.T, np.eye(code.k, dtype=np.int64)], axis=1).astype(np.uint8)
+        for index in range(1000):
+            y, _ = perfbench_bch31_inputs(code, n0, 7, index)
+            assert_same_elimination(a, np.argsort(-np.abs(y), kind="stable"), index)
+
+    def test_random_matrices_equal_reference(self):
+        """Rank-deficient, wide, tall and 65-column-plus arrays, column
+        orders that are partial or plain ranges."""
+        rng = np.random.default_rng(35)
+        for trial in range(300):
+            rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 80))
+            a = (rng.random((rows, cols)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+            order = rng.permutation(cols)[: int(rng.integers(1, cols + 1))]
+            assert_same_elimination(a, order, trial)
+            assert_same_elimination(a, range(cols), trial)
 
 
 @pytest.mark.parametrize("name", _builtin_code_names())

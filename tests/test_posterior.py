@@ -191,6 +191,12 @@ class TestMapDecision:
         with pytest.raises(ValueError):
             MarginalTable(np.array([[-0.1, 1.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_marginal_table_rejects_non_finite_entries(self, bad):
+        # NaN fails neither the sign test nor the row-sum test
+        with pytest.raises(ValueError, match="finite"):
+            MarginalTable(np.array([[0.25, 0.75], [bad, bad]]))
+
 
 class TestNormalizationKillsConstant:
     def test_truncated_vs_raw_metric(self):
