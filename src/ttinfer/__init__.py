@@ -13,15 +13,10 @@ from .tt import (
     TensorTrain,
     constant_tt,
     ones_tt,
-    random_tt,
-    rank_one_tt,
     tt_add,
-    tt_eval,
     tt_eval_many,
-    tt_from_dense,
     tt_hadamard,
     tt_marginals,
-    tt_norm,
     tt_scale,
     tt_to_dense,
     tt_truncate,
@@ -32,7 +27,6 @@ from .cross import (
     CrossResult,
     DegenerateMatrixError,
     NonFiniteValueError,
-    maxvol,
     tt_cross,
     tt_exp_taylor,
 )

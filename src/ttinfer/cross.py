@@ -1,9 +1,7 @@
 """Cross approximation in the TT format.
 
-Building blocks:
+Public building blocks:
 
-* ``maxvol`` -- iterative row selection maximizing the submatrix determinant
-  magnitude (the pivot engine of the cross).
 * ``tt_exp_taylor`` -- Horner evaluation of the elementwise truncated Taylor
   series of exp, each step rounded by ``tt_truncate``: the paper's
   initialization of the cross (degree 0, the all-ones tensor, is the
@@ -12,7 +10,8 @@ Building blocks:
   densification.  One engine serves both variants: a half sweep updates
   blocks of one core ("sample", classical TT-cross interpolation) or of two
   merged cores ("sweep", DMRG-style, typically more accurate at higher cost)
-  from sampled fibers with a local SVD.
+  from sampled fibers with a local SVD, and picks its pivots by maxvol
+  (iterative row selection maximizing the submatrix determinant magnitude).
 
 The cross evaluates f only at structured samples (left prefix x block
 indices x right suffix), adapts ranks through a local SVD threshold,
@@ -46,7 +45,6 @@ __all__ = [
     "CrossResult",
     "DegenerateMatrixError",
     "NonFiniteValueError",
-    "maxvol",
     "tt_cross",
     "tt_exp_taylor",
 ]
@@ -111,10 +109,22 @@ class CrossResult:
 
 
 def _maxvol(m: np.ndarray, dom_tol: float, max_iters: int):
-    """Rows, factor M @ M[rows]^-1 and swap gains of ``maxvol`` for a 2-D
-    float64 ``m``.  The factor is the solve at the LU rows, kept when no swap
-    happens; after swaps it is solved again at the final rows, so it always
-    equals ``np.linalg.solve(m[rows].T, m.T).T`` byte for byte.
+    """Select r rows of an n x r float64 matrix (n >= r) with quasi-maximal
+    volume; returns the rows, the factor B = M @ M[rows]^-1 and the swap
+    gains.
+
+    Starts from the partial-pivoting LU rows, then swaps rows while some
+    entry of B exceeds 1 + dom_tol in magnitude.  Each swap multiplies
+    |det(M[rows])| by that entry (its gain), so the volume is non-decreasing
+    and the final submatrix is dominant up to dom_tol.
+
+    B is the solve at the LU rows, kept when no swap happens; after swaps it
+    is solved again at the final rows, so it always equals
+    ``np.linalg.solve(m[rows].T, m.T).T`` byte for byte, and the cross uses
+    it as its interpolative factor.
+
+    Raises ValueError on a wide matrix, DegenerateMatrixError (a ValueError)
+    on empty input or numerically dependent columns.
     """
     n, r = m.shape
     if n < r:
@@ -150,48 +160,13 @@ def _maxvol(m: np.ndarray, dom_tol: float, max_iters: int):
     return rows, b, history
 
 
-def maxvol(
-    m: np.ndarray,
-    dom_tol: float = MAXVOL_DOM_TOL,
-    max_iters: int = MAXVOL_MAX_ITERS,
-    return_history: bool = False,
-):
-    """Select r rows of an n x r matrix (n >= r) with quasi-maximal volume.
-
-    Starts from the partial-pivoting LU rows, then swaps rows while some
-    entry of M @ M[rows]^-1 exceeds 1 + dom_tol in magnitude.  Each swap
-    multiplies |det(M[rows])| by that entry, so the volume is
-    non-decreasing and the final submatrix is dominant up to dom_tol.
-
-    The cost is one LAPACK getrf and one solve for B = M @ M[rows]^-1, plus
-    a second solve only if a row was swapped.  The cross hands over matrices
-    of a few rows and mostly one column, so call overhead, not flops,
-    dominates: getrf is called directly rather than through
-    ``scipy.linalg.lu_factor``, the row permutation and the search for B's
-    largest entry run on Python ints, and the cross reuses B as its
-    interpolative factor instead of solving the same system again.
-
-    Returns the row indices, plus the list of swap gains (each > 1+dom_tol)
-    when ``return_history`` is set.  Raises ValueError on input that is not
-    a matrix with at least as many rows as columns, DegenerateMatrixError
-    (a ValueError) on empty input or numerically dependent columns.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("maxvol expects a matrix")
-    rows, _, history = _maxvol(m, dom_tol, max_iters)
-    if return_history:
-        return rows, history
-    return rows
-
-
 def _rank_revealing_maxvol(m: np.ndarray) -> np.ndarray:
     """maxvol that survives wide or rank-deficient input by shrinking the
     column set (pivoted QR) first; returns <= min(m.shape) row indices."""
     n, r = m.shape
     if n >= r:
         try:
-            return maxvol(m)
+            return _maxvol(m, MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)[0]
         except DegenerateMatrixError:
             pass
     _, rmat, piv = scipy.linalg.qr(m, mode="economic", pivoting=True)
@@ -199,7 +174,7 @@ def _rank_revealing_maxvol(m: np.ndarray) -> np.ndarray:
     if diag.size == 0 or diag[0] == 0.0:
         return np.zeros(1, dtype=np.int64)
     rank = max(1, min(int(np.count_nonzero(diag > 1e-12 * diag[0])), n))
-    return maxvol(m[:, piv[:rank]])
+    return _maxvol(m[:, piv[:rank]], MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)[0]
 
 
 def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTrain:
@@ -222,11 +197,13 @@ def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTr
 
 
 def _check_seed_indices(seeds, dims) -> np.ndarray:
-    """Seed multi-indices as a (count, N) int array; raises ValueError on
-    another shape or on an index outside ``dims``."""
+    """Seed multi-indices as a (count, N) int array with count >= 1; raises
+    ValueError on another shape or on an index outside ``dims``."""
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.ndim != 2 or seeds.shape[1] != len(dims):
         raise ValueError(f"seed indices must be (count, {len(dims)}) shaped")
+    if seeds.shape[0] == 0:
+        raise ValueError("seed indices must list at least one multi-index")
     bad = np.nonzero(np.any((seeds < 0) | (seeds >= np.asarray(dims)), axis=1))[0]
     if bad.size:
         raise ValueError(f"seed row {bad[0]} {seeds[bad[0]].tolist()} outside dims {tuple(dims)}")

@@ -9,14 +9,13 @@ where G_i(k) is the r_{i-1} x r_i matrix slice of core i at physical index k
 and the boundary ranks are r_0 = r_N = 1.  All indices in this module are
 0-based.
 
-Provided operations: entry evaluation, densification and TT-SVD, addition,
-Hadamard product, scalar multiplication, all single-mode marginals in one
-pass of core sums and shared prefix/suffix products, the
-orthogonalization-based norm, and SVD rank truncation (rounding) after a QR
-sweep.  All operations allocate fresh outputs; TensorTrain values are
-immutable.  The exact sum-of-products builder ``_sum_of_products`` writes the
-code log-APP metric, the MIMO log-likelihood and the separable log-prior as
-TTs.
+Provided operations: batched entry evaluation, densification (an oracle
+bridge), addition, Hadamard product, scalar multiplication, all single-mode
+marginals in one pass of core sums and shared prefix/suffix products, and
+SVD rank truncation (rounding) after a QR sweep.  All operations allocate
+fresh outputs; TensorTrain values are immutable.  The exact sum-of-products
+builder ``_sum_of_products`` writes the code log-APP metric, the MIMO
+log-likelihood and the separable log-prior as TTs.
 """
 
 from __future__ import annotations
@@ -34,15 +33,10 @@ __all__ = [
     "constant_tt",
     "ones_tt",
     "zeros_tt",
-    "rank_one_tt",
-    "random_tt",
     "tt_add",
-    "tt_eval",
     "tt_eval_many",
-    "tt_from_dense",
     "tt_hadamard",
     "tt_marginals",
-    "tt_norm",
     "tt_scale",
     "tt_to_dense",
     "tt_truncate",
@@ -105,10 +99,6 @@ class TensorTrain:
         """All N+1 bond ranks (r_0, ..., r_N), boundaries included."""
         return (1,) + tuple(c.shape[2] for c in self.cores)
 
-    @property
-    def max_rank(self) -> int:
-        return max(self.ranks)
-
     def n_elements(self) -> int:
         return int(np.prod([float(n) for n in self.dims]))
 
@@ -121,8 +111,8 @@ class DenseTensor:
     """Explicit multiway array; the desk-scale oracle counterpart of a TT.
 
     ``data`` is stored C-contiguous, so ``data.ravel()`` is the flat
-    row-major entry list.  Construction refuses tensors above ``budget``
-    elements: dense tensors exist for oracle checks only.
+    row-major entry list.  Dense tensors exist for oracle checks only:
+    ``tt_to_dense`` refuses tensors above its element budget.
     """
 
     data: np.ndarray
@@ -131,42 +121,19 @@ class DenseTensor:
         arr = np.ascontiguousarray(self.data, dtype=np.float64)
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def from_array(cls, data, budget: int = DENSE_BUDGET) -> "DenseTensor":
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.size > budget:
-            raise CapacityError(f"dense tensor with {arr.size} elements exceeds budget {budget}")
-        return cls(arr)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape
-
-
-def _as_index(tt: TensorTrain, idx) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != (tt.order,):
-        raise IndexError(f"index length {idx.shape} does not match order {tt.order}")
-    dims = np.asarray(tt.dims)
-    if np.any(idx < 0) or np.any(idx >= dims):
-        raise IndexError(f"index {tuple(idx)} out of range for dims {tt.dims}")
-    return idx
-
-
-def tt_eval(tt: TensorTrain, idx) -> float:
-    """Evaluate one entry as the ordered product of core slices."""
-    idx = _as_index(tt, idx)
-    vec = tt.cores[0][:, idx[0], :][0]
-    for core, k in zip(tt.cores[1:], idx[1:]):
-        vec = vec @ core[:, k, :]
-    return float(vec[0])
-
 
 def tt_eval_many(tt: TensorTrain, idx: np.ndarray) -> np.ndarray:
-    """Evaluate a batch of entries; ``idx`` has shape (batch, order)."""
+    """Evaluate a batch of entries; ``idx`` has shape (batch, order).
+
+    Raises IndexError on another shape or on an index outside the dims
+    (numpy's fancy indexing rejects those >= n_i, but would wrap negative
+    ones silently).
+    """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != tt.order:
         raise IndexError(f"index batch must be (batch, {tt.order}), got {idx.shape}")
+    if idx.size and idx.min() < 0:
+        raise IndexError(f"negative index in batch for dims {tt.dims}")
     vec = tt.cores[0][0, idx[:, 0], :]  # (batch, r_1)
     for i in range(1, tt.order):
         slices = tt.cores[i][:, idx[:, i], :]  # (r, batch, r')
@@ -199,43 +166,6 @@ def _chop_ranks(s: np.ndarray, delta: float) -> int:
         if math.sqrt(tail) > delta:
             return r + 1
     return 1
-
-
-def tt_from_dense(t, tol: float = 0.0, max_rank: int | None = None) -> TensorTrain:
-    """TT-SVD of a dense tensor with relative Frobenius tolerance ``tol``.
-
-    The truncation budget tol*||t|| is split evenly over the N-1 SVD steps,
-    so the reconstruction error is at most tol*||t||.  With tol = 0 the
-    decomposition is exact to machine precision.
-    """
-    if isinstance(t, DenseTensor):
-        arr = t.data
-    else:
-        arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim == 0:
-        raise ValueError("tensor must have order >= 1")
-    if arr.ndim == 1:
-        return TensorTrain([arr.reshape(1, -1, 1)])
-    dims = arr.shape
-    order = arr.ndim
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
-        return zeros_tt(dims)
-    delta = tol * norm / np.sqrt(order - 1)
-    cores = []
-    block = arr.reshape(dims[0], -1)
-    r_prev = 1
-    for i in range(order - 1):
-        block = block.reshape(r_prev * dims[i], -1)
-        u, s, vt = np.linalg.svd(block, full_matrices=False)
-        r = _chop_ranks(s, delta)
-        if max_rank is not None:
-            r = min(r, max_rank)
-        cores.append(u[:, :r].reshape(r_prev, dims[i], r))
-        block = s[:r, None] * vt[:r]
-        r_prev = r
-    cores.append(block.reshape(r_prev, dims[-1], 1))
-    return TensorTrain(cores, copy=False)
 
 
 def tt_add(a: TensorTrain, b: TensorTrain) -> TensorTrain:
@@ -318,14 +248,6 @@ def _orthogonalize_lr(cores: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def tt_norm(a: TensorTrain) -> float:
-    """Frobenius norm of the represented tensor, via orthogonalization."""
-    if a.order == 1:
-        return float(np.linalg.norm(a.cores[0]))
-    cores = _orthogonalize_lr(list(a.cores))
-    return float(np.linalg.norm(cores[-1]))
-
-
 def tt_truncate(a: TensorTrain, tol: float, max_rank: int | None = None) -> TensorTrain:
     """SVD rank truncation (TT rounding) with relative tolerance ``tol``.
 
@@ -368,23 +290,6 @@ def ones_tt(dims) -> TensorTrain:
 def constant_tt(dims, value: float) -> TensorTrain:
     """Rank-1 TT with every entry equal to ``value``."""
     return tt_scale(ones_tt(dims), value)
-
-
-def rank_one_tt(vectors) -> TensorTrain:
-    """Rank-1 TT of the outer product v_1 x v_2 x ... x v_N."""
-    return TensorTrain([np.asarray(v, dtype=np.float64).reshape(1, -1, 1) for v in vectors])
-
-
-def random_tt(dims, ranks, rng: np.random.Generator, scale: float = 1.0) -> TensorTrain:
-    """Random TT with i.i.d. normal core entries; ``ranks`` lists the
-    interior bond ranks (length N-1)."""
-    dims = tuple(int(n) for n in dims)
-    full = (1,) + tuple(int(r) for r in ranks) + (1,)
-    if len(full) != len(dims) + 1:
-        raise ValueError("need len(dims)-1 interior ranks")
-    cores = [scale * rng.standard_normal((full[i], dims[i], full[i + 1])) for i in range(len(dims))]
-    return TensorTrain(cores, copy=False)
-
 
 
 _ONE, _SUM = "one", "sum"  # the two channels every interior bond carries

@@ -1,6 +1,6 @@
-"""Tests of maxvol pivoting, the Taylor TT exponential, and the elementwise
-TT-cross (both variants: update blocks of one and two cores) against dense
-oracles."""
+"""Tests of the cross's maxvol pivoting, the Taylor TT exponential, and the
+elementwise TT-cross (both variants: update blocks of one and two cores)
+against dense oracles."""
 
 import itertools
 import math
@@ -13,18 +13,17 @@ from ttinfer import (
     CrossConfig,
     DegenerateMatrixError,
     NonFiniteValueError,
-    maxvol,
     ones_tt,
-    random_tt,
     tt_cross,
     tt_eval_many,
     tt_exp_taylor,
-    tt_from_dense,
     tt_hadamard,
     tt_to_dense,
     zeros_tt,
 )
 from ttinfer import cross as cross_module
+from ttinfer.cross import _maxvol
+from ttref import random_tt, tt_svd
 
 
 def clipped_random_tt(rng, dims, lo, hi, ranks=None):
@@ -33,23 +32,23 @@ def clipped_random_tt(rng, dims, lo, hi, ranks=None):
     if ranks is None:
         ranks = [3] * (len(dims) - 1)
     dense = np.clip(tt_to_dense(random_tt(dims, ranks, rng)).data, lo, hi)
-    return tt_from_dense(dense, 0.0), dense
+    return tt_svd(dense, 0.0), dense
 
 
 class TestMaxvol:
     def test_identity_selects_all_rows(self):
-        rows = maxvol(np.eye(4))
+        rows = _maxvol(np.eye(4), 1e-2, 100)[0]
         assert sorted(rows) == [0, 1, 2, 3]
 
     def test_rank1_is_argmax(self):
         m = np.array([[1.0], [2.0], [4.0], [8.0]])
-        assert maxvol(m).tolist() == [3]
+        assert _maxvol(m, 1e-2, 100)[0].tolist() == [3]
 
     def test_dominance_postcondition(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             m = rng.standard_normal((12, 4))
-            rows = maxvol(m)
+            rows = _maxvol(m, 1e-2, 100)[0]
             b = np.linalg.solve(m[rows].T, m.T).T
             assert np.abs(b).max() <= 1.0 + 1e-2 + 1e-9
 
@@ -57,7 +56,7 @@ class TestMaxvol:
         rng = np.random.default_rng(6)
         for _ in range(10):
             m = rng.standard_normal((8, 3))
-            rows = maxvol(m)
+            rows = _maxvol(m, 1e-2, 100)[0]
             vol = abs(np.linalg.det(m[rows]))
             best = max(
                 abs(np.linalg.det(m[list(sub)])) for sub in itertools.combinations(range(8), 3)
@@ -67,7 +66,7 @@ class TestMaxvol:
     def test_swap_gains_exceed_threshold(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((40, 5))
-        _, history = maxvol(m, return_history=True)
+        _, _, history = _maxvol(m, 1e-2, 100)
         # every recorded swap multiplies |det| by its gain, so the selected
         # volume is non-decreasing across iterations
         assert all(g > 1.0 + 1e-2 for g in history)
@@ -75,23 +74,20 @@ class TestMaxvol:
     def test_degenerate_raises(self):
         col = np.arange(6.0)[:, None]
         with pytest.raises(DegenerateMatrixError):
-            maxvol(np.hstack([col, 2 * col]))
+            _maxvol(np.hstack([col, 2 * col]), 1e-2, 100)
 
     @pytest.mark.parametrize("m, match", [
-        (np.arange(3.0), "expects a matrix"),
-        (np.float64(2.0), "expects a matrix"),
         (np.ones((2, 3)), "at least as many rows"),
         (np.zeros((0, 0)), "columns are dependent"),
         (np.zeros((3, 0)), "columns are dependent"),
-    ], ids=["1-d", "scalar", "wide", "empty", "no-columns"])
+    ], ids=["wide", "empty", "no-columns"])
     def test_rejects_non_tall_matrix(self, m, match):
         with pytest.raises(ValueError, match=match):
-            maxvol(m)
+            _maxvol(m, 1e-2, 100)
 
     @staticmethod
     def assert_factor_is_fresh_solve(m):
-        rows, factor, history = cross_module._maxvol(m, 1e-2, 100)
-        np.testing.assert_array_equal(rows, maxvol(m))
+        rows, factor, history = _maxvol(m, 1e-2, 100)
         expect = np.linalg.solve(m[rows].T, m.T).T
         assert factor.shape == expect.shape
         assert factor.tobytes() == expect.tobytes()
@@ -115,11 +111,8 @@ class TestMaxvol:
         assert self.assert_factor_is_fresh_solve(m)  # swaps happened
 
     def test_factor_degenerate_raises(self):
-        col = np.arange(6.0)[:, None]
         with pytest.raises(DegenerateMatrixError):
-            cross_module._maxvol(np.hstack([col, 2 * col]), 1e-2, 100)
-        with pytest.raises(DegenerateMatrixError):
-            cross_module._maxvol(np.zeros((3, 2)), 1e-2, 100)
+            _maxvol(np.zeros((3, 2)), 1e-2, 100)
 
 
 class TestTaylorExp:
@@ -221,8 +214,8 @@ class TestCrossVariants:
         rng = np.random.default_rng(21)
         pos = random_tt((2,) * 5, (2,) * 4, rng)
         dense = np.abs(tt_to_dense(pos).data) + 0.5
-        target_rank = max(tt_from_dense(dense, 1e-12).ranks)
-        a = tt_from_dense(np.log(dense), 0.0)
+        target_rank = max(tt_svd(dense, 1e-12).ranks)
+        a = tt_svd(np.log(dense), 0.0)
         init = tt_exp_taylor(a, 10, 16, 1e-14)
         cfg = small_cfg(4, conv_tol=1e-9, oversample=2, max_rank=32)
         out = tt_cross(np.exp, a, init, cfg, "sweep").tt
@@ -294,7 +287,7 @@ class TestCrossVariants:
         dense = rng.uniform(0.5, 2.0, size=dims)
         bad = tuple(int(rng.integers(0, d)) for d in dims)
         dense[bad] = -1.0
-        a = tt_from_dense(dense)
+        a = tt_svd(dense)
 
         def unsafe_log(v):
             with np.errstate(invalid="ignore"):
@@ -315,7 +308,7 @@ class TestCrossVariants:
         assert res.n_evals <= bound
 
     def test_order_one_tensor(self):
-        a = tt_from_dense(np.array([-1.0, -2.0, 0.5]), 0.0)
+        a = tt_svd(np.array([-1.0, -2.0, 0.5]), 0.0)
         out = tt_cross(np.exp, a, a, small_cfg(9)).tt
         np.testing.assert_allclose(
             tt_to_dense(out).data, np.exp([-1.0, -2.0, 0.5]), rtol=1e-12
@@ -479,7 +472,7 @@ def test_maxvol_matches_array_reference():
         for _ in range(10):
             wide = rng.standard_normal((n, r + 3))
             for m in (wide[:, :r], wide.T[:r].T, np.ascontiguousarray(wide[:, :r])):
-                rows, b, history = cross_module._maxvol(m, 1e-2, 100)
+                rows, b, history = _maxvol(m, 1e-2, 100)
                 want_rows, want_b, want_history = array_maxvol(m, 1e-2, 100)
                 assert rows.dtype == want_rows.dtype
                 np.testing.assert_array_equal(rows, want_rows)
@@ -598,6 +591,7 @@ class TestSeedValidation:
             ([[1, 2, 0, 1], [0, -1, 1, 0]], r"seed row 1 \[0, -1, 1, 0\]"),
             ([[1, 2, 0, 1], [0, 1, 3, 0]], r"seed row 1 \[0, 1, 3, 0\]"),
             ([[0, 1]], "shaped"),
+            (np.empty((0, 4)), "at least one"),
         ],
     )
     def test_bad_seed_indices_are_rejected(self, seeds, match):

@@ -13,12 +13,12 @@ from ttinfer import (
     infer_marginals,
     map_decision,
     tt_add,
-    tt_eval,
-    tt_from_dense,
+    tt_eval_many,
     tt_to_dense,
     tt_truncate,
 )
 from ttinfer import posterior
+from ttref import tt_svd
 
 
 def enumerate_marginals(log_dense):
@@ -48,7 +48,7 @@ class TestPrior:
         v = np.log(np.array([0.7, 0.3]))
         tt = build_prior_tt(v, 3)
         # paper-convention index (1,2,1) -> (0,1,0)
-        assert tt_eval(tt, (0, 1, 0)) == pytest.approx(2 * np.log(0.7) + np.log(0.3))
+        assert tt_eval_many(tt, [[0, 1, 0]])[0] == pytest.approx(2 * np.log(0.7) + np.log(0.3))
 
     def test_interior_ranks_exactly_two(self):
         rng = np.random.default_rng(40)
@@ -99,7 +99,7 @@ class TestInferMarginals:
         rng = np.random.default_rng(46)
         for trial in range(20):
             dense = 3.0 * rng.standard_normal((2, 2, 2, 2))
-            lp = LogPosterior(tt_from_dense(dense, 0.0), np.array([-1.0, 1.0]))
+            lp = LogPosterior(tt_svd(dense, 0.0), np.array([-1.0, 1.0]))
             table, _ = infer_marginals(
                 lp, generous_cfg(trial), taylor_p=10, taylor_max_rank=16, variant=variant
             )
@@ -109,7 +109,7 @@ class TestInferMarginals:
     def test_shift_invariance(self):
         rng = np.random.default_rng(47)
         dense = rng.standard_normal((2, 2, 2, 2))
-        base = tt_from_dense(dense, 0.0)
+        base = tt_svd(dense, 0.0)
         lifted = tt_add(base, constant_tt(base.dims, 11.7))
         alpha = np.array([-1.0, 1.0])
         t1, _ = infer_marginals(LogPosterior(base, alpha), generous_cfg(3), 10, 16)
@@ -122,7 +122,7 @@ class TestInferMarginals:
         # constant added to the metric cancels up to round-off
         rng = np.random.default_rng(51)
         dense = 4.0 * rng.standard_normal((4,) * 5)
-        base = tt_from_dense(dense, 0.0)
+        base = tt_svd(dense, 0.0)
         lifted = tt_add(base, constant_tt(base.dims, 250.0))
         seeds = np.column_stack(np.unravel_index(np.argsort(dense, axis=None)[-16:], dense.shape))
         alpha = np.arange(4.0)
@@ -139,25 +139,26 @@ class TestInferMarginals:
         calls = []
         monkeypatch.setattr(posterior, "tt_truncate", lambda *a: calls.append(a) or tt_truncate(*a))
         rng = np.random.default_rng(52)
-        lp = LogPosterior(tt_from_dense(rng.standard_normal((2,) * 4), 0.0), np.array([0.0, 1.0]))
+        lp = LogPosterior(tt_svd(rng.standard_normal((2,) * 4), 0.0), np.array([0.0, 1.0]))
         infer_marginals(lp, generous_cfg(7), taylor_p, 8, seeds=np.zeros((1, 4), dtype=np.int64))
         assert len(calls) == rounds
 
     @pytest.mark.parametrize("seeds,match", [
         ([[0, 0, 2]], r"seed row 0 \[0, 0, 2\] outside dims"),
         ([[0, -1, 0]], r"seed row 0 \[0, -1, 0\] outside dims"),
+        (np.empty((0, 3)), "at least one"),
     ])
     def test_bad_seeds_are_rejected_before_the_shift(self, monkeypatch, seeds, match):
         monkeypatch.setattr(posterior, "tt_eval_many", lambda *a: pytest.fail("shift taken first"))
         rng = np.random.default_rng(53)
-        lp = LogPosterior(tt_from_dense(rng.standard_normal((2,) * 3), 0.0), np.array([0.0, 1.0]))
+        lp = LogPosterior(tt_svd(rng.standard_normal((2,) * 3), 0.0), np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match=match):
             infer_marginals(lp, generous_cfg(8), 0, 1, seeds=seeds)
 
     def test_reports_max_rank(self):
         rng = np.random.default_rng(48)
         dense = rng.standard_normal((2, 2, 2, 2, 2))
-        lp = LogPosterior(tt_from_dense(dense, 0.0), np.array([0.0, 1.0]))
+        lp = LogPosterior(tt_svd(dense, 0.0), np.array([0.0, 1.0]))
         _, rmax = infer_marginals(lp, generous_cfg(4), 10, 16)
         assert rmax >= 1
 
@@ -203,7 +204,7 @@ class TestNormalizationKillsConstant:
         # tt_truncate(0) renormalizes the representation; marginals must agree
         rng = np.random.default_rng(50)
         dense = rng.standard_normal((2, 2, 2))
-        base = tt_from_dense(dense, 0.0)
+        base = tt_svd(dense, 0.0)
         alpha = np.array([0.0, 1.0])
         t1, _ = infer_marginals(LogPosterior(base, alpha), generous_cfg(5), 10, 8)
         t2, _ = infer_marginals(
