@@ -15,17 +15,22 @@ Public building blocks:
 
 The cross evaluates f only at structured samples (left prefix x block
 indices x right suffix), adapts ranks through a local SVD threshold,
-enriches the search with random indices each half sweep, and stops when the
-values at a fixed random probe set change by less than ``conv_tol`` between
-full sweeps.  A half sweep draws all its random fibers in one generator
-call, placed by a cached layout, and builds their argument interfaces in
-one pass over the cores.  Each block update costs its einsums, f, one SVD
-(the local rank), one getrf (maxvol's starting rows) and one solve, whose
-B = U @ U[rows]^-1 is both maxvol's swap criterion and the new core's
-interpolative factor; only a maxvol swap adds a second solve.  At pipeline
-ranks (mostly a dozen rows, rank 1) call overhead outweighs flops, so rank
-chop, pivot permutation and B's argmax run on Python scalars.  All
-randomness flows from ``CrossConfig.rng_seed``: fixed seed, same bits.
+enriches the search with random indices each half sweep, and stops after a
+full sweep by either of two tests: the values at a fixed random probe set
+changed by less than ``conv_tol`` since the previous full sweep, or every
+bond rank equals its rank after the previous full sweep (the init's, after
+the first) and the local SVD tolerance, not the sample size or the rank
+cap, chose every rank kept in the sweep (the rank test of DMRG-cross,
+Savostyanov & Oseledets 2011).  A half sweep draws all its random fibers in
+one generator call, placed by a cached layout, and builds their argument
+interfaces in one pass over the cores.  Each block update costs its
+einsums, f, one SVD (the local rank), one getrf (maxvol's starting rows)
+and one solve, whose B = U @ U[rows]^-1 is both maxvol's swap criterion and
+the new core's interpolative factor; only a maxvol swap adds a second
+solve.  At pipeline ranks (mostly a dozen rows, rank 1) call overhead
+outweighs flops, so rank chop, pivot permutation and B's argmax run on
+Python scalars.  All randomness flows from ``CrossConfig.rng_seed``: fixed
+seed, same bits.
 """
 
 from __future__ import annotations
@@ -77,8 +82,10 @@ class CrossConfig:
     sample_oversample : extra random index candidates added per core update;
         drives both rank growth and the random exploration that keeps the
         algorithms from stalling in local minima.
-    conv_tol : relative probe-set change that counts as converged; also the
-        relative Frobenius-tail threshold of the local rank-adapting SVDs.
+    conv_tol : relative probe-set change between full sweeps that counts as
+        converged; also the relative Frobenius-tail threshold of the local
+        rank-adapting SVDs, whose stable unsaturated ranks are the other
+        convergence test.
     rng_seed : seed of the private random stream (fixed seed -> bit-identical
         results; the algorithms are otherwise non-deterministic by nature).
     """
@@ -198,12 +205,16 @@ def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTr
 
 def _check_seed_indices(seeds, dims) -> np.ndarray:
     """Seed multi-indices as a (count, N) int array with count >= 1; raises
-    ValueError on another shape or on an index outside ``dims``."""
-    seeds = np.asarray(seeds, dtype=np.int64)
+    ValueError on another shape, on a non-integer dtype or on an index
+    outside ``dims``."""
+    seeds = np.asarray(seeds)
     if seeds.ndim != 2 or seeds.shape[1] != len(dims):
         raise ValueError(f"seed indices must be (count, {len(dims)}) shaped")
     if seeds.shape[0] == 0:
         raise ValueError("seed indices must list at least one multi-index")
+    if not np.issubdtype(seeds.dtype, np.integer):
+        raise ValueError(f"seed indices must be integers, got dtype {seeds.dtype}")
+    seeds = seeds.astype(np.int64, copy=False)
     bad = np.nonzero(np.any((seeds < 0) | (seeds >= np.asarray(dims)), axis=1))[0]
     if bad.size:
         raise ValueError(f"seed row {bad[0]} {seeds[bad[0]].tolist()} outside dims {tuple(dims)}")
@@ -360,7 +371,7 @@ class _CrossEngine:
 
     # -- the half sweep ------------------------------------------------------
 
-    def half_sweep(self, lr: bool, width: int) -> None:
+    def half_sweep(self, lr: bool, width: int) -> bool:
         """One left-to-right (``lr``) or right-to-left pass of block updates.
 
         Each update samples f on a block of ``width`` adjacent cores (1 for
@@ -368,9 +379,12 @@ class _CrossEngine:
         on the side the pass comes from and fresh candidates on the other,
         picks the local rank by SVD and the next pivots by maxvol, and
         replaces the block's leading core (trailing core going right to left)
-        by its interpolative factor.
+        by its interpolative factor.  Returns whether some update was
+        saturated: kept rank min(*mat.shape, max_rank), so that the sample or
+        the cap, not the SVD tolerance, chose it.
         """
         n = self.n
+        saturated = False
         self._draw_oversampling(lr, width)
         for i in range(n - 1) if lr else range(n - 1, 0, -1):
             lo = i if lr else i - width + 1
@@ -398,7 +412,9 @@ class _CrossEngine:
             mat = fvals.reshape(rl * n_lo, -1) if lr else fvals.reshape(-1, n_hi * rr)
             u, s, vt = np.linalg.svd(mat, full_matrices=False)
             delta = self.cfg.conv_tol * math.sqrt(s.dot(s))  # conv_tol * np.linalg.norm(s)
-            r_new = min(_chop_ranks(s, delta), *mat.shape, self.cfg.max_rank)
+            cap = min(*mat.shape, self.cfg.max_rank)
+            r_new = min(_chop_ranks(s, delta), cap)
+            saturated |= r_new == cap
             if lr:
                 rows, factor, _ = _maxvol(u[:, :r_new], MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)
                 self.cores[lo] = factor.reshape(rl, n_lo, r_new)
@@ -427,6 +443,7 @@ class _CrossEngine:
                 b = 0
                 vals = np.einsum("kq,mq->km", self.arg.cores[0][0], self.right_if[1])[None]
             self.cores[b] = self._apply_f(vals, self.left[b], self.right[b + 1])
+        return saturated
 
 
 _VARIANT_WIDTH = {"sample": 1, "sweep": 2}
@@ -460,13 +477,15 @@ def tt_cross(
     width = _VARIANT_WIDTH[variant]
     half_sweeps = 0
     converged = False
+    ranks = [c.shape[2] for c in engine.cores[:-1]]
     for _ in range(cfg.n_sweeps):
-        engine.half_sweep(True, width)
-        engine.half_sweep(False, width)
+        saturated = [engine.half_sweep(lr, width) for lr in (True, False)]
         half_sweeps += 2
-        # probe comparison across a full refinement cycle; checking every
-        # half sweep stalls on targets that need several sweeps of growth
-        if engine._probe_converged():
+        prev, ranks = ranks, [c.shape[2] for c in engine.cores[:-1]]
+        # Both tests compare full refinement cycles (checking every half
+        # sweep stalls on targets that need several sweeps of growth): the
+        # SVD chose the same ranks again, or the probe values settled.
+        if (ranks == prev and not any(saturated)) or engine._probe_converged():
             converged = True
             break
     return engine.result(half_sweeps, converged)

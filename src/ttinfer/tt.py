@@ -125,13 +125,17 @@ class DenseTensor:
 def tt_eval_many(tt: TensorTrain, idx: np.ndarray) -> np.ndarray:
     """Evaluate a batch of entries; ``idx`` has shape (batch, order).
 
-    Raises IndexError on another shape or on an index outside the dims
+    Raises IndexError on another shape, on a non-integer dtype (a cast
+    would truncate 1.7 to 1 silently) or on an index outside the dims
     (numpy's fancy indexing rejects those >= n_i, but would wrap negative
     ones silently).
     """
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
     if idx.ndim != 2 or idx.shape[1] != tt.order:
         raise IndexError(f"index batch must be (batch, {tt.order}), got {idx.shape}")
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise IndexError(f"index batch must hold integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     if idx.size and idx.min() < 0:
         raise IndexError(f"negative index in batch for dims {tt.dims}")
     vec = tt.cores[0][0, idx[:, 0], :]  # (batch, r_1)

@@ -1,6 +1,6 @@
 """Tests of the cross's maxvol pivoting, the Taylor TT exponential, and the
 elementwise TT-cross (both variants: update blocks of one and two cores)
-against dense oracles."""
+against dense oracles, with its two stopping tests."""
 
 import itertools
 import math
@@ -13,17 +13,24 @@ from ttinfer import (
     CrossConfig,
     DegenerateMatrixError,
     NonFiniteValueError,
+    build_prior_tt,
+    builtin_code_path,
+    load_code,
+    n0_from_ebn0,
     ones_tt,
     tt_cross,
     tt_eval_many,
     tt_exp_taylor,
     tt_hadamard,
     tt_to_dense,
+    ttdec,
+    ttdet,
     zeros_tt,
 )
 from ttinfer import cross as cross_module
-from ttinfer.cross import _maxvol
-from ttref import random_tt, tt_svd
+from ttinfer import posterior
+from ttinfer.cross import _check_seed_indices, _maxvol
+from ttref import perfbench_bch31_inputs, perfbench_mimo16_inputs, random_tt, tt_svd
 
 
 def clipped_random_tt(rng, dims, lo, hi, ranks=None):
@@ -592,6 +599,7 @@ class TestSeedValidation:
             ([[1, 2, 0, 1], [0, 1, 3, 0]], r"seed row 1 \[0, 1, 3, 0\]"),
             ([[0, 1]], "shaped"),
             (np.empty((0, 4)), "at least one"),
+            ([[1, 2, 0, 1], [0, 1.7, 1, 0]], "must be integers"),
         ],
     )
     def test_bad_seed_indices_are_rejected(self, seeds, match):
@@ -599,3 +607,119 @@ class TestSeedValidation:
         a = random_tt((2, 3, 3, 2), (2, 2, 2), rng)
         with pytest.raises(ValueError, match=match):
             tt_cross(np.exp, a, ones_tt(a.dims), small_cfg(10), seed_indices=seeds)
+
+    def test_non_integer_seeds_are_not_truncated(self):
+        for seeds in ([[0, 1.7, 0]], np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="must be integers"):
+                _check_seed_indices(seeds, (2, 2, 2))
+        got = _check_seed_indices(np.array([[0, 1, 0]], dtype=np.uint8), (2, 2, 2))
+        assert got.dtype == np.int64 and got.tolist() == [[0, 1, 0]]
+
+
+def saturation_reported_as(left_to_right, right_to_left):
+    """The cross engine with its half sweeps reporting these saturation
+    flags: all True switches the rank test off, all False ignores
+    saturation."""
+
+    class Engine(cross_module._CrossEngine):
+        def half_sweep(self, lr, width):
+            super().half_sweep(lr, width)
+            return left_to_right if lr else right_to_left
+
+    return Engine
+
+
+def assert_same_result(got, want):
+    assert got.tt.ranks == want.tt.ranks
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.tt.cores, want.tt.cores))
+    assert (got.n_evals, got.n_half_sweeps) == (want.n_evals, want.n_half_sweeps)
+
+
+def pipeline_crosses(calls, variant, engine=None, **cfg):
+    """The crosses of ``ttdet`` on 16-QAM inputs and ``ttdec`` on bch_31_16
+    inputs, ``calls`` listing (point, SNR or Eb/N0 in dB, benchmark trial),
+    run by ``engine`` in place of the cross engine when given."""
+    code = load_code(builtin_code_path("bch_31_16"))
+    results = []
+    real = posterior.tt_cross
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posterior, "tt_cross", recording)
+        if engine is not None:
+            mp.setattr(cross_module, "_CrossEngine", engine)
+        for point, db, index in calls:
+            if point == "mimo":
+                const, ch, y, seeds = perfbench_mimo16_inputs(7, index, snr_db=db)
+                cross_cfg = CrossConfig(rng_seed=seeds[variant], **cfg)
+                ttdet(y, ch, const.alphabet, cross_cfg, variant=variant)
+            else:
+                n0 = n0_from_ebn0(db, code.rate)
+                y, seeds = perfbench_bch31_inputs(code, n0, 7, index)
+                cross_cfg = CrossConfig(rng_seed=seeds[variant], **cfg)
+                ttdec(y, code, n0, (10,), cross_cfg, variant=variant)
+    return results
+
+
+class TestRankStop:
+    """The second stopping test: a full sweep whose bond ranks all equal
+    those after the previous full sweep (the init's after the first) and
+    whose every kept rank the SVD tolerance chose counts as converged."""
+
+    HIGH_SNR = [("mimo", 15.0, 1), ("mimo", 15.0, 2), ("mimo", 15.0, 3),
+                ("bch", 4.0, 0), ("bch", 4.0, 3), ("bch", 4.0, 5)]
+
+    @pytest.mark.parametrize("variant", ["sample", "sweep"])
+    def test_high_snr_crosses_stop_after_the_first_full_sweep(self, variant):
+        got = pipeline_crosses(self.HIGH_SNR, variant)
+        assert [(r.n_half_sweeps, r.converged) for r in got] == [(2, True)] * len(self.HIGH_SNR)
+        # the sweep that ran is the first sweep of the cross without the test
+        rank_test_off = saturation_reported_as(True, True)
+        want = pipeline_crosses(self.HIGH_SNR, variant, rank_test_off, n_sweeps=1)
+        for g, w in zip(got, want, strict=True):
+            assert_same_result(g, w)
+
+    @pytest.mark.parametrize("variant", ["sample", "sweep"])
+    def test_low_snr_crosses_are_unchanged(self, variant):
+        """At 5 dB the ranks grow, the rank test never fires, and every
+        output byte equals the cross's with the test switched off."""
+        calls = [("mimo", 5.0, index) for index in range(8)]
+        got = pipeline_crosses(calls, variant)
+        want = pipeline_crosses(calls, variant, saturation_reported_as(True, True))
+        assert max(r.n_half_sweeps for r in got) > 4
+        for g, w in zip(got, want, strict=True):
+            assert_same_result(g, w)
+            assert g.converged == w.converged
+
+    @pytest.mark.parametrize("variant", ["sample", "sweep"])
+    def test_rank_one_target_stops_exactly(self, monkeypatch, variant):
+        rng = np.random.default_rng(60)
+        a = build_prior_tt(rng.standard_normal(3), 6)
+        res = tt_cross(np.exp, a, ones_tt(a.dims), small_cfg(3), variant)
+        assert (res.n_half_sweeps, res.converged, max(res.tt.ranks)) == (2, True, 1)
+        np.testing.assert_allclose(tt_to_dense(res.tt).data, np.exp(tt_to_dense(a).data),
+                                   rtol=1e-12)
+        # a saturated block in either half sweep leaves the stop to the probes
+        for flags in ((True, False), (False, True)):
+            monkeypatch.setattr(cross_module, "_CrossEngine", saturation_reported_as(*flags))
+            assert tt_cross(np.exp, a, ones_tt(a.dims), small_cfg(3), variant).n_half_sweeps == 4
+
+    @pytest.mark.parametrize(
+        "variant,max_rank,oversample", [("sample", 1, 4), ("sweep", 1, 4), ("sample", 64, 0)]
+    )
+    def test_saturated_blocks_do_not_stop_the_first_sweep(
+        self, monkeypatch, variant, max_rank, oversample
+    ):
+        """A full-rank target whose kept ranks the cap (max_rank 1) or the
+        sample (one pivot, no oversampling) chose: the ranks stay at the
+        init's 1, yet the cross goes on, where ignoring saturation stops it."""
+        rng = np.random.default_rng(61)
+        a = random_tt((3,) * 5, (3,) * 4, rng, scale=0.8)
+        cfg = small_cfg(4, max_rank=max_rank, oversample=oversample)
+        res = tt_cross(np.exp, a, ones_tt(a.dims), cfg, variant)
+        assert max(res.tt.ranks) == 1 and res.n_half_sweeps > 2
+        monkeypatch.setattr(cross_module, "_CrossEngine", saturation_reported_as(False, False))
+        assert tt_cross(np.exp, a, ones_tt(a.dims), cfg, variant).n_half_sweeps == 2

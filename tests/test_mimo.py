@@ -23,6 +23,7 @@ from ttinfer import (
 )
 from ttinfer import mimo, posterior
 from ttinfer.mimo import _sphere_list
+from ttref import perfbench_mimo16_inputs
 
 
 def assignments(n_modes, alphabet):
@@ -309,35 +310,32 @@ class TestSphereList:
             np.testing.assert_array_equal(_sphere_list(y, h, alphabet, list_size), expect)
 
 
-def perfbench_mimo16_inputs(seed, index, snr_db=15.0):
-    """The benchmark's mimo16_15db trial ``index``: the data stream and one
-    cross seed per variant split from SeedSequence([seed, index])."""
-    data, *cross = np.random.SeedSequence([seed, index]).spawn(3)
-    rng = np.random.default_rng(data)
-    const = QamConstellation.from_order(16)
-    hc = sample_channel(4, 4, rng)
-    s2 = noise_variance_for_snr(hc, const.energy_complex, snr_db)
-    x = const.alphabet[rng.integers(0, const.size_real, size=8)]
-    h = realify_channel(hc)
-    y = h @ x + np.sqrt(s2) * rng.standard_normal(8)
-    ch = ChannelRealization(h=h, sigma2=s2, nt_complex=4, nr_complex=4)
-    seeds = {v: int(s.generate_state(1)[0]) for v, s in zip(("sample", "sweep"), cross)}
-    return const, ch, y, seeds
-
-
-@pytest.mark.parametrize("variant", ["sample", "sweep"])
-def test_ttdet_agrees_with_exact_marginals_trial_by_trial(variant):
-    """16-QAM at 15 dB, where the random-probe mode search missed the mode:
-    trial 26 of seed 7 gave exactly uniform ``sample`` marginals."""
-    for index in range(7, 27):
-        const, ch, y, seeds = perfbench_mimo16_inputs(7, index)
+def assert_ttdet_agrees_with_exact_marginals(indices, snr_db, variant, bound):
+    """Paired check on the benchmark's 16-QAM inputs of seed 7: decisions
+    equal the exact MAP's trial by trial, and max |dP| stays <= ``bound``."""
+    for index in indices:
+        const, ch, y, seeds = perfbench_mimo16_inputs(7, index, snr_db=snr_db)
         oracle = mimo_exact_marginals(y, ch.h, ch.sigma2, const.alphabet)
         trial = ttdet(y, ch, const.alphabet, CrossConfig(max_rank=1024, rng_seed=seeds[variant]),
                       variant=variant)
         np.testing.assert_array_equal(
             trial.x_hat, const.alphabet[np.argmax(oracle.probs, axis=1)], err_msg=f"trial {index}"
         )
-        assert np.abs(trial.marginals.probs - oracle.probs).max() <= 1e-3, index
+        assert np.abs(trial.marginals.probs - oracle.probs).max() <= bound, index
+
+
+@pytest.mark.parametrize("variant", ["sample", "sweep"])
+def test_ttdet_agrees_with_exact_marginals_trial_by_trial(variant):
+    """16-QAM at 15 dB, where the random-probe mode search missed the mode:
+    trial 26 of seed 7 gave exactly uniform ``sample`` marginals."""
+    assert_ttdet_agrees_with_exact_marginals(range(7, 27), 15.0, variant, 1e-3)
+
+
+def test_ttdet_sweep_at_5db_agrees_with_exact_marginals_trial_by_trial():
+    """Low SNR, where the cross ranks grow and its rank test must not stop
+    it early.  The bound is 1.1 x the max |dP| of 7.4e-5 that the cross
+    without the rank test reached on these 25 inputs."""
+    assert_ttdet_agrees_with_exact_marginals(range(25), 5.0, "sweep", 8e-5)
 
 
 def test_default_ttdet_never_rounds(monkeypatch):

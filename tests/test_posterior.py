@@ -147,6 +147,7 @@ class TestInferMarginals:
         ([[0, 0, 2]], r"seed row 0 \[0, 0, 2\] outside dims"),
         ([[0, -1, 0]], r"seed row 0 \[0, -1, 0\] outside dims"),
         (np.empty((0, 3)), "at least one"),
+        ([[0, 1.7, 0]], "must be integers"),
     ])
     def test_bad_seeds_are_rejected_before_the_shift(self, monkeypatch, seeds, match):
         monkeypatch.setattr(posterior, "tt_eval_many", lambda *a: pytest.fail("shift taken first"))

@@ -100,6 +100,14 @@ class TestEval:
             with pytest.raises(IndexError):
                 tt_eval_many(tt, idx)
 
+    def test_non_integer_index_raises(self):
+        tt = TensorTrain([np.arange(2.0).reshape(1, 2, 1), np.arange(1.0, 3.0).reshape(1, 2, 1)])
+        for idx in ([[0.9, 1.2]], np.zeros((1, 2)), [[True, False]]):
+            with pytest.raises(IndexError, match="integers"):
+                tt_eval_many(tt, idx)
+        small = np.array([[1, 1], [1, 0]], dtype=np.uint8)
+        np.testing.assert_array_equal(tt_eval_many(tt, small), [2.0, 1.0])
+
     def test_empty_batch(self):
         out = tt_eval_many(ones_tt((2, 3)), np.zeros((0, 2), dtype=np.int64))
         assert out.shape == (0,)

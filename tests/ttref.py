@@ -1,13 +1,24 @@
-"""Test-local TT constructors: seeded random TTs and an exact TT-SVD.
+"""Test-local TT constructors (seeded random TTs and an exact TT-SVD) and
+the benchmark's seeded pipeline inputs.
 
 The package builds its TTs from model structure and never from a dense
 array, so these reference constructors live beside the tests that need
-arbitrary inputs and dense-to-TT round trips.
+arbitrary inputs and dense-to-TT round trips.  The pipeline inputs repeat
+the draws of the benchmark's workloads, so tests of several modules can pin
+the benchmark's own trials.
 """
 
 import numpy as np
 
-from ttinfer import TensorTrain, zeros_tt
+from ttinfer import (
+    ChannelRealization,
+    QamConstellation,
+    TensorTrain,
+    noise_variance_for_snr,
+    realify_channel,
+    sample_channel,
+    zeros_tt,
+)
 from ttinfer.tt import _chop_ranks
 
 
@@ -46,3 +57,30 @@ def tt_svd(t, tol: float = 0.0) -> TensorTrain:
         r_prev = r
     cores.append(block.reshape(r_prev, dims[-1], 1))
     return TensorTrain(cores, copy=False)
+
+
+def perfbench_mimo16_inputs(seed, index, snr_db=15.0):
+    """The benchmark's mimo16_15db trial ``index``: the data stream and one
+    cross seed per variant split from SeedSequence([seed, index])."""
+    data, *cross = np.random.SeedSequence([seed, index]).spawn(3)
+    rng = np.random.default_rng(data)
+    const = QamConstellation.from_order(16)
+    hc = sample_channel(4, 4, rng)
+    s2 = noise_variance_for_snr(hc, const.energy_complex, snr_db)
+    x = const.alphabet[rng.integers(0, const.size_real, size=8)]
+    h = realify_channel(hc)
+    y = h @ x + np.sqrt(s2) * rng.standard_normal(8)
+    ch = ChannelRealization(h=h, sigma2=s2, nt_complex=4, nr_complex=4)
+    seeds = {v: int(s.generate_state(1)[0]) for v, s in zip(("sample", "sweep"), cross)}
+    return const, ch, y, seeds
+
+
+def perfbench_bch31_inputs(code, n0, seed, index):
+    """The benchmark's bch31_4db trial ``index``: the data stream and one
+    cross seed per variant split from SeedSequence([seed, index])."""
+    data, *cross = np.random.SeedSequence([seed, index]).spawn(3)
+    rng = np.random.default_rng(data)
+    u = rng.integers(0, 2, size=code.k)
+    y = 1.0 - 2.0 * code.encode(u) + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
+    seeds = {v: int(s.generate_state(1)[0]) for v, s in zip(("sample", "sweep"), cross)}
+    return y, seeds
