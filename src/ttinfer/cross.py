@@ -24,13 +24,16 @@ cap, chose every rank kept in the sweep (the rank test of DMRG-cross,
 Savostyanov & Oseledets 2011).  A half sweep draws all its random fibers in
 one generator call, placed by a cached layout, and builds their argument
 interfaces in one pass over the cores.  Each block update costs its
-einsums, f, one SVD (the local rank), one getrf (maxvol's starting rows)
-and one solve, whose B = U @ U[rows]^-1 is both maxvol's swap criterion and
-the new core's interpolative factor; only a maxvol swap adds a second
-solve.  At pipeline ranks (mostly a dozen rows, rank 1) call overhead
-outweighs flops, so rank chop, pivot permutation and B's argmax run on
-Python scalars.  All randomness flows from ``CrossConfig.rng_seed``: fixed
-seed, same bits.
+einsums, f, one SVD (the local rank) and maxvol.  At rank 1 maxvol is
+closed form: the entry of largest magnitude and one scaling.  At higher
+ranks it costs one getrf (the starting rows) and one solve, whose
+B = U @ U[rows]^-1 is both maxvol's swap criterion and the new core's
+interpolative factor; only a maxvol swap adds a second solve.  At pipeline
+ranks (mostly a few rows, rank 1) call overhead outweighs flops, so rank
+chop, pivot permutation and B's argmax run on Python scalars, the init's
+probe values are computed only if the probe test runs, and the argument
+cores are stored mode-major once per call for the fibers' gathers.  All
+randomness flows from ``CrossConfig.rng_seed``: fixed seed, same bits.
 """
 
 from __future__ import annotations
@@ -130,6 +133,13 @@ def _maxvol(m: np.ndarray, dom_tol: float, max_iters: int):
     ``np.linalg.solve(m[rows].T, m.T).T`` byte for byte, and the cross uses
     it as its interpolative factor.
 
+    A single column is solved in closed form: the row is the first entry of
+    largest magnitude (getrf's pivot, LAPACK's idamax), no swap can gain
+    more than 1, and B = m * (1 / m[row]).  The solve of a 1 x 1 system
+    multiplies by the pivot's reciprocal in the triangular solve, so this B
+    equals the solve byte for byte, where m / m[row] would differ in the
+    last bit on most columns.
+
     Raises ValueError on a wide matrix, DegenerateMatrixError (a ValueError)
     on empty input or numerically dependent columns.
     """
@@ -138,6 +148,12 @@ def _maxvol(m: np.ndarray, dom_tol: float, max_iters: int):
         raise ValueError(f"need at least as many rows as columns, got {m.shape}")
     if m.size == 0:  # getrf rejects a 0 x 0 matrix
         raise DegenerateMatrixError("pivoted pre-factorization failed: columns are dependent")
+    if r == 1:
+        p = int(np.abs(m[:, 0]).argmax())
+        pivot = float(m[p, 0])
+        if pivot == 0.0:
+            raise DegenerateMatrixError("pivoted pre-factorization failed: columns are dependent")
+        return np.array([p]), m * (1.0 / pivot), []
     # The getrf that scipy.linalg.lu_factor wraps: same pivots, no wrapper.
     lu, piv, _ = dgetrf(m)
     diag = np.abs(lu.diagonal())
@@ -249,6 +265,10 @@ class _CrossEngine:
             raise ValueError(f"init shape {init.dims} does not match argument {arg.dims}")
         self.f = f
         self.arg = arg
+        # Mode-major copies of the argument cores: arg_t[j][idx] gathers
+        # fibers contiguously, and its (1, 0, 2) transpose has the layout of
+        # core[:, idx, :], so the einsums see the same operands.
+        self.arg_t = [np.ascontiguousarray(c.transpose(1, 0, 2)) for c in arg.cores]
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.rng_seed)
         self.dims = arg.dims
@@ -272,7 +292,10 @@ class _CrossEngine:
             # Seeds anchor the convergence metric: where f is concentrated,
             # random probes alone would compare noise against noise.
             self.probe_idx = np.concatenate([self.probe_idx, seeds])
-        self.probe_vals = tt_eval_many(init, self.probe_idx)
+        # The init's probe values, computed when the probe test first runs
+        # (most calls stop on the rank test first).
+        self.init = init
+        self.probe_vals: np.ndarray | None = None
 
     # -- initialization ---------------------------------------------------
 
@@ -304,7 +327,7 @@ class _CrossEngine:
         so one right-to-left pass over the cores builds their interfaces."""
         vec = np.ones((seeds.shape[0], 1))
         for b in range(self.n - 1, 0, -1):
-            vec = np.einsum("lcr,cr->cl", self.arg.cores[b][:, seeds[:, b], :], vec)
+            vec = np.einsum("lcr,cr->cl", self.arg_t[b][seeds[:, b]].transpose(1, 0, 2), vec)
             self.right[b] = np.concatenate([self.right[b], seeds[:, b:]])
             self.right_if[b] = np.concatenate([self.right_if[b], vec])
 
@@ -328,12 +351,14 @@ class _CrossEngine:
         if lr:
             for j in range(n - 1, width - 1, -1):
                 end = kick * (j - width + 1)
-                vec = np.einsum("lcr,cr->cl", self.arg.cores[j][:, fibers[:end, j], :], vec[:end])
+                slices = self.arg_t[j][fibers[:end, j]].transpose(1, 0, 2)
+                vec = np.einsum("lcr,cr->cl", slices, vec[:end])
                 self.extra[j] = (fibers[end - kick : end, j:], vec[end - kick :])
         else:
             for j in range(n - width):
                 end = kick * (n - width - j)
-                vec = np.einsum("cl,lcr->cr", vec[:end], self.arg.cores[j][:, fibers[:end, j], :])
+                slices = self.arg_t[j][fibers[:end, j]].transpose(1, 0, 2)
+                vec = np.einsum("cl,lcr->cr", vec[:end], slices)
                 self.extra[j + 1] = (fibers[end - kick : end, : j + 1], vec[end - kick :])
 
     def _candidates(self, bond: int, right: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -357,6 +382,8 @@ class _CrossEngine:
         return out
 
     def _probe_converged(self) -> bool:
+        if self.probe_vals is None:
+            self.probe_vals = tt_eval_many(self.init, self.probe_idx)
         tt = TensorTrain(self.cores, copy=False)
         vals = tt_eval_many(tt, self.probe_idx)
         prev = self.probe_vals

@@ -217,7 +217,11 @@ def infer_marginals(
     lo = -(_EXP_CLIP_MARGIN + float(np.sum(np.log(lp.tt.dims))))
 
     def f(values):
-        return np.exp((values - shift).clip(lo, _EXP_CLIP_HI))
+        # (values - shift).clip(lo, _EXP_CLIP_HI) and exp, in one buffer
+        v = values - shift
+        np.maximum(v, lo, out=v)
+        np.minimum(v, _EXP_CLIP_HI, out=v)
+        return np.exp(v, out=v)
 
     result = tt_cross(f, lp.tt, init, cfg, variant=variant, seed_indices=seeds)
     table = np.empty((lp.n_modes, lp.alphabet.size))

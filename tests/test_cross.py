@@ -29,7 +29,7 @@ from ttinfer import (
 )
 from ttinfer import cross as cross_module
 from ttinfer import posterior
-from ttinfer.cross import _check_seed_indices, _maxvol
+from ttinfer.cross import _check_seed_indices, _maxvol, _rank_revealing_maxvol
 from ttref import perfbench_bch31_inputs, perfbench_mimo16_inputs, random_tt, tt_svd
 
 
@@ -48,8 +48,10 @@ class TestMaxvol:
         assert sorted(rows) == [0, 1, 2, 3]
 
     def test_rank1_is_argmax(self):
-        m = np.array([[1.0], [2.0], [4.0], [8.0]])
-        assert _maxvol(m, 1e-2, 100)[0].tolist() == [3]
+        # a tie in magnitude goes to the first row, as getrf's pivot does
+        for col, row in [([1.0, 2.0, 4.0, 8.0], 3), ([2.0, -2.0, 1.0], 0),
+                         ([-1.0, -5.0, -3.0], 1)]:
+            assert _maxvol(np.array(col)[:, None], 1e-2, 100)[0].tolist() == [row]
 
     def test_dominance_postcondition(self):
         rng = np.random.default_rng(5)
@@ -111,6 +113,7 @@ class TestMaxvol:
                 self.assert_factor_is_fresh_solve(wide[:, :r])
                 self.assert_factor_is_fresh_solve(np.ascontiguousarray(wide[:, :r]))
                 self.assert_factor_is_fresh_solve(wide.T[:r].T)
+                self.assert_factor_is_fresh_solve(-np.abs(wide[:, :r]))
 
     def test_factor_after_swaps_equals_solve_bytewise(self):
         rng = np.random.default_rng(7)
@@ -118,8 +121,11 @@ class TestMaxvol:
         assert self.assert_factor_is_fresh_solve(m)  # swaps happened
 
     def test_factor_degenerate_raises(self):
-        with pytest.raises(DegenerateMatrixError):
-            _maxvol(np.zeros((3, 2)), 1e-2, 100)
+        for m in (np.zeros((3, 2)), np.zeros((3, 1))):
+            with pytest.raises(DegenerateMatrixError):
+                _maxvol(m, 1e-2, 100)
+        # the init pass falls back to row 0 on an all-zero column
+        assert _rank_revealing_maxvol(np.zeros((4, 1))).tolist() == [0]
 
 
 class TestTaylorExp:
@@ -478,7 +484,8 @@ def test_maxvol_matches_array_reference():
     for n, r in [(1, 1), (5, 1), (12, 1), (6, 2), (12, 4), (40, 5), (9, 9)]:
         for _ in range(10):
             wide = rng.standard_normal((n, r + 3))
-            for m in (wide[:, :r], wide.T[:r].T, np.ascontiguousarray(wide[:, :r])):
+            for m in (wide[:, :r], wide.T[:r].T, np.ascontiguousarray(wide[:, :r]),
+                      -np.abs(wide[:, :r])):
                 rows, b, history = _maxvol(m, 1e-2, 100)
                 want_rows, want_b, want_history = array_maxvol(m, 1e-2, 100)
                 assert rows.dtype == want_rows.dtype
@@ -569,6 +576,53 @@ class TestBlockUpdateReference:
             for s1, s2 in zip(got_sets, want_sets, strict=True):
                 assert s1.dtype == s2.dtype
                 np.testing.assert_array_equal(s1, s2)
+
+    @pytest.mark.parametrize("variant", ["sample", "sweep"])
+    def test_pipeline_crosses_match_per_bond_reference(self, monkeypatch, variant):
+        """The benchmark's own crosses, where most block updates keep one
+        column: 4x4 16-QAM 15 dB quadratic metrics seeded by the sphere list
+        and bch_31_16 4 dB metrics seeded by the OSD list, sampled through
+        ``infer_marginals``' shifted, clipped exponential.  The reference
+        draws bond by bond, gathers fibers by fancy indexing and runs
+        ``array_maxvol`` and ``cumsum_chop_ranks``."""
+        columns = []
+        maxvol = cross_module._maxvol
+
+        def counting_maxvol(m, dom_tol, max_iters):
+            columns.append(m.shape[1])
+            return maxvol(m, dom_tol, max_iters)
+
+        def compared(f, a, init, cfg, variant, seed_indices):
+            sampled = {"got": [], "want": []}
+
+            def recording(key):
+                def g(v):
+                    sampled[key].append(v.tobytes())
+                    return f(v)
+                return g
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cross_module, "_CrossEngine", RecordingEngine)
+                mp.setattr(cross_module, "_maxvol", counting_maxvol)
+                got = tt_cross(recording("got"), a, init, cfg, variant, seed_indices)
+                mp.setattr(cross_module, "_CrossEngine", PerBondDrawEngine)
+                mp.setattr(cross_module, "_maxvol", array_maxvol)
+                mp.setattr(cross_module, "_chop_ranks", cumsum_chop_ranks)
+                want = tt_cross(recording("want"), a, init, cfg, variant, seed_indices)
+            assert sampled["got"] == sampled["want"]
+            assert_same_result(got, want)
+            assert got.converged == want.converged
+            for got_sets, want_sets in zip(RecordingEngine.pivot_sets(),
+                                           PerBondDrawEngine.pivot_sets()):
+                for s1, s2 in zip(got_sets, want_sets, strict=True):
+                    assert s1.dtype == s2.dtype
+                    np.testing.assert_array_equal(s1, s2)
+            return got
+
+        monkeypatch.setattr(posterior, "tt_cross", compared)
+        calls = [("mimo", 15.0, 1), ("mimo", 15.0, 4), ("bch", 4.0, 0), ("bch", 4.0, 3)]
+        assert len(pipeline_crosses(calls, variant)) == len(calls)
+        assert columns.count(1) > len(columns) / 2
 
 
 class TestDrawLayout:
