@@ -62,14 +62,12 @@ from .chancode import (
     ttdec,
 )
 from .harness import (
-    RankStats,
     SimConfig,
     SweepResult,
     SweepRow,
     code_exact_bitwise_map,
     lmmse_detect,
     mimo_exact_marginals,
-    rank_stats,
     run_sweep,
 )
 

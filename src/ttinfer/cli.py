@@ -26,9 +26,11 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .chancode import _builtin_code_names, builtin_code_path, load_code
 from .cross import CrossConfig
-from .harness import SimConfig, rank_stats, run_sweep
+from .harness import TT_DETECTORS, SimConfig, run_sweep
 
 __all__ = ["main"]
 
@@ -91,7 +93,7 @@ class _HelpFormatter(argparse.HelpFormatter):
 # SimConfig, which supplies the rest.
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file preloading any flag; flags win")
-    parser.add_argument("--variant", default="sample", choices=("sample", "sweep", "both"))
+    parser.add_argument("--variant", default="sample", choices=(*TT_DETECTORS, "both"))
     parser.add_argument("--taylor-p", type=int,
                         help="Taylor degree of the exp init (0: all ones; 10: the paper's init)")
     parser.add_argument("--tol", dest="trunc_tol", type=float,
@@ -189,7 +191,7 @@ def _sim_config(settings: dict) -> SimConfig:
     settings.pop("config", None)
     detectors = ["oracle"] if settings.pop("with_oracle", False) else []
     variant = settings.pop("variant")
-    detectors.extend(("sample", "sweep") if variant == "both" else (variant,))
+    detectors.extend(TT_DETECTORS if variant == "both" else (variant,))
     if settings.pop("with_lmmse", False):
         detectors.append("lmmse")
     cross = {f.name: settings.pop(f.name) for f in fields(CrossConfig) if f.name in settings}
@@ -221,16 +223,15 @@ def _run_ranks(args, parser: argparse.ArgumentParser) -> int:
     if not values:
         of_detector = f" of detector {args.detector!r}" if args.detector else ""
         raise SystemExit(f"{args.infile} has no rank records{of_detector}")
-    stats = rank_stats(values)
+    ranks, counts = np.unique(values, return_counts=True)
     try:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rmax", "count"])
-            for value in sorted(stats.histogram):
-                writer.writerow([value, stats.histogram[value]])
+            writer.writerows(zip(ranks.tolist(), counts.tolist()))
     except OSError as err:
         parser.error(f"cannot write {args.out!r}: {err.strerror}")
-    print(f"records={len(values)} mean={stats.mean:.6g} median={stats.median:.6g}")
+    print(f"records={len(values)} mean={np.mean(values):.6g} median={np.median(values):.6g}")
     print(f"wrote {args.out}")
     return 0
 

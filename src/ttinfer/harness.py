@@ -1,5 +1,5 @@
 """Monte Carlo benchmarking harness: error-rate sweeps over SNR grids with
-exact-enumeration oracles, an LMMSE baseline, rank statistics, and CSV output.
+exact-enumeration oracles, an LMMSE baseline, and CSV output.
 
 Every trial derives its own random stream from (master seed, SNR point,
 trial index), so results are reproducible for a fixed seed and statistically
@@ -37,14 +37,12 @@ from .posterior import (
 )
 
 __all__ = [
-    "RankStats",
     "SimConfig",
     "SweepResult",
     "SweepRow",
     "code_exact_bitwise_map",
     "lmmse_detect",
     "mimo_exact_marginals",
-    "rank_stats",
     "run_sweep",
 ]
 
@@ -56,6 +54,9 @@ CSV_HEADER = (
 MIMO_DETECTORS = ("oracle", "sample", "sweep", "lmmse")
 DECODE_DETECTORS = ("oracle", "sample", "sweep")
 TT_DETECTORS = ("sample", "sweep")
+
+# Trials per batch; a sweep point checks its stopping rule after each batch.
+BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,6 @@ class SimConfig:
     max_trials: int = 10_000
     master_seed: int = 0
     workers: int = 1
-    batch_size: int = 32
     out_path: str | None = None
     trial_dump: str | None = None
 
@@ -107,9 +107,11 @@ class SimConfig:
         if not self.detectors:
             raise ValueError("need at least one detector")
         allowed = MIMO_DETECTORS if self.scenario == "mimo" else DECODE_DETECTORS
-        for det in self.detectors:
+        for i, det in enumerate(self.detectors):
             if det not in allowed:
                 raise ValueError(f"detector {det!r} not available for {self.scenario}")
+            if det in self.detectors[:i]:
+                raise ValueError(f"detector {det!r} is listed more than once")
         if self.scenario == "decode" and self.code_path is None:
             raise ValueError("decoding sweeps need a code file")
         QamConstellation.from_order(self.qam)
@@ -118,7 +120,7 @@ class SimConfig:
             raise ValueError("trunc_tol must be >= 0")
         for name, low in (("taylor_p", 0), ("master_seed", 0), ("taylor_max_rank", 1),
                           ("nt_complex", 1), ("workers", 1), ("min_block_errors", 1),
-                          ("max_trials", 1), ("batch_size", 1)):
+                          ("max_trials", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
 
@@ -140,7 +142,6 @@ class SweepRow:
     median_rmax: float
     max_rmax: int
     early_stop_rate: float
-    wall_ms: float
 
 
 @dataclass
@@ -161,23 +162,6 @@ class SweepResult:
                 f"{r.early_stop_rate:.10g},0\n"
             )
         return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class RankStats:
-    histogram: dict[int, int]
-    mean: float
-    median: float
-
-
-def rank_stats(records) -> RankStats:
-    """Integer-binned histogram plus exact mean/median of observed ranks."""
-    values = np.asarray(list(records), dtype=np.int64)
-    if values.size == 0:
-        raise ValueError("need at least one record")
-    uniq, counts = np.unique(values, return_counts=True)
-    hist = {int(v): int(c) for v, c in zip(uniq, counts)}
-    return RankStats(histogram=hist, mean=float(values.mean()), median=float(np.median(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,32 +272,28 @@ def lmmse_detect(y: np.ndarray, ch: ChannelRealization, alphabet) -> np.ndarray:
 
 def _trial_streams(master_seed: int, point: int, trial: int):
     root = np.random.SeedSequence(entropy=(master_seed, point, trial))
-    data_seq, sample_seq, sweep_seq = root.spawn(3)
-    rng = np.random.default_rng(data_seq)
-    seeds = {
-        "sample": int(sample_seq.generate_state(1)[0]),
-        "sweep": int(sweep_seq.generate_state(1)[0]),
-    }
-    return rng, seeds
+    data_seq, *cross_seqs = root.spawn(1 + len(TT_DETECTORS))
+    seeds = {det: int(seq.generate_state(1)[0]) for det, seq in zip(TT_DETECTORS, cross_seqs)}
+    return np.random.default_rng(data_seq), seeds
 
 
-def _trial_records(cfg: SimConfig, trial: int, truth: np.ndarray, detect) -> dict:
-    """Score every enabled detector on one trial.  ``detect(det)`` returns
-    (decisions, max rank, early stop); a detector whose inference fails
-    counts as failed with every symbol wrong."""
-    out: dict = {"trial": trial}
+def _trial_records(cfg: SimConfig, trial: int, truth: np.ndarray, detect) -> list[tuple]:
+    """Score every enabled detector on one trial: one row
+    (detector, trial, errors, rmax, early, failed) per detector.
+    ``detect(det)`` returns (decisions, max rank, early stop); a detector
+    whose inference fails counts as failed with every symbol wrong."""
+    rows = []
     for det in cfg.detectors:
         try:
             decisions, rmax, early = detect(det)
-            errors = int(np.count_nonzero(decisions != truth))
-            out[det] = {"errors": errors, "block": int(errors > 0), "rmax": rmax,
-                        "early": early, "failed": 0}
         except InferenceFailureError:
-            out[det] = {"errors": truth.size, "block": 1, "rmax": 0, "early": 0, "failed": 1}
-    return out
+            rows.append((det, trial, truth.size, 0, 0, 1))
+        else:
+            rows.append((det, trial, int(np.count_nonzero(decisions != truth)), rmax, early, 0))
+    return rows
 
 
-def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> dict:
+def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> list[tuple]:
     const = QamConstellation.from_order(cfg.qam)
     rng, seeds = _trial_streams(cfg.master_seed, point, trial)
     h_c = sample_channel(cfg.nt_complex, cfg.nt_complex, rng)
@@ -348,7 +328,8 @@ def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> dict:
     return _trial_records(cfg, trial, x, detect)
 
 
-def _decode_trial(cfg: SimConfig, code: LinearCode, ebn0_db: float, point: int, trial: int) -> dict:
+def _decode_trial(cfg: SimConfig, code: LinearCode, ebn0_db: float, point: int,
+                  trial: int) -> list[tuple]:
     n0 = n0_from_ebn0(ebn0_db, code.rate)
     rng, seeds = _trial_streams(cfg.master_seed, point, trial)
     u = rng.integers(0, 2, size=code.k)
@@ -402,7 +383,7 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
     reference = "oracle" if "oracle" in cfg.detectors else cfg.detectors[0]
     symbols_per_trial = 2 * cfg.nt_complex if cfg.scenario == "mimo" else (code.k if code else 0)
     result = SweepResult()
-    dump_rows: list[tuple] = []
+    dump: list[tuple[float, list[tuple]]] = []  # (snr_db, trial rows) per grid point
     # One pool for the whole sweep: starting workers for every batch made
     # workers=2 slower than serial.
     pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
@@ -410,57 +391,48 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
         run_jobs = pool.map if pool else map
         for point, snr_db in enumerate(cfg.snr_grid):
             start = time.perf_counter()
-            agg = {
-                det: {"errors": 0, "blocks": 0, "early": 0, "failed": 0, "rmax": []}
-                for det in cfg.detectors
-            }
-            trials_done = 0
+            rows: list[tuple] = []  # (detector, trial, errors, rmax, early, failed)
+            trials_done = ref_blocks = 0
             while trials_done < cfg.max_trials:
-                batch = min(cfg.batch_size, cfg.max_trials - trials_done)
+                batch = min(BATCH_SIZE, cfg.max_trials - trials_done)
                 jobs = [(cfg, code, snr_db, point, trials_done + i) for i in range(batch)]
-                records = list(run_jobs(_run_trial, jobs))
-                for rec in records:
-                    for det in cfg.detectors:
-                        r = rec[det]
-                        agg[det]["errors"] += r["errors"]
-                        agg[det]["blocks"] += r["block"]
-                        agg[det]["early"] += r["early"]
-                        agg[det]["failed"] += r["failed"]
-                        agg[det]["rmax"].append(r["rmax"])
-                        if cfg.trial_dump:
-                            dump_rows.append(
-                                (det, snr_db, rec["trial"], r["errors"], r["rmax"], r["early"])
-                            )
+                for records in run_jobs(_run_trial, jobs):
+                    rows.extend(records)
+                    ref_blocks += sum(det == reference and errors > 0
+                                      for det, _, errors, *_ in records)
                 trials_done += batch
-                if agg[reference]["blocks"] >= cfg.min_block_errors:
+                if ref_blocks >= cfg.min_block_errors:
                     break
             wall_ms = 1e3 * (time.perf_counter() - start)
+            failures = {}
             for det in cfg.detectors:
-                ranks = np.asarray(agg[det]["rmax"], dtype=np.int64)
-                tt_based = det in TT_DETECTORS
-                row = SweepRow(
+                errors, ranks, early, failed = np.array(
+                    [r[2:] for r in rows if r[0] == det], dtype=np.int64).T
+                sym_errors = int(errors.sum())
+                result.rows.append(SweepRow(
                     detector=det,
                     snr_db=snr_db,
                     trials=trials_done,
-                    sym_errors=agg[det]["errors"],
-                    blk_errors=agg[det]["blocks"],
-                    rate=agg[det]["errors"] / (trials_done * symbols_per_trial),
-                    mean_rmax=float(ranks.mean()) if tt_based else 0.0,
-                    median_rmax=float(np.median(ranks)) if tt_based else 0.0,
-                    max_rmax=int(ranks.max()) if tt_based else 0,
-                    early_stop_rate=agg[det]["early"] / trials_done,
-                    wall_ms=wall_ms,
-                )
-                result.rows.append(row)
-                result.inference_failures += agg[det]["failed"]
+                    sym_errors=sym_errors,
+                    blk_errors=int(np.count_nonzero(errors)),
+                    rate=sym_errors / (trials_done * symbols_per_trial),
+                    mean_rmax=float(ranks.mean()),
+                    median_rmax=float(np.median(ranks)),
+                    max_rmax=int(ranks.max()),
+                    early_stop_rate=int(early.sum()) / trials_done,
+                ))
+                failures[det] = int(failed.sum())
+            result.inference_failures += sum(failures.values())
+            if cfg.trial_dump:
+                dump.append((snr_db, rows))
             if log is not None:
-                failures = "".join(
-                    f", {agg[det]['failed']} {det} failures" for det in cfg.detectors
+                failed_tt = "".join(
+                    f", {failures[det]} {det} failures" for det in cfg.detectors
                     if det in TT_DETECTORS
                 )
                 log(
                     f"point {snr_db:g} dB: {trials_done} trials, "
-                    f"{agg[reference]['blocks']} reference block errors{failures}, {wall_ms:.0f} ms"
+                    f"{ref_blocks} reference block errors{failed_tt}, {wall_ms:.0f} ms"
                 )
     if cfg.out_path:
         with open(cfg.out_path, "w", newline="") as fh:
@@ -469,6 +441,7 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
         with open(cfg.trial_dump, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["detector", "snr_db", "trial", "errors", "rmax", "early"])
-            for row in dump_rows:
-                writer.writerow([row[0], f"{row[1]:.10g}", *row[2:]])
+            for snr_db, rows in dump:
+                writer.writerows((det, f"{snr_db:.10g}", trial, errors, rmax, early)
+                                 for det, trial, errors, rmax, early, _ in rows)
     return result

@@ -3,9 +3,10 @@ exits with 0 and writes CSVs with the expected headers and row counts, the
 sweep subcommands carry every flag and config-file key into the SimConfig
 and take every other setting from SimConfig's defaults, and out-of-range
 values, malformed code files, unreadable config files and unwritable
-output paths exit with a usage error before any trial runs; ``ranks`` exits
-with a message on an unusable input or output path, an input without rank
-records or a rank that is not a finite number."""
+output paths exit with a usage error before any trial runs; ``ranks`` prints
+its summary line and writes its histogram, and exits with a message on an
+unusable input or output path, an input without rank records or a rank that
+is not a finite number."""
 
 import csv
 import json
@@ -340,6 +341,19 @@ def test_unwritable_output_exits_with_usage_error_before_any_trial(monkeypatch, 
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "ttinfer mimo: error: cannot write" in err and "x.csv" in err
+
+
+def test_ranks_prints_summary_and_writes_histogram(tmp_path, capsys):
+    dump, hist = tmp_path / "trials.csv", tmp_path / "r.csv"
+    rows = [("sample", 1), ("sweep", 2), ("sample", 2), ("sweep", 5)]
+    dump.write_text(",".join(TRIAL_HEADER) + "\n"
+                    + "".join(f"{det},10,{t},0,{rmax},0\n" for t, (det, rmax) in enumerate(rows)))
+    assert main(["ranks", "--in", str(dump), "--out", str(hist)]) == 0
+    assert capsys.readouterr().out == f"records=4 mean=2.5 median=2\nwrote {hist}\n"
+    assert read_csv(hist) == (["rmax", "count"], [["1", "1"], ["2", "2"], ["5", "1"]])
+    assert main(["ranks", "--in", str(dump), "--detector", "sweep", "--out", str(hist)]) == 0
+    assert capsys.readouterr().out == f"records=2 mean=3.5 median=3.5\nwrote {hist}\n"
+    assert read_csv(hist) == (["rmax", "count"], [["2", "1"], ["5", "1"]])
 
 
 @pytest.mark.parametrize("missing, message", [

@@ -24,7 +24,6 @@ def _decode(code: str, trials: int) -> dict:
         detectors=("oracle", "sample", "sweep"),
         code_path=str(builtin_code_path(code)),
         max_trials=trials,
-        batch_size=trials,
         master_seed=11,
     )
 
@@ -39,7 +38,6 @@ GOLDEN = {
         nt_complex=4,
         qam=4,
         max_trials=20,
-        batch_size=20,
         master_seed=11,
     ),
 }

@@ -283,15 +283,14 @@ class TestOracleTables:
         assert first.probs.tobytes() == again.probs.tobytes()
 
 
-def hamming_sweep(tmp_path, workers: int) -> SimConfig:
+def hamming_sweep(tmp_path, workers: int, max_trials: int = 6) -> SimConfig:
     return SimConfig(
         scenario="decode",
         snr_grid=(3.0, 4.0),
         detectors=("oracle", "sample", "sweep"),
         code_path=str(builtin_code_path("hamming_7_4")),
         min_block_errors=100,
-        max_trials=6,
-        batch_size=4,
+        max_trials=max_trials,
         master_seed=5,
         workers=workers,
         out_path=str(tmp_path / f"sweep-w{workers}.csv"),
@@ -301,8 +300,9 @@ def hamming_sweep(tmp_path, workers: int) -> SimConfig:
 
 class TestRunSweep:
     def test_csv_identical_across_worker_counts(self, tmp_path):
+        # more than one batch per grid point
         for workers in (1, 2):
-            run_sweep(hamming_sweep(tmp_path, workers))
+            run_sweep(hamming_sweep(tmp_path, workers, max_trials=harness.BATCH_SIZE + 8))
         for stem in ("sweep", "trials"):
             serial = (tmp_path / f"{stem}-w1.csv").read_bytes()
             assert serial == (tmp_path / f"{stem}-w2.csv").read_bytes()
@@ -317,7 +317,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         # 2 grid points x 2 batches each
-        run_sweep(hamming_sweep(tmp_path, 2))
+        run_sweep(hamming_sweep(tmp_path, 2, max_trials=harness.BATCH_SIZE + 8))
         assert len(built) == 1
 
     def test_log_reports_failed_inferences(self, tmp_path, monkeypatch):
@@ -342,12 +342,11 @@ class TestRunSweep:
 
 
 class TestSimConfig:
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_rejects_empty_batches(self, batch_size):
-        # a batch of no trials would never advance the sweep
-        with pytest.raises(ValueError):
-            SimConfig(scenario="mimo", snr_grid=(10.0,), detectors=("sample",),
-                      batch_size=batch_size)
+    def test_rejects_repeated_detector(self):
+        # a repeated detector would be run, counted and written twice
+        with pytest.raises(ValueError, match="detector 'sample' is listed more than once"):
+            SimConfig(scenario="decode", snr_grid=(1.0,), detectors=("oracle", "sample", "sample"),
+                      code_path=str(builtin_code_path("hamming_7_4")))
 
 
 class TestTrialRecords:
@@ -365,11 +364,11 @@ class TestTrialRecords:
             nt_complex=2,
             code_path=str(builtin_code_path("hamming_7_4")),
         )
-        rec = harness._run_trial((cfg, code, 4.0, 0, 3))
+        oracle, sample = harness._run_trial((cfg, code, 4.0, 0, 3))
         symbols = 4 if scenario == "mimo" else code.k
-        assert rec["trial"] == 3
-        assert rec["sample"] == {"errors": symbols, "block": 1, "rmax": 0, "early": 0, "failed": 1}
-        assert rec["oracle"]["failed"] == 0
+        # (detector, trial, errors, rmax, early, failed)
+        assert sample == ("sample", 3, symbols, 0, 0, 1)
+        assert oracle[:2] == ("oracle", 3) and oracle[5] == 0
 
 
 class TestRealizedSnr:

@@ -284,10 +284,10 @@ class TestDetector:
         trial = ttdet(y, ch, const.alphabet, cfg, 10, 16)
         sim = SimConfig(scenario="mimo", snr_grid=(5.0,), detectors=("sample",), nt_complex=2)
         for x_hat in (trial.x_hat, -x):
-            rec = harness._trial_records(sim, 0, x, lambda det: (x_hat, trial.max_rank_observed, 0))
+            rows = harness._trial_records(sim, 0, x, lambda det: (x_hat, trial.max_rank_observed, 0))
             errors = int(np.count_nonzero(x_hat != x))
-            assert rec["sample"] == {"errors": errors, "block": int(errors > 0),
-                                     "rmax": trial.max_rank_observed, "early": 0, "failed": 0}
+            # (detector, trial, errors, rmax, early, failed)
+            assert rows == [("sample", 0, errors, trial.max_rank_observed, 0, 0)]
 
 
 class TestSphereList:
