@@ -37,6 +37,7 @@ from .posterior import (
     LogPosterior,
     _assignment_digits,
     _check_enumeration,
+    _check_pipeline_args,
     infer_marginals,
     map_decision,
 )
@@ -411,9 +412,12 @@ def ttdec(
     step only reseeds the cross).  The best candidate is kept; the loop stops
     early as soon as its score drops below the threshold.  A failed
     inference step scores as +inf and the loop continues.  A schedule that
-    is empty, not strictly increasing or below rank 1 raises ValueError.
+    is empty, not strictly increasing or below rank 1 raises ValueError, as
+    do an unknown ``variant``, a negative ``taylor_p`` and a negative or NaN
+    ``trunc_tol``.
     """
     schedule = _rank_schedule(schedule)
+    _check_pipeline_args(taylor_p, schedule[0], variant, trunc_tol)
     target_pe, eta = _stopping_rule_values(code, n0, safety)
     metric = build_code_logapp_tt(code, y, n0)
     if trunc_tol > 0:

@@ -130,7 +130,13 @@ class SimConfig:
 
 @dataclass
 class SweepRow:
-    """Aggregated results of one detector at one grid point."""
+    """Aggregated results of one detector at one grid point.
+
+    ``early_stop_rate`` is the share of trials whose call ended early: for
+    a decode TT row, the stopping rule cut the rank schedule; for a MIMO TT
+    row, the sphere list certified the posterior and no cross ran (those
+    calls count rank 0).  It is 0 for the oracle and LMMSE rows.
+    """
 
     detector: str
     snr_db: float
@@ -280,8 +286,10 @@ def _trial_streams(master_seed: int, point: int, trial: int):
 def _trial_records(cfg: SimConfig, trial: int, truth: np.ndarray, detect) -> list[tuple]:
     """Score every enabled detector on one trial: one row
     (detector, trial, errors, rmax, early, failed) per detector.
-    ``detect(det)`` returns (decisions, max rank, early stop); a detector
-    whose inference fails counts as failed with every symbol wrong."""
+    ``detect(det)`` returns (decisions, max rank, early), where early is 1
+    for a ``ttdec`` call that stopped its schedule early or a ``ttdet`` call
+    that the sphere list certified, else 0; a detector whose inference
+    fails counts as failed with every symbol wrong."""
     rows = []
     for det in cfg.detectors:
         try:
@@ -323,7 +331,7 @@ def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> list[t
             variant=det,
             trunc_tol=cfg.trunc_tol,
         )
-        return res.x_hat, res.max_rank_observed, 0
+        return res.x_hat, res.max_rank_observed, int(res.certified)
 
     return _trial_records(cfg, trial, x, detect)
 

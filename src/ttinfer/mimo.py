@@ -1,7 +1,10 @@
 """MIMO detection pieces: Rayleigh channel sampling, complex-to-real channel
 decomposition, QAM alphabets, the terms of the Gaussian log-likelihood
 -||y - H x||^2 / (2 sigma^2) for the exact sum-of-products TT builder of
-the tt module, a list sphere decoder, and the TT detector.
+the tt module, a list sphere decoder, and the TT detector.  The detector
+returns the sphere list's own marginals, without building any TT, when a
+bound shows that the list holds all but at most ``LIST_EXIT_TOL`` of the
+posterior mass (as a share of the list's mass).
 
 The complex model y~ = H~ x~ + n~ with M-QAM symbols is rewritten as the real
 model y = H x + n with H = [[Re, -Im], [Im, Re]], stacked (Re; Im) vectors,
@@ -18,7 +21,14 @@ from functools import lru_cache
 import numpy as np
 
 from .cross import CrossConfig
-from .posterior import SEED_LIST_SIZE, LogPosterior, MarginalTable, infer_marginals, map_decision
+from .posterior import (
+    SEED_LIST_SIZE,
+    LogPosterior,
+    MarginalTable,
+    _check_pipeline_args,
+    infer_marginals,
+    map_decision,
+)
 from .tt import TensorTrain, _sum_of_products, _SumOfProducts, tt_truncate
 
 __all__ = [
@@ -32,6 +42,12 @@ __all__ = [
     "sample_channel",
     "ttdet",
 ]
+
+
+# ``ttdet`` skips the cross when the posterior mass outside the sphere list
+# is at most this share of the list's mass; every entry of the list's
+# normalized marginals is then within it of the exact posterior's.
+LIST_EXIT_TOL = 1e-9
 
 
 class DegenerateChannelError(ValueError):
@@ -111,11 +127,14 @@ class ChannelRealization:
 
 @dataclass
 class DetectionTrial:
-    """Outcome of one detected transmission."""
+    """Outcome of one detected transmission.  ``certified`` marks marginals
+    read from the sphere list, where no TT was built (``max_rank_observed``
+    is then 0)."""
 
     x_hat: np.ndarray
     marginals: MarginalTable
     max_rank_observed: int
+    certified: bool
 
 
 def sample_channel(nt_complex: int, nr_complex: int, rng: np.random.Generator) -> np.ndarray:
@@ -237,6 +256,34 @@ def _sphere_list(y: np.ndarray, h: np.ndarray, alphabet, size: int = SEED_LIST_S
     return np.array([entry[1] for entry in best], dtype=np.int64)
 
 
+def _log_outside_bound(log_weights: np.ndarray, n_hypotheses: int) -> float:
+    """log of a bound on the posterior mass outside a list of the exact top
+    K hypotheses, as a share of the list's mass; -inf when the list holds
+    all ``n_hypotheses``.
+
+    Every unlisted hypothesis weighs at most the list's lightest, so the
+    share is at most (n_hypotheses - K) exp(l_min - l_max) /
+    sum_i exp(l_i - l_max).  It is summed in the log domain, since
+    ``n_hypotheses`` = |A|^N overflows a float for large N.
+    """
+    outside = n_hypotheses - log_weights.size
+    if outside <= 0:
+        return -math.inf
+    top = log_weights.max()
+    return (math.log(outside) + float(log_weights.min() - top)
+            - math.log(float(np.exp(log_weights - top).sum())))
+
+
+def _list_marginals(indices: np.ndarray, log_weights: np.ndarray, size: int) -> MarginalTable:
+    """Normalized per-mode marginals of the posterior restricted to the
+    listed hypotheses."""
+    n_modes = indices.shape[1]
+    weights = np.exp(log_weights - log_weights.max())
+    bins = (indices + size * np.arange(n_modes)).ravel()
+    mass = np.bincount(bins, weights=np.repeat(weights, n_modes), minlength=n_modes * size)
+    return MarginalTable(mass.reshape(n_modes, size) / weights.sum())
+
+
 def ttdet(
     y: np.ndarray,
     ch: ChannelRealization,
@@ -249,22 +296,37 @@ def ttdet(
 ) -> DetectionTrial:
     """TT-based symbol-wise MAP detection of one transmission.
 
-    Builds the log-likelihood -||y - H x||^2 / (2 sigma^2) as one exact TT
-    of ranks min(b, N - b) + 2 (the uniform prior is omitted), rounds it by
+    First runs the sphere decoder for the list of the ``SEED_LIST_SIZE``
+    most likely hypotheses.  When ``_log_outside_bound`` shows that the
+    posterior mass outside the list is at most ``LIST_EXIT_TOL`` of the
+    list's, the list's own normalized marginals are returned as certified,
+    with no TT built and a recorded rank of 0.  Otherwise it builds the
+    log-likelihood -||y - H x||^2 / (2 sigma^2) as one exact TT of ranks
+    min(b, N - b) + 2 (the uniform prior is omitted), rounds it by
     ``tt_truncate`` only when ``trunc_tol`` is positive (the default 0 keeps
-    it exact), exponentiates and marginalizes via the selected cross variant
-    seeded with the sphere decoder's list of the ``SEED_LIST_SIZE`` most
-    likely hypotheses, and takes per-symbol MAP decisions.  The maximum
-    interior TT rank of the exponentiated posterior is recorded.
+    it exact), and exponentiates and marginalizes it via the selected cross
+    variant seeded with the list, recording the maximum interior TT rank of
+    the exponentiated posterior.  Either way decisions are per-symbol MAP.
+    Out-of-range arguments raise ValueError on every input, certified or
+    not (``posterior._check_pipeline_args``).
     """
+    _check_pipeline_args(taylor_p, taylor_max_rank, variant, trunc_tol)
     y = np.asarray(y, dtype=np.float64)
     if y.size != ch.nr:
         raise ValueError(f"observation length {y.size} does not match N_R {ch.nr}")
-    metric = build_quadratic_metric(y, ch.h, ch.sigma2, alphabet)
-    if trunc_tol > 0:
-        metric = tt_truncate(metric, trunc_tol)
-    lp = LogPosterior(metric, np.asarray(alphabet, dtype=np.float64))
+    alphabet = np.asarray(alphabet, dtype=np.float64)
     seeds = _sphere_list(y, ch.h, alphabet)
-    marginals, max_rank = infer_marginals(lp, cfg, taylor_p, taylor_max_rank, variant, seeds=seeds)
-    x_hat = map_decision(marginals, alphabet)
-    return DetectionTrial(x_hat=x_hat, marginals=marginals, max_rank_observed=max_rank)
+    residual = y - alphabet[seeds] @ ch.h.T
+    log_weights = np.einsum("ij,ij->i", residual, residual) / (-2.0 * ch.sigma2)
+    certified = (_log_outside_bound(log_weights, alphabet.size**ch.nt)
+                 < math.log(LIST_EXIT_TOL))
+    if certified:
+        marginals, max_rank = _list_marginals(seeds, log_weights, alphabet.size), 0
+    else:
+        metric = build_quadratic_metric(y, ch.h, ch.sigma2, alphabet)
+        if trunc_tol > 0:
+            metric = tt_truncate(metric, trunc_tol)
+        lp = LogPosterior(metric, alphabet)
+        marginals, max_rank = infer_marginals(lp, cfg, taylor_p, taylor_max_rank, variant,
+                                              seeds=seeds)
+    return DetectionTrial(map_decision(marginals, alphabet), marginals, max_rank, certified)

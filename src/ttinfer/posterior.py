@@ -5,7 +5,11 @@ built exactly in TT form by the model layer (for MIMO, one quadratic-form TT
 of the whole Gaussian log-likelihood; a separable log-prior adds a rank-2
 TT), exponentiated with a TT-cross seeded by the model's top-K candidate
 list (else a random-probe mode estimate), and marginalized in one pass over
-the cores to produce symbol-wise posteriors and MAP hard decisions.
+the cores to produce symbol-wise posteriors and MAP hard decisions.  A model
+whose list is the exact top K may skip the TT altogether when the list
+provably holds all but a negligible share of the posterior (the MIMO
+detector does; an OSD list of a code is not the exact top K, so the code
+decoder always runs the cross).
 Additive constants of the log-posterior are never represented: the cross
 subtracts the estimated maximum inside the exponential it samples, and
 normalization of the marginals restores proper probabilities.
@@ -18,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cross import CrossConfig, _check_seed_indices, tt_cross, tt_exp_taylor
+from .cross import _VARIANT_WIDTH, CrossConfig, _check_seed_indices, tt_cross, tt_exp_taylor
 from .tt import (
     TensorTrain,
     _sum_of_products,
@@ -149,6 +153,22 @@ def build_prior_tt(v, n_modes: int) -> TensorTrain:
     factors = np.ones((n_modes, n_modes, v.size))
     factors[modes, modes] = v
     return _sum_of_products(factors).build(np.ones(n_modes))
+
+
+def _check_pipeline_args(taylor_p: int, taylor_max_rank: int, variant: str,
+                         trunc_tol: float) -> None:
+    """Raise ValueError for detector arguments out of range: an unknown
+    variant, a negative ``taylor_p``, a ``taylor_max_rank`` below 1, and a
+    negative or NaN ``trunc_tol``.  A detector checks them first, so that
+    it rejects them on every input, also where it skips the cross."""
+    if variant not in _VARIANT_WIDTH:
+        raise ValueError(f"unknown cross variant {variant!r}")
+    if not taylor_p >= 0:
+        raise ValueError("taylor_p must be >= 0")
+    if not taylor_max_rank >= 1:
+        raise ValueError("taylor_max_rank must be >= 1")
+    if not trunc_tol >= 0:
+        raise ValueError("trunc_tol must be >= 0")
 
 
 def _estimate_log_shift(

@@ -363,6 +363,18 @@ def test_ttdec_rejects_a_bad_rank_schedule(schedule):
         ttdec(np.ones(code.n), code, 1.0, schedule, CrossConfig())
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(variant="bogus"), "unknown cross variant 'bogus'"),
+    (dict(taylor_p=-1), "taylor_p must be >= 0"),
+    (dict(trunc_tol=-1.0), "trunc_tol must be >= 0"),
+    (dict(trunc_tol=float("nan")), "trunc_tol must be >= 0"),
+])
+def test_ttdec_rejects_bad_pipeline_arguments(kwargs, match):
+    code = load_code(builtin_code_path("hamming_7_4"))
+    with pytest.raises(ValueError, match=match):
+        ttdec(np.ones(code.n), code, 1.0, (10,), CrossConfig(), **kwargs)
+
+
 @pytest.mark.parametrize("variant", ["sample", "sweep"])
 @pytest.mark.parametrize("name", ["hamming_7_4", "bch_15_7"])
 def test_ttdec_agrees_with_exact_map_trial_by_trial(name, variant):

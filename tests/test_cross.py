@@ -12,9 +12,12 @@ from scipy.linalg.lapack import dgetrf
 from ttinfer import (
     CrossConfig,
     DegenerateMatrixError,
+    LogPosterior,
     NonFiniteValueError,
     build_prior_tt,
+    build_quadratic_metric,
     builtin_code_path,
+    infer_marginals,
     load_code,
     n0_from_ebn0,
     ones_tt,
@@ -24,12 +27,12 @@ from ttinfer import (
     tt_hadamard,
     tt_to_dense,
     ttdec,
-    ttdet,
     zeros_tt,
 )
 from ttinfer import cross as cross_module
 from ttinfer import posterior
 from ttinfer.cross import _check_seed_indices, _maxvol, _rank_revealing_maxvol
+from ttinfer.mimo import _sphere_list
 from ttref import perfbench_bch31_inputs, perfbench_mimo16_inputs, random_tt, tt_svd
 
 
@@ -692,7 +695,9 @@ def assert_same_result(got, want):
 def pipeline_crosses(calls, variant, engine=None, **cfg):
     """The crosses of ``ttdet`` on 16-QAM inputs and ``ttdec`` on bch_31_16
     inputs, ``calls`` listing (point, SNR or Eb/N0 in dB, benchmark trial),
-    run by ``engine`` in place of the cross engine when given."""
+    run by ``engine`` in place of the cross engine when given.  A MIMO call
+    runs ``ttdet``'s cross path (the quadratic metric seeded by the sphere
+    list) whether or not ``ttdet`` would certify the list and skip it."""
     code = load_code(builtin_code_path("bch_31_16"))
     results = []
     real = posterior.tt_cross
@@ -709,7 +714,10 @@ def pipeline_crosses(calls, variant, engine=None, **cfg):
             if point == "mimo":
                 const, ch, y, seeds = perfbench_mimo16_inputs(7, index, snr_db=db)
                 cross_cfg = CrossConfig(rng_seed=seeds[variant], **cfg)
-                ttdet(y, ch, const.alphabet, cross_cfg, variant=variant)
+                lp = LogPosterior(build_quadratic_metric(y, ch.h, ch.sigma2, const.alphabet),
+                                  const.alphabet)
+                infer_marginals(lp, cross_cfg, 0, 10, variant,
+                                seeds=_sphere_list(y, ch.h, const.alphabet))
             else:
                 n0 = n0_from_ebn0(db, code.rate)
                 y, seeds = perfbench_bch31_inputs(code, n0, 7, index)

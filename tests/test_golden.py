@@ -40,6 +40,17 @@ GOLDEN = {
         max_trials=20,
         master_seed=11,
     ),
+    # 16-QAM at 10 dB: the sphere list certifies none of these trials, so
+    # every TT row here comes from the cross.
+    "mimo_4x4_qam16_10db": dict(
+        scenario="mimo",
+        snr_grid=(10.0,),
+        detectors=("oracle", "sample", "sweep", "lmmse"),
+        nt_complex=4,
+        qam=16,
+        max_trials=16,
+        master_seed=11,
+    ),
 }
 
 

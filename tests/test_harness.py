@@ -371,6 +371,19 @@ class TestTrialRecords:
         assert oracle[:2] == ("oracle", 3) and oracle[5] == 0
 
 
+    @pytest.mark.parametrize("qam,snr_db,certified", [(4, 10.0, True), (16, 5.0, False)])
+    def test_mimo_rows_report_certified_calls_as_early(self, qam, snr_db, certified):
+        """A MIMO TT row's ``early`` is 1 when the sphere list certified the
+        call, whose rank is then 0; 2x2 4-QAM has no hypothesis outside the
+        list, and 2x2 16-QAM at 5 dB keeps mass outside it."""
+        cfg = SimConfig(scenario="mimo", snr_grid=(snr_db,), detectors=("oracle", "sample", "sweep"),
+                        nt_complex=2, qam=qam)
+        for trial in range(3):
+            for det, _, _, rmax, early, failed in harness._run_trial((cfg, None, snr_db, 0, trial)):
+                if det != "oracle":
+                    assert (early, rmax == 0, failed) == (int(certified), certified, 0), trial
+
+
 class TestRealizedSnr:
     @pytest.mark.parametrize("snr_db", [0.0, 12.5])
     def test_noise_hits_the_realized_snr(self, monkeypatch, snr_db):

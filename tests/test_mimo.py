@@ -1,18 +1,24 @@
 """Tests of the MIMO model pieces: channel statistics, real decomposition,
-SNR accounting, the exact TT constructions, the list sphere decoder, and
-end-to-end detection against exhaustive enumeration."""
+SNR accounting, the exact TT constructions, the list sphere decoder, the
+certified list exit, and end-to-end detection against exhaustive
+enumeration."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from ttinfer import (
     ChannelRealization,
     CrossConfig,
     DegenerateChannelError,
+    LogPosterior,
     QamConstellation,
     SimConfig,
     build_quadratic_metric,
     harness,
+    infer_marginals,
     mimo_exact_marginals,
     noise_variance_for_snr,
     realify_channel,
@@ -22,7 +28,11 @@ from ttinfer import (
     ttdet,
 )
 from ttinfer import mimo, posterior
-from ttinfer.mimo import _sphere_list
+from ttinfer.mimo import (
+    LIST_EXIT_TOL,
+    _log_outside_bound,
+    _sphere_list,
+)
 from ttref import perfbench_mimo16_inputs
 
 
@@ -223,7 +233,20 @@ def desk_channel(rng, snr_db, nt_complex=2):
     return const, ch, x, y
 
 
+def cross_path(y, ch, alphabet, cfg, taylor_p, taylor_max_rank, variant="sample"):
+    """The marginals of ``ttdet``'s cross path, which it takes on inputs the
+    sphere list does not certify: the quadratic metric, exponentiated by the
+    cross seeded with the list."""
+    lp = LogPosterior(build_quadratic_metric(y, ch.h, ch.sigma2, alphabet), alphabet)
+    return infer_marginals(lp, cfg, taylor_p, taylor_max_rank, variant,
+                           seeds=_sphere_list(y, ch.h, alphabet))[0]
+
+
 class TestDetector:
+    """2x2 4-QAM desk channels have 16 hypotheses, as many as the sphere
+    list holds, so ``ttdet`` returns the exact list marginals there; the
+    cross's checks call its path directly."""
+
     def test_noiseless_consistency(self):
         rng = np.random.default_rng(71)
         const = QamConstellation.from_order(4)
@@ -233,7 +256,10 @@ class TestDetector:
         y = ch.h @ x  # no noise at all
         cfg = CrossConfig(max_rank=32, n_sweeps=8, sample_oversample=4, conv_tol=1e-10, rng_seed=5)
         trial = ttdet(y, ch, const.alphabet, cfg, taylor_p=10, taylor_max_rank=16)
+        assert trial.certified and trial.max_rank_observed == 0
         np.testing.assert_array_equal(trial.x_hat, x)
+        marginals = cross_path(y, ch, const.alphabet, cfg, 10, 16)
+        np.testing.assert_array_equal(const.alphabet[np.argmax(marginals.probs, axis=1)], x)
 
     @pytest.mark.parametrize("variant", ["sample", "sweep"])
     def test_marginals_match_enumeration(self, variant):
@@ -243,9 +269,13 @@ class TestDetector:
             cfg = CrossConfig(
                 max_rank=32, n_sweeps=8, sample_oversample=4, conv_tol=1e-12, rng_seed=trial_idx
             )
-            trial = ttdet(y, ch, const.alphabet, cfg, 10, 16, variant)
             oracle = mimo_exact_marginals(y, ch.h, ch.sigma2, const.alphabet)
-            assert np.abs(trial.marginals.probs - oracle.probs).max() <= 1e-4
+            marginals = cross_path(y, ch, const.alphabet, cfg, 10, 16, variant)
+            assert np.abs(marginals.probs - oracle.probs).max() <= 1e-4
+            # the list is the whole space: the exit is exact
+            trial = ttdet(y, ch, const.alphabet, cfg, 10, 16, variant)
+            assert trial.certified
+            np.testing.assert_allclose(trial.marginals.probs, oracle.probs, rtol=0, atol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(73)
@@ -258,9 +288,9 @@ class TestDetector:
         ch_p = ChannelRealization(
             h=ch.h[:, perm], sigma2=ch.sigma2, nt_complex=ch.nt_complex, nr_complex=ch.nr_complex
         )
-        t1 = ttdet(y, ch, const.alphabet, cfg, 10, 16)
-        t2 = ttdet(y, ch_p, const.alphabet, cfg, 10, 16)
-        assert np.abs(t2.marginals.probs - t1.marginals.probs[perm]).max() <= 1e-6
+        t1 = cross_path(y, ch, const.alphabet, cfg, 10, 16)
+        t2 = cross_path(y, ch_p, const.alphabet, cfg, 10, 16)
+        assert np.abs(t2.probs - t1.probs[perm]).max() <= 1e-6
 
     def test_joint_scaling_invariance(self):
         rng = np.random.default_rng(74)
@@ -282,6 +312,7 @@ class TestDetector:
         const, ch, x, y = desk_channel(rng, snr_db=5.0)
         cfg = CrossConfig(max_rank=32, n_sweeps=8, sample_oversample=4, conv_tol=1e-10, rng_seed=2)
         trial = ttdet(y, ch, const.alphabet, cfg, 10, 16)
+        assert trial.certified and trial.max_rank_observed == 0
         sim = SimConfig(scenario="mimo", snr_grid=(5.0,), detectors=("sample",), nt_complex=2)
         for x_hat in (trial.x_hat, -x):
             rows = harness._trial_records(sim, 0, x, lambda det: (x_hat, trial.max_rank_observed, 0))
@@ -312,7 +343,10 @@ class TestSphereList:
 
 def assert_ttdet_agrees_with_exact_marginals(indices, snr_db, variant, bound):
     """Paired check on the benchmark's 16-QAM inputs of seed 7: decisions
-    equal the exact MAP's trial by trial, and max |dP| stays <= ``bound``."""
+    equal the exact MAP's trial by trial, and max |dP| stays <= ``bound``
+    (<= ``LIST_EXIT_TOL`` on certified calls).  Returns the number of
+    certified calls."""
+    certified = 0
     for index in indices:
         const, ch, y, seeds = perfbench_mimo16_inputs(7, index, snr_db=snr_db)
         oracle = mimo_exact_marginals(y, ch.h, ch.sigma2, const.alphabet)
@@ -321,21 +355,27 @@ def assert_ttdet_agrees_with_exact_marginals(indices, snr_db, variant, bound):
         np.testing.assert_array_equal(
             trial.x_hat, const.alphabet[np.argmax(oracle.probs, axis=1)], err_msg=f"trial {index}"
         )
-        assert np.abs(trial.marginals.probs - oracle.probs).max() <= bound, index
+        error = np.abs(trial.marginals.probs - oracle.probs).max()
+        assert error <= (LIST_EXIT_TOL if trial.certified else bound), index
+        assert (trial.max_rank_observed == 0) == trial.certified, index
+        certified += trial.certified
+    return certified
 
 
 @pytest.mark.parametrize("variant", ["sample", "sweep"])
 def test_ttdet_agrees_with_exact_marginals_trial_by_trial(variant):
     """16-QAM at 15 dB, where the random-probe mode search missed the mode:
-    trial 26 of seed 7 gave exactly uniform ``sample`` marginals."""
-    assert_ttdet_agrees_with_exact_marginals(range(7, 27), 15.0, variant, 1e-3)
+    trial 26 of seed 7 gave exactly uniform ``sample`` marginals.  The
+    sphere list certifies 17 of these 20 calls."""
+    assert assert_ttdet_agrees_with_exact_marginals(range(7, 27), 15.0, variant, 1e-3) == 17
 
 
 def test_ttdet_sweep_at_5db_agrees_with_exact_marginals_trial_by_trial():
     """Low SNR, where the cross ranks grow and its rank test must not stop
-    it early.  The bound is 1.1 x the max |dP| of 7.4e-5 that the cross
-    without the rank test reached on these 25 inputs."""
-    assert_ttdet_agrees_with_exact_marginals(range(25), 5.0, "sweep", 8e-5)
+    it early (the list certifies none of these calls).  The bound is 1.1 x
+    the max |dP| of 7.4e-5 that the cross without the rank test reached on
+    these 25 inputs."""
+    assert assert_ttdet_agrees_with_exact_marginals(range(25), 5.0, "sweep", 8e-5) == 0
 
 
 def test_default_ttdet_never_rounds(monkeypatch):
@@ -345,7 +385,8 @@ def test_default_ttdet_never_rounds(monkeypatch):
     for module in (mimo, posterior):
         monkeypatch.setattr(module, "tt_truncate", forbidden)
     const, ch, y, seeds = perfbench_mimo16_inputs(7, 0)
-    ttdet(y, ch, const.alphabet, CrossConfig(rng_seed=seeds["sweep"]), variant="sweep")
+    trial = ttdet(y, ch, const.alphabet, CrossConfig(rng_seed=seeds["sweep"]), variant="sweep")
+    assert not trial.certified
 
 
 @pytest.mark.parametrize("variant", ["sample", "sweep"])
@@ -355,4 +396,81 @@ def test_ttdet_rounded_metric_keeps_decisions(variant):
         cfg = CrossConfig(rng_seed=seeds[variant])
         exact = ttdet(y, ch, const.alphabet, cfg, variant=variant)
         rounded = ttdet(y, ch, const.alphabet, cfg, variant=variant, trunc_tol=1e-9)
+        assert not (exact.certified or rounded.certified), index
         np.testing.assert_array_equal(rounded.x_hat, exact.x_hat, err_msg=f"trial {index}")
+
+
+@pytest.mark.parametrize("index,certified", [(1, True), (0, False)])
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(variant="bogus"), "unknown cross variant 'bogus'"),
+    (dict(taylor_p=-1), "taylor_p must be >= 0"),
+    (dict(taylor_max_rank=0), "taylor_max_rank must be >= 1"),
+    (dict(trunc_tol=-1.0), "trunc_tol must be >= 0"),
+    (dict(trunc_tol=math.nan), "trunc_tol must be >= 0"),
+])
+def test_ttdet_rejects_bad_pipeline_arguments(index, certified, kwargs, match):
+    """Arguments the cross path would reject raise whether or not the list
+    certifies the input (trial 1 of seed 7 at 15 dB is certified, trial 0
+    is not)."""
+    const, ch, y, seeds = perfbench_mimo16_inputs(7, index)
+    cfg = CrossConfig(rng_seed=seeds["sweep"])
+    assert ttdet(y, ch, const.alphabet, cfg, variant="sweep").certified is certified
+    with pytest.raises(ValueError, match=match):
+        ttdet(y, ch, const.alphabet, cfg, **{"variant": "sweep", **kwargs})
+
+
+class TestListExit:
+    """The bound on the posterior mass outside the sphere list, and the
+    list's marginals that ``ttdet`` returns when the bound is small."""
+
+    @staticmethod
+    def enumerate_input(seed, index, snr_db):
+        """A benchmark 16-QAM input, the log weights of all 4^8 hypotheses,
+        and the rows of its sphere list among them."""
+        const, ch, y, _ = perfbench_mimo16_inputs(seed, index, snr_db=snr_db)
+        xs, _ = assignments(ch.nt, const.alphabet)
+        everything = -np.sum((y - xs @ ch.h.T) ** 2, axis=1) / (2.0 * ch.sigma2)
+        listed = _sphere_list(y, ch.h, const.alphabet)
+        rows = listed @ const.size_real ** np.arange(ch.nt - 1, -1, -1)
+        return const, ch, y, everything, rows
+
+    @pytest.mark.parametrize("snr_db", [5.0, 10.0, 15.0, 20.0])
+    def test_bound_covers_the_outside_mass(self, snr_db):
+        for index in range(5):
+            *_, everything, rows = self.enumerate_input(11, index, snr_db)
+            inside = np.zeros(everything.size, dtype=bool)
+            inside[rows] = True
+            ratio = logsumexp(everything[~inside]) - logsumexp(everything[inside])
+            assert _log_outside_bound(everything[rows], everything.size) >= ratio, (snr_db, index)
+
+    @pytest.mark.parametrize("snr_db", [15.0, 20.0])
+    def test_certified_marginals_match_enumeration(self, snr_db):
+        certified = 0
+        for index in range(10):
+            const, ch, y, everything, rows = self.enumerate_input(11, index, snr_db)
+            bound = _log_outside_bound(everything[rows], everything.size)
+            trial = ttdet(y, ch, const.alphabet, CrossConfig(), variant="sweep")
+            assert trial.certified == (bound < math.log(LIST_EXIT_TOL)), index
+            if trial.certified:
+                certified += 1
+                oracle = mimo_exact_marginals(y, ch.h, ch.sigma2, const.alphabet)
+                error = np.abs(trial.marginals.probs - oracle.probs).max()
+                assert error <= min(LIST_EXIT_TOL, math.exp(bound)) + 1e-14, index
+        assert certified > 0
+
+    def test_a_list_of_the_whole_space_bounds_nothing_outside(self):
+        log_weights = np.linspace(-30.0, 0.0, 16)
+        assert _log_outside_bound(log_weights, 16) == -math.inf
+        # 2x2 4-QAM at 0 dB: a flat posterior, yet the 16-row list is exact
+        const, ch, x, y = desk_channel(np.random.default_rng(79), snr_db=0.0)
+        trial = ttdet(y, ch, const.alphabet, CrossConfig())
+        oracle = mimo_exact_marginals(y, ch.h, ch.sigma2, const.alphabet)
+        assert trial.certified and oracle.probs.max(axis=1).min() < 0.9
+        np.testing.assert_allclose(trial.marginals.probs, oracle.probs, rtol=0, atol=1e-12)
+
+    def test_bound_is_summed_in_the_log_domain(self):
+        """|A|^N past the float range still gives a finite bound."""
+        log_weights = np.array([0.0, -1.0, -2.0])
+        got = _log_outside_bound(log_weights, 4**600)
+        want = 600 * math.log(4) - 2.0 - math.log(1 + math.exp(-1) + math.exp(-2))
+        assert got == pytest.approx(want, rel=1e-14)
