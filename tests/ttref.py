@@ -1,5 +1,6 @@
-"""Test-local TT constructors (seeded random TTs and an exact TT-SVD) and
-the benchmark's seeded pipeline inputs.
+"""Test-local TT constructors (seeded random TTs and an exact TT-SVD), a
+depth-first reference list sphere decoder, and the benchmark's seeded
+pipeline inputs.
 
 The package builds its TTs from model structure and never from a dense
 array, so these reference constructors live beside the tests that need
@@ -7,6 +8,8 @@ arbitrary inputs and dense-to-TT round trips.  The pipeline inputs repeat
 the draws of the benchmark's workloads, so tests of several modules can pin
 the benchmark's own trials.
 """
+
+import bisect
 
 import numpy as np
 
@@ -57,6 +60,42 @@ def tt_svd(t, tol: float = 0.0) -> TensorTrain:
         r_prev = r
     cores.append(block.reshape(r_prev, dims[-1], 1))
     return TensorTrain(cores, copy=False)
+
+
+def reference_sphere_list(y, h, alphabet, size):
+    """Alphabet indices of the ``size`` hypotheses x with the smallest
+    ||y - H x||^2, best first, by a recursive depth-first Schnorr-Euchner
+    search (Hochwald & ten Brink, IEEE T-Com 2003) on H = Q R: each level
+    visits its symbols in order of increasing distance increment and prunes
+    at the size-th best full metric found so far.  Levels with no row of R
+    (a wide H) add 0."""
+    q, r = np.linalg.qr(h)
+    z, rows = (q.T @ y).tolist(), r.tolist()
+    symbols = np.asarray(alphabet, dtype=np.float64).tolist()
+    n = h.shape[1]
+    idx, x = [0] * n, [0.0] * n
+    best = []  # (metric, indices), ascending
+
+    def search(level, dist):
+        if level < 0:
+            bisect.insort(best, (dist, tuple(idx)))
+            del best[size:]
+            return
+        if level < len(rows):
+            row = rows[level]
+            center = z[level] - sum(row[j] * x[j] for j in range(level + 1, n))
+            steps = [(center - row[level] * a) ** 2 for a in symbols]
+        else:
+            steps = [0.0] * len(symbols)
+        for k in sorted(range(len(symbols)), key=steps.__getitem__):
+            d = dist + steps[k]
+            if len(best) == size and d >= best[-1][0]:
+                break
+            idx[level], x[level] = k, symbols[k]
+            search(level - 1, d)
+
+    search(n - 1, 0.0)
+    return np.array([entry[1] for entry in best], dtype=np.int64)
 
 
 def perfbench_mimo16_inputs(seed, index, snr_db=15.0):
