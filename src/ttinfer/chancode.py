@@ -37,6 +37,7 @@ from .posterior import (
     LogPosterior,
     _assignment_digits,
     _check_enumeration,
+    _check_observation,
     _check_pipeline_args,
     infer_marginals,
     map_decision,
@@ -252,9 +253,7 @@ def build_code_logapp_tt(code: LinearCode, y: np.ndarray, n0: float) -> TensorTr
     per code value; per observation only the n coefficients are scattered
     into it.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.size != code.n:
-        raise ValueError(f"observation length {y.size} != block length {code.n}")
+    y = _check_observation(y, code.n, f"block length {code.n}")
     if not n0 > 0:
         raise ValueError("noise density must be positive")
     return _logapp_layout(code).build((2.0 / n0) * y)
@@ -269,17 +268,17 @@ def _q_function(x: float) -> float:
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
-def biawgn_capacity_dispersion(n0: float, order: int = 64) -> tuple[float, float]:
+def biawgn_capacity_dispersion(n0: float) -> tuple[float, float]:
     """Capacity C and dispersion V (bits, bits^2) of the BI-AWGN channel.
 
-    Gauss-Hermite quadrature over the information density
+    Gauss-Hermite quadrature of order 64 over the information density
     i(y) = 1 - log2(1 + exp(-2 y / sigma^2)) with y = 1 + sigma Z,
     sigma^2 = N_0 / 2; C is its mean and V its variance.
     """
     if not n0 > 0:
         raise ValueError("noise density must be positive")
     sigma2 = n0 / 2.0
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
     y = 1.0 + math.sqrt(sigma2) * math.sqrt(2.0) * nodes
     density = 1.0 - np.logaddexp(0.0, -2.0 * y / sigma2) / math.log(2.0)
     w = weights / math.sqrt(math.pi)
@@ -306,27 +305,27 @@ def normal_approx_pe(code: LinearCode, n0: float) -> float:
     return float(np.clip(_q_function(numerator / denom), 0.0, _PE_MAX))
 
 
-def stopping_threshold(code: LinearCode, n0: float, target_pe: float, safety: float = 100.0) -> float:
+def stopping_threshold(code: LinearCode, n0: float, target_pe: float) -> float:
     """Distance threshold eta of the decoder's early-stopping test.
 
     H0: the candidate is the transmitted codeword, so its squared distance
     to y is (N0/2) chi^2_n; H1: it sits at Hamming distance d_min, giving
     (N0/2) chi^2_n(lambda) with lambda = 8 d_min / N0.  The threshold fixes
-    the type-II error at target_pe / safety:
-    eta = (N0/2) * F^-1_{chi^2_n(lambda)}(target_pe / safety).
+    the type-II error at target_pe / 100 (a safety factor of 100):
+    eta = (N0/2) * F^-1_{chi^2_n(lambda)}(target_pe / 100).
     """
     if not 0.0 <= target_pe < 1.0:
         raise ValueError("target error probability must lie in [0, 1)")
-    return 0.5 * n0 * chndtrix(target_pe / safety, code.n, 8.0 * code.d_min / n0)
+    return 0.5 * n0 * chndtrix(target_pe / 100.0, code.n, 8.0 * code.d_min / n0)
 
 
 @lru_cache(maxsize=256)
-def _stopping_rule_values(code: LinearCode, n0: float, safety: float) -> tuple[float, float]:
+def _stopping_rule_values(code: LinearCode, n0: float) -> tuple[float, float]:
     """(target_pe, eta) of the early stop.  Both depend on the observation
     only through N0, and the Gauss-Hermite quadrature behind target_pe costs
     about 1 ms, so they are computed once per operating point."""
     target_pe = normal_approx_pe(code, n0)
-    return target_pe, stopping_threshold(code, n0, target_pe, safety)
+    return target_pe, stopping_threshold(code, n0, target_pe)
 
 
 @dataclass
@@ -354,10 +353,10 @@ def _flip_patterns(k: int) -> np.ndarray:
     return table
 
 
-def _osd_list(code: LinearCode, y: np.ndarray, size: int = SEED_LIST_SIZE) -> np.ndarray:
-    """The ``size`` information words of highest correlation y^T x among the
-    candidates of ordered-statistics decoding (Fossorier & Lin, IEEE T-IT
-    1995), best first (all candidates when there are fewer).
+def _osd_list(code: LinearCode, y: np.ndarray) -> np.ndarray:
+    """The ``SEED_LIST_SIZE`` information words of highest correlation y^T x
+    among the candidates of ordered-statistics decoding (Fossorier & Lin,
+    IEEE T-IT 1995), best first (all candidates when there are fewer).
 
     GF(2) elimination of [G^T | I] over the positions in order of decreasing
     |y_j| finds the most reliable basis B and the systematic generator; the
@@ -371,7 +370,7 @@ def _osd_list(code: LinearCode, y: np.ndarray, size: int = SEED_LIST_SIZE) -> np
     # among B, and a[:, n:] maps the bits on B back to the information word.
     v = _flip_patterns(k) ^ (y[basis] < 0).astype(np.int64)
     x = 1.0 - 2.0 * ((v @ a[:, :n]) % 2)
-    order = np.argsort(-(x @ y), kind="stable")[:size]
+    order = np.argsort(-(x @ y), kind="stable")[:SEED_LIST_SIZE]
     return (v[order] @ a[:, n:]) % 2
 
 
@@ -398,7 +397,6 @@ def ttdec(
     taylor_p: int = 0,
     variant: str = "sweep",
     trunc_tol: float = 0.0,
-    safety: float = 100.0,
 ) -> DecodeResult:
     """Adaptive-rank TT decoding of one observation.
 
@@ -413,17 +411,17 @@ def ttdec(
     early as soon as its score drops below the threshold.  A failed
     inference step scores as +inf and the loop continues.  A schedule that
     is empty, not strictly increasing or below rank 1 raises ValueError, as
-    do an unknown ``variant``, a negative ``taylor_p`` and a negative or NaN
-    ``trunc_tol``.
+    do an observation that is not a finite length-n vector, an unknown
+    ``variant``, a negative ``taylor_p`` and a negative or NaN ``trunc_tol``.
     """
+    y = _check_observation(y, code.n, f"block length {code.n}")
     schedule = _rank_schedule(schedule)
     _check_pipeline_args(taylor_p, schedule[0], variant, trunc_tol)
-    target_pe, eta = _stopping_rule_values(code, n0, safety)
+    target_pe, eta = _stopping_rule_values(code, n0)
     metric = build_code_logapp_tt(code, y, n0)
     if trunc_tol > 0:
         metric = tt_truncate(metric, trunc_tol)
     lp = LogPosterior(metric, BIT_ALPHABET)
-    y = np.asarray(y, dtype=np.float64)
     seeds = _osd_list(code, y)
     best_u: np.ndarray | None = None
     best_nu = math.inf

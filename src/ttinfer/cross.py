@@ -118,15 +118,15 @@ class CrossResult:
     converged: bool
 
 
-def _maxvol(m: np.ndarray, dom_tol: float, max_iters: int):
+def _maxvol(m: np.ndarray):
     """Select r rows of an n x r float64 matrix (n >= r) with quasi-maximal
     volume; returns the rows, the factor B = M @ M[rows]^-1 and the swap
     gains.
 
-    Starts from the partial-pivoting LU rows, then swaps rows while some
-    entry of B exceeds 1 + dom_tol in magnitude.  Each swap multiplies
-    |det(M[rows])| by that entry (its gain), so the volume is non-decreasing
-    and the final submatrix is dominant up to dom_tol.
+    Starts from the partial-pivoting LU rows, then swaps rows (at most
+    ``MAXVOL_MAX_ITERS``) while some entry of B exceeds 1 + ``MAXVOL_DOM_TOL``
+    in magnitude.  Each swap multiplies |det(M[rows])| by that entry (its
+    gain), so the volume is non-decreasing and the submatrix is dominant.
 
     B is the solve at the LU rows, kept when no swap happens; after swaps it
     is solved again at the final rows, so it always equals
@@ -168,10 +168,10 @@ def _maxvol(m: np.ndarray, dom_tol: float, max_iters: int):
     # numpy's solve, not scipy's: scipy's bundled BLAS stalls in this pipeline.
     b = np.linalg.solve(m[rows].T, m.T).T
     history: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(MAXVOL_MAX_ITERS):
         i, j = divmod(int(np.abs(b).argmax()), r)
         gain = abs(b[i, j])
-        if gain <= 1.0 + dom_tol:
+        if gain <= 1.0 + MAXVOL_DOM_TOL:
             break
         history.append(float(gain))
         ej = np.zeros(r)
@@ -189,7 +189,7 @@ def _rank_revealing_maxvol(m: np.ndarray) -> np.ndarray:
     n, r = m.shape
     if n >= r:
         try:
-            return _maxvol(m, MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)[0]
+            return _maxvol(m)[0]
         except DegenerateMatrixError:
             pass
     _, rmat, piv = scipy.linalg.qr(m, mode="economic", pivoting=True)
@@ -197,7 +197,7 @@ def _rank_revealing_maxvol(m: np.ndarray) -> np.ndarray:
     if diag.size == 0 or diag[0] == 0.0:
         return np.zeros(1, dtype=np.int64)
     rank = max(1, min(int(np.count_nonzero(diag > 1e-12 * diag[0])), n))
-    return _maxvol(m[:, piv[:rank]], MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)[0]
+    return _maxvol(m[:, piv[:rank]])[0]
 
 
 def tt_exp_taylor(a: TensorTrain, p: int, max_rank: int, tol: float) -> TensorTrain:
@@ -443,7 +443,7 @@ class _CrossEngine:
             r_new = min(_chop_ranks(s, delta), cap)
             saturated |= r_new == cap
             if lr:
-                rows, factor, _ = _maxvol(u[:, :r_new], MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)
+                rows, factor, _ = _maxvol(u[:, :r_new])
                 self.cores[lo] = factor.reshape(rl, n_lo, r_new)
                 l_idx, k_idx = np.divmod(rows, n_lo)
                 self.left[lo + 1] = np.concatenate([prefixes[l_idx], k_idx[:, None]], axis=1)
@@ -453,7 +453,7 @@ class _CrossEngine:
                     # rows of the local matrix are the exact last core.
                     self.cores[hi] = mat[rows].reshape(r_new, n_hi, rr)
             else:
-                rows, factor, _ = _maxvol(vt[:r_new].T, MAXVOL_DOM_TOL, MAXVOL_MAX_ITERS)
+                rows, factor, _ = _maxvol(vt[:r_new].T)
                 self.cores[hi] = factor.T.reshape(r_new, n_hi, rr)
                 k_idx, m_idx = np.divmod(rows, rr)
                 self.right[hi] = np.concatenate([k_idx[:, None], suffixes[m_idx]], axis=1)

@@ -33,6 +33,7 @@ from .posterior import (
     MarginalTable,
     _assignment_digits,
     _check_enumeration,
+    _check_observation,
     map_decision,
 )
 
@@ -213,9 +214,9 @@ def mimo_exact_marginals(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet) 
     exceeds the enumeration limit.
     """
     h = np.asarray(h, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] < 1 or y.shape != h.shape[:1]:
-        raise ValueError(f"observation shape {y.shape} does not match channel shape {h.shape}")
+    if h.ndim != 2 or h.shape[1] < 1:
+        raise ValueError(f"observation shape {np.shape(y)} does not match channel shape {h.shape}")
+    y = _check_observation(y, h.shape[0], f"channel shape {h.shape}")
     if not sigma2 > 0:
         raise ValueError("noise variance must be positive")
     alphabet = np.asarray(alphabet, dtype=np.float64)
@@ -245,9 +246,7 @@ def code_exact_bitwise_map(y: np.ndarray, code: LinearCode, n0: float):
     Raises ValueError when y is not a vector of length n, n0 is not
     positive, or 2^k exceeds the enumeration limit.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (code.n,):
-        raise ValueError(f"observation shape {y.shape} does not match block length {code.n}")
+    y = _check_observation(y, code.n, f"block length {code.n}")
     if not n0 > 0:
         raise ValueError("noise density must be positive")
     bits_a, x_a, bits_b, x_b = _half_codebooks(code)
@@ -260,6 +259,7 @@ def code_exact_bitwise_map(y: np.ndarray, code: LinearCode, n0: float):
 def lmmse_detect(y: np.ndarray, ch: ChannelRealization, alphabet) -> np.ndarray:
     """LMMSE equalization followed by symbol-wise nearest-neighbor slicing:
     x_hat = slice((H^T H + (sigma^2/E_x) I)^-1 H^T y)."""
+    y = _check_observation(y, ch.nr, f"channel shape {ch.h.shape}")
     alphabet = np.asarray(alphabet, dtype=np.float64)
     energy = float(np.mean(alphabet**2))
     gram = ch.h.T @ ch.h + (ch.sigma2 / energy) * np.eye(ch.nt)

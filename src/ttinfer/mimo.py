@@ -29,6 +29,7 @@ from .posterior import (
     SEED_LIST_SIZE,
     LogPosterior,
     MarginalTable,
+    _check_observation,
     _check_pipeline_args,
     infer_marginals,
     map_decision,
@@ -213,10 +214,10 @@ def build_quadratic_metric(y: np.ndarray, h: np.ndarray, sigma2: float, alphabet
     if not sigma2 > 0:
         raise ValueError("noise variance must be positive")
     h = np.asarray(h, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     alphabet = np.asarray(alphabet, dtype=np.float64)
-    if h.ndim != 2 or y.shape != h.shape[:1]:
-        raise ValueError(f"observation shape {y.shape} does not match channel shape {h.shape}")
+    if h.ndim != 2:
+        raise ValueError(f"observation shape {np.shape(y)} does not match channel shape {h.shape}")
+    y = _check_observation(y, h.shape[0], f"channel shape {h.shape}")
     n_modes = h.shape[1]
     q2 = -(h.T @ h) / sigma2  # 2 Q
     coefficients = np.concatenate([
@@ -344,15 +345,11 @@ def ttdet(
     variant seeded with the list, recording the maximum interior TT rank of
     the exponentiated posterior.  Either way decisions are per-symbol MAP.
     Out-of-range arguments raise ValueError on every input, certified or
-    not (``posterior._check_pipeline_args``), and so does a non-finite
-    observation.
+    not (``posterior._check_pipeline_args``), and so does an observation
+    that is not a finite vector of length N_R.
     """
     _check_pipeline_args(taylor_p, taylor_max_rank, variant, trunc_tol)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size != ch.nr:
-        raise ValueError(f"observation length {y.size} does not match N_R {ch.nr}")
-    if not np.isfinite(y).all():
-        raise ValueError("observation must be finite")
+    y = _check_observation(y, ch.nr, f"channel shape {ch.h.shape}")
     alphabet = np.asarray(alphabet, dtype=np.float64)
     seeds = _sphere_list(y, ch.h, alphabet)
     residual = y - alphabet[seeds] @ ch.h.T

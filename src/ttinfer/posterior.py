@@ -171,15 +171,25 @@ def _check_pipeline_args(taylor_p: int, taylor_max_rank: int, variant: str,
         raise ValueError("trunc_tol must be >= 0")
 
 
-def _estimate_log_shift(
-    tt: TensorTrain, rng: np.random.Generator, n_probe: int = 256
-) -> tuple[float, np.ndarray]:
-    """Estimate the maximizer of the log-posterior: random probes refined by
-    coordinate ascent.  Returns (max estimate, argmax estimate); the value
+def _check_observation(y, n: int, what: str) -> np.ndarray:
+    """``y`` as a float64 vector; raises ValueError unless its shape is
+    (n,), with ``what`` naming where n comes from, and every entry is
+    finite.  Every detector and metric builder checks its observation here."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ValueError(f"observation shape {y.shape} does not match {what}")
+    if not np.isfinite(y).all():
+        raise ValueError("observation must be finite")
+    return y
+
+
+def _estimate_log_shift(tt: TensorTrain, rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """Estimate the maximizer of the log-posterior: 256 random probes refined
+    by coordinate ascent.  Returns (max estimate, argmax estimate); the value
     centers the exponential near [-range, 0] and the index seeds the cross
     pivots at the posterior mode."""
     dims = tt.dims
-    idx = np.column_stack([rng.integers(0, d, size=n_probe) for d in dims])
+    idx = np.column_stack([rng.integers(0, d, size=256) for d in dims])
     vals = tt_eval_many(tt, idx)
     best = idx[int(np.argmax(vals))].copy()
     best_val = float(np.max(vals))

@@ -145,11 +145,11 @@ def tt_eval_many(tt: TensorTrain, idx: np.ndarray) -> np.ndarray:
     return vec[:, 0]
 
 
-def tt_to_dense(tt: TensorTrain, budget: int = DENSE_BUDGET) -> DenseTensor:
-    """Materialize the full tensor (oracle bridge; budget-guarded)."""
+def tt_to_dense(tt: TensorTrain) -> DenseTensor:
+    """Materialize the full tensor (oracle bridge; <= DENSE_BUDGET entries)."""
     total = tt.n_elements()
-    if total > budget:
-        raise CapacityError(f"densifying {total} elements exceeds budget {budget}")
+    if total > DENSE_BUDGET:
+        raise CapacityError(f"densifying {total} elements exceeds budget {DENSE_BUDGET}")
     block = tt.cores[0][0]  # (n_1, r_1)
     for core in tt.cores[1:]:
         rl, n, rr = core.shape
@@ -302,20 +302,20 @@ _ONE, _SUM = "one", "sum"  # the two channels every interior bond carries
 class _SumOfProducts(NamedTuple):
     """A sum-of-products TT laid out for any coefficients c (see
     ``_sum_of_products``): the cores end to end in one flat array ``base``
-    of constant entries, where entries ``pos[g]`` add ``weight[g] * c[term[g]]``.
-    The arrays are read-only, so one layout may serve every caller."""
+    of constant entries, where entries ``pos[t]`` of term t add
+    ``weight[t] * c[t]``.  The arrays are read-only, so one layout may serve
+    every caller."""
 
     shapes: tuple
     splits: np.ndarray
     base: np.ndarray
     pos: np.ndarray
-    term: np.ndarray
     weight: np.ndarray
 
     def build(self, c: np.ndarray) -> TensorTrain:
         """The TT of sum_t c[t] prod_i F[t, i, x_i]."""
         flat = self.base.copy()
-        np.add.at(flat, self.pos, self.weight * c[self.term, None])
+        np.add.at(flat, self.pos, self.weight * c[:, None])
         parts = np.split(flat, self.splits)
         return TensorTrain([part.reshape(shape) for part, shape in zip(parts, self.shapes)],
                            copy=False)
@@ -336,11 +336,11 @@ def _sum_of_products(factors: np.ndarray) -> _SumOfProducts:
     prefix channels -> suffix channels -> SUM, entering at its first support
     mode and leaving at its last; each step multiplies by F[t, i, x_i].  The
     one step from the product side (ONE, prefix) to the coefficient side
-    (suffix, SUM) also multiplies by c_t; every other entry is a constant,
-    the same for every term that shares it.  With the switch bond where the
-    rank sum is least, bond b has rank at most min(#prefixes, #suffixes) + 2:
-    the TT analogue of a trellis span profile (Oseledets, Constr. Approx.
-    2013).
+    (suffix, SUM) also multiplies by c_t, so term t owns one row of ``pos``;
+    every other entry is a constant, the same for every term that shares it.
+    With the switch bond where the rank sum is least, bond b has rank at most
+    min(#prefixes, #suffixes) + 2: the TT analogue of a trellis span profile
+    (Oseledets, Constr. Approx. 2013).
     """
     n_terms, order, size = factors.shape
     support = ~np.all(factors == 1.0, axis=2)
@@ -378,20 +378,19 @@ def _sum_of_products(factors: np.ndarray) -> _SumOfProducts:
             return _SUM, True
         return (factors[t, :b].tobytes(), False) if b < switch else (factors[t, b:].tobytes(), True)
 
-    pos, term, weight = [], [], []
+    pos, weight = [], []
     for t in range(n_terms):
         for i in range(first[t], last[t] + 1):
             (src, c_in), (dst, c_out) = state(t, i), state(t, i + 1)
             a, b = channels[i][src], channels[i + 1][dst]
             if c_out and not c_in:
                 pos.append(offsets[i] + (a * size + np.arange(size)) * cores[i].shape[2] + b)
-                term.append(t)
                 weight.append(factors[t, i])
             else:
                 cores[i][a, :, b] = factors[t, i]
     layout = _SumOfProducts(shapes=tuple(core.shape for core in cores), splits=offsets[1:-1],
                             base=np.concatenate([core.ravel() for core in cores]),
-                            pos=np.array(pos), term=np.array(term), weight=np.array(weight))
+                            pos=np.array(pos), weight=np.array(weight))
     for arr in layout[1:]:
         arr.flags.writeable = False
     return layout

@@ -47,20 +47,20 @@ def clipped_random_tt(rng, dims, lo, hi, ranks=None):
 
 class TestMaxvol:
     def test_identity_selects_all_rows(self):
-        rows = _maxvol(np.eye(4), 1e-2, 100)[0]
+        rows = _maxvol(np.eye(4))[0]
         assert sorted(rows) == [0, 1, 2, 3]
 
     def test_rank1_is_argmax(self):
         # a tie in magnitude goes to the first row, as getrf's pivot does
         for col, row in [([1.0, 2.0, 4.0, 8.0], 3), ([2.0, -2.0, 1.0], 0),
                          ([-1.0, -5.0, -3.0], 1)]:
-            assert _maxvol(np.array(col)[:, None], 1e-2, 100)[0].tolist() == [row]
+            assert _maxvol(np.array(col)[:, None])[0].tolist() == [row]
 
     def test_dominance_postcondition(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             m = rng.standard_normal((12, 4))
-            rows = _maxvol(m, 1e-2, 100)[0]
+            rows = _maxvol(m)[0]
             b = np.linalg.solve(m[rows].T, m.T).T
             assert np.abs(b).max() <= 1.0 + 1e-2 + 1e-9
 
@@ -68,7 +68,7 @@ class TestMaxvol:
         rng = np.random.default_rng(6)
         for _ in range(10):
             m = rng.standard_normal((8, 3))
-            rows = _maxvol(m, 1e-2, 100)[0]
+            rows = _maxvol(m)[0]
             vol = abs(np.linalg.det(m[rows]))
             best = max(
                 abs(np.linalg.det(m[list(sub)])) for sub in itertools.combinations(range(8), 3)
@@ -78,7 +78,7 @@ class TestMaxvol:
     def test_swap_gains_exceed_threshold(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((40, 5))
-        _, _, history = _maxvol(m, 1e-2, 100)
+        _, _, history = _maxvol(m)
         # every recorded swap multiplies |det| by its gain, so the selected
         # volume is non-decreasing across iterations
         assert all(g > 1.0 + 1e-2 for g in history)
@@ -86,7 +86,7 @@ class TestMaxvol:
     def test_degenerate_raises(self):
         col = np.arange(6.0)[:, None]
         with pytest.raises(DegenerateMatrixError):
-            _maxvol(np.hstack([col, 2 * col]), 1e-2, 100)
+            _maxvol(np.hstack([col, 2 * col]))
 
     @pytest.mark.parametrize("m, match", [
         (np.ones((2, 3)), "at least as many rows"),
@@ -95,11 +95,11 @@ class TestMaxvol:
     ], ids=["wide", "empty", "no-columns"])
     def test_rejects_non_tall_matrix(self, m, match):
         with pytest.raises(ValueError, match=match):
-            _maxvol(m, 1e-2, 100)
+            _maxvol(m)
 
     @staticmethod
     def assert_factor_is_fresh_solve(m):
-        rows, factor, history = _maxvol(m, 1e-2, 100)
+        rows, factor, history = _maxvol(m)
         expect = np.linalg.solve(m[rows].T, m.T).T
         assert factor.shape == expect.shape
         assert factor.tobytes() == expect.tobytes()
@@ -126,7 +126,7 @@ class TestMaxvol:
     def test_factor_degenerate_raises(self):
         for m in (np.zeros((3, 2)), np.zeros((3, 1))):
             with pytest.raises(DegenerateMatrixError):
-                _maxvol(m, 1e-2, 100)
+                _maxvol(m)
         # the init pass falls back to row 0 on an all-zero column
         assert _rank_revealing_maxvol(np.zeros((4, 1))).tolist() == [0]
 
@@ -449,7 +449,7 @@ def cumsum_chop_ranks(s, delta):
     return int(keep[-1]) + 1
 
 
-def array_maxvol(m, dom_tol, max_iters):
+def array_maxvol(m, dom_tol=1e-2, max_iters=100):
     """``_maxvol`` as whole-array numpy operations: np.diag for the pivots,
     a permutation array, np.unravel_index for B's largest entry."""
     m = np.asarray(m, dtype=np.float64)
@@ -489,8 +489,8 @@ def test_maxvol_matches_array_reference():
             wide = rng.standard_normal((n, r + 3))
             for m in (wide[:, :r], wide.T[:r].T, np.ascontiguousarray(wide[:, :r]),
                       -np.abs(wide[:, :r])):
-                rows, b, history = _maxvol(m, 1e-2, 100)
-                want_rows, want_b, want_history = array_maxvol(m, 1e-2, 100)
+                rows, b, history = _maxvol(m)
+                want_rows, want_b, want_history = array_maxvol(m)
                 assert rows.dtype == want_rows.dtype
                 np.testing.assert_array_equal(rows, want_rows)
                 assert b.tobytes() == want_b.tobytes()
@@ -591,9 +591,9 @@ class TestBlockUpdateReference:
         columns = []
         maxvol = cross_module._maxvol
 
-        def counting_maxvol(m, dom_tol, max_iters):
+        def counting_maxvol(m):
             columns.append(m.shape[1])
-            return maxvol(m, dom_tol, max_iters)
+            return maxvol(m)
 
         def compared(f, a, init, cfg, variant, seed_indices):
             sampled = {"got": [], "want": []}

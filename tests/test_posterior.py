@@ -8,17 +8,26 @@ from ttinfer import (
     CrossConfig,
     LogPosterior,
     MarginalTable,
+    build_code_logapp_tt,
     build_prior_tt,
+    build_quadratic_metric,
+    builtin_code_path,
+    code_exact_bitwise_map,
     constant_tt,
     infer_marginals,
+    lmmse_detect,
+    load_code,
     map_decision,
+    mimo_exact_marginals,
     tt_add,
     tt_eval_many,
     tt_to_dense,
     tt_truncate,
+    ttdec,
+    ttdet,
 )
 from ttinfer import posterior
-from ttref import tt_svd
+from ttref import perfbench_mimo16_inputs, tt_svd
 
 
 def enumerate_marginals(log_dense):
@@ -212,3 +221,35 @@ class TestNormalizationKillsConstant:
             LogPosterior(tt_truncate(base, 0.0), alpha), generous_cfg(5), 10, 8
         )
         assert np.abs(t1.probs - t2.probs).max() <= 1e-8
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "column"])
+@pytest.mark.parametrize("entry", [
+    "ttdet", "build_quadratic_metric", "mimo_exact_marginals", "lmmse_detect",
+    "ttdec", "build_code_logapp_tt", "code_exact_bitwise_map",
+])
+def test_every_entry_point_rejects_a_bad_observation(entry, bad):
+    """Every function that takes an observation checks it through
+    ``posterior._check_observation``: a NaN or infinite entry and a column
+    vector raise ValueError, where a good observation passes."""
+    const, ch, y, _ = perfbench_mimo16_inputs(7, 0)
+    code, a = load_code(builtin_code_path("hamming_7_4")), const.alphabet
+    call = {
+        "ttdet": lambda y: ttdet(y, ch, a, CrossConfig()),
+        "build_quadratic_metric": lambda y: build_quadratic_metric(y, ch.h, ch.sigma2, a),
+        "mimo_exact_marginals": lambda y: mimo_exact_marginals(y, ch.h, ch.sigma2, a),
+        "lmmse_detect": lambda y: lmmse_detect(y, ch, a),
+        "ttdec": lambda y: ttdec(y, code, 1.0, (10,), CrossConfig()),
+        "build_code_logapp_tt": lambda y: build_code_logapp_tt(code, y, 1.0),
+        "code_exact_bitwise_map": lambda y: code_exact_bitwise_map(y, code, 1.0),
+    }[entry]
+    if entry in ("ttdec", "build_code_logapp_tt", "code_exact_bitwise_map"):
+        y = np.linspace(-1.0, 1.0, code.n)
+    call(y)
+    if bad == "column":
+        y, match = y[:, None], "does not match"
+    else:
+        y, match = y.copy(), "observation must be finite"
+        y[3] = float(bad)
+    with pytest.raises(ValueError, match=match):
+        call(y)

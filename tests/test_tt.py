@@ -15,8 +15,13 @@ from hypothesis import strategies as st
 
 from ttinfer import (
     CapacityError,
+    QamConstellation,
     TensorTrain,
+    builtin_code_path,
+    chancode,
     constant_tt,
+    load_code,
+    mimo,
     ones_tt,
     tt_add,
     tt_eval_many,
@@ -27,7 +32,7 @@ from ttinfer import (
     tt_truncate,
     zeros_tt,
 )
-from ttinfer.tt import _chop_ranks, _orthogonalize_lr, _sum_of_products
+from ttinfer.tt import DENSE_BUDGET, _chop_ranks, _orthogonalize_lr, _sum_of_products
 from ttref import random_tt, tt_svd
 
 
@@ -132,9 +137,10 @@ class TestDenseBridge:
             np.testing.assert_allclose(back, dense, atol=1e-12 * np.abs(dense).max())
 
     def test_budget_guard(self):
-        tt = ones_tt((4, 4, 4))
+        # 2^25 entries: refused before anything is allocated
+        assert DENSE_BUDGET == 2**24
         with pytest.raises(CapacityError):
-            tt_to_dense(tt, budget=63)
+            tt_to_dense(ones_tt((2,) * 25))
 
 
 class TestFromDense:
@@ -356,6 +362,25 @@ class TestSumOfProducts:
                 prefixes = {factors[t, :b].tobytes() for t in rows}
                 suffixes = {factors[t, b:].tobytes() for t in rows}
                 assert ranks[b] <= min(len(prefixes), len(suffixes)) + 2, b
+
+    def test_every_cached_layout_has_one_coefficient_row_per_term(self):
+        """``build`` scales row t of ``pos`` by c[t]; that holds because each
+        term's path crosses from the product side to the coefficient side
+        exactly once.  Checked on the packaged codes' log-APP layouts and on
+        the MIMO layouts for N = 2..16 real modes at 4- and 16-QAM."""
+        layouts = []
+        for name in chancode._builtin_code_names():
+            code = load_code(builtin_code_path(name))
+            layouts.append((name, chancode._logapp_layout(code), code.n))
+        for m in (4, 16):
+            alphabet = tuple(QamConstellation.from_order(m).alphabet.tolist())
+            for n in range(2, 17):
+                n_terms = n * (n - 1) // 2 + 2 * n + 1
+                layouts.append((f"{m}-QAM N={n}", mimo._quadratic_layout(n, alphabet), n_terms))
+        assert len(layouts) == 34
+        for name, layout, n_terms in layouts:
+            assert layout.pos.shape == layout.weight.shape, name
+            assert layout.pos.shape[0] == n_terms, name
 
 
 class TestTruncate:
