@@ -6,21 +6,23 @@ Subcommands:
 * ``ttinfer decode`` -- BER sweep of the adaptive TT decoder for a code file.
 * ``ttinfer ranks``  -- histogram + mean/median of a per-trial rank dump.
 
-Grids accept ``start:step:stop`` (inclusive) or comma lists.  A JSON config
-file can preload any flag (keys match the long option names with underscores);
-a flag given on the command line wins however it is spelled, abbreviated or
-not.  Every sweep setting left unset takes its default from ``SimConfig``,
-which also checks it: an out-of-range value, as a flag or as a config key, is
-a usage error (exit status 2) and no trial runs.  So are a code file that
-``load_code`` rejects, a config file that cannot be read or holds no JSON
-object, and an output path that cannot be written.
+Each sweep flag sets one ``SimConfig`` (or ``CrossConfig``) field, and
+``--detectors`` lists the detectors to run on every trial, e.g.
+``--detectors oracle,sweep``.  Grids accept ``start:step:stop`` (inclusive)
+or comma lists.  An argument ``@FILE`` reads more arguments from a run file,
+one argument per line (``--seed=3``, or ``--seed`` and ``3`` on two lines)
+with no blank lines; later arguments win, so a flag given after ``@FILE``
+overrides the file's.  Every sweep setting left unset takes its default from
+``SimConfig``, which also checks it: an out-of-range value, typed or in a run
+file, is a usage error (exit status 2) and no trial runs.  So are an unknown
+detector, a code file that ``load_code`` rejects, a run file that cannot be
+read, and an output path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -30,7 +32,7 @@ import numpy as np
 
 from .chancode import _builtin_code_names, builtin_code_path, load_code
 from .cross import CrossConfig
-from .harness import TT_DETECTORS, SimConfig, run_sweep
+from .harness import DECODE_DETECTORS, MIMO_DETECTORS, SimConfig, run_sweep
 
 __all__ = ["main"]
 
@@ -88,12 +90,14 @@ class _HelpFormatter(argparse.HelpFormatter):
         return action.option_strings[0].lstrip("-").replace("-", "_").upper()
 
 
-# Each flag that sets a SimConfig (or CrossConfig) field stores under the
-# field's name and has no default of its own: only the flags given reach
-# SimConfig, which supplies the rest.
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file preloading any flag; flags win")
-    parser.add_argument("--variant", default="sample", choices=(*TT_DETECTORS, "both"))
+# Each sweep flag sets exactly one SimConfig (or CrossConfig) field: it
+# stores under the field's name and has no default of its own, so only the
+# flags given reach SimConfig, which supplies the rest.
+def _add_common(parser: argparse.ArgumentParser, detectors: tuple[str, ...]) -> None:
+    parser.add_argument("--detectors", type=lambda text: tuple(text.split(",")), required=True,
+                        help=f"comma list of detectors run on every trial, from "
+                             f"{','.join(detectors)}; the oracle if listed, else the first, "
+                             "counts the block errors that end a grid point")
     parser.add_argument("--taylor-p", type=int,
                         help="Taylor degree of the exp init (0: all ones; 10: the paper's init)")
     parser.add_argument("--tol", dest="trunc_tol", type=float,
@@ -111,92 +115,40 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", dest="out_path", required=True, help="output CSV path")
 
 
+RUN_FILE_HELP = ("An argument @FILE reads more arguments from FILE, one argument per line "
+                 "(--seed=3, or --seed and 3 on two lines) with no blank lines; later "
+                 "arguments win, so a flag after @FILE overrides the file's.")
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(prog="ttinfer", description=__doc__)
+    parser = argparse.ArgumentParser(prog="ttinfer", description=__doc__, fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     mimo = sub.add_parser("mimo", help="MIMO SER sweep", formatter_class=_HelpFormatter,
-                          argument_default=argparse.SUPPRESS)
+                          argument_default=argparse.SUPPRESS, epilog=RUN_FILE_HELP)
     mimo.add_argument("--nt", dest="nt_complex", type=int,
                       help="complex antenna count (square system)")
     mimo.add_argument("--qam", type=int, help="QAM order (square)")
     mimo.add_argument("--snr", dest="snr_grid", type=_parse_grid, default=(0.0,),
                       help="SNR grid in dB, per transmit stream")
     mimo.add_argument("--rmax", dest="taylor_max_rank", type=int, help="Taylor-init max rank")
-    mimo.add_argument("--with-oracle", action="store_true", help="add the exact-MAP oracle")
-    mimo.add_argument("--with-lmmse", action="store_true", help="add the LMMSE baseline")
-    mimo.add_argument("--realized-snr", action="store_true",
-                      help="rescale noise to hit the realized (not expected) SNR per stream")
-    _add_common(mimo)
+    _add_common(mimo, MIMO_DETECTORS)
 
     decode = sub.add_parser("decode", help="linear-code BER sweep", formatter_class=_HelpFormatter,
-                            argument_default=argparse.SUPPRESS)
+                            argument_default=argparse.SUPPRESS, epilog=RUN_FILE_HELP)
     decode.add_argument("--code", dest="code_path", type=_code_path, required=True,
                         help="generator matrix file, or a packaged name like bch_63_30")
     decode.add_argument("--ebn0", dest="snr_grid", type=_parse_grid, default=(4.0,),
                         help="Eb/N0 grid in dB")
     decode.add_argument("--schedule", type=_parse_schedule,
                         help="comma list of Taylor-init ranks for the adaptive loop")
-    decode.add_argument("--with-oracle", action="store_true",
-                        help="add the exhaustive bit-wise MAP oracle (k <= 20)")
-    _add_common(decode)
+    _add_common(decode, DECODE_DETECTORS)
 
     ranks = sub.add_parser("ranks", help="histogram of a per-trial rank dump")
     ranks.add_argument("--in", dest="infile", required=True, help="per-trial CSV with an rmax column")
     ranks.add_argument("--detector", help="only rows of this detector")
     ranks.add_argument("--out", required=True, help="output histogram CSV (rmax,count)")
     return parser, sub.choices
-
-
-def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key: str, value):
-    """Convert one config-file value as its flag's text would be, through
-    the flag's ``type`` and ``choices``; a list stands for a comma list."""
-    if action.nargs == 0:  # a switch
-        if not isinstance(value, bool):
-            parser.error(f"config key {key!r}: expected true or false, got {value!r}")
-        return value
-    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-    try:
-        out = action.type(text) if action.type else text
-    except (argparse.ArgumentTypeError, ValueError) as err:
-        parser.error(f"config key {key!r}: invalid value {value!r} ({err})")
-    if action.choices is not None and out not in action.choices:
-        choices = ", ".join(action.choices)
-        parser.error(f"config key {key!r}: invalid choice {value!r} (choose from {choices})")
-    return out
-
-
-def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
-    """The --config file's values, converted, keyed by their flags' ``dest``."""
-    try:
-        with open(path) as fh:
-            overrides = json.load(fh)
-    except OSError as err:
-        parser.error(f"cannot read config file {path!r}: {err.strerror}")
-    except ValueError as err:
-        parser.error(f"config file {path!r} is not valid JSON: {err}")
-    if not isinstance(overrides, dict):
-        parser.error(f"config file {path!r} must hold a JSON object, got {type(overrides).__name__}")
-    defaults = {}
-    for key, value in overrides.items():
-        action = parser._option_string_actions.get("--" + key.replace("_", "-"))
-        if action is None or action.dest == "help":
-            parser.error(f"unknown config key {key!r}")
-        defaults[action.dest] = _config_value(parser, action, key, value)
-    return defaults
-
-
-def _sim_config(settings: dict) -> SimConfig:
-    """The SimConfig of exactly the flags in ``settings`` (a parsed namespace)."""
-    settings.pop("config", None)
-    detectors = ["oracle"] if settings.pop("with_oracle", False) else []
-    variant = settings.pop("variant")
-    detectors.extend(TT_DETECTORS if variant == "both" else (variant,))
-    if settings.pop("with_lmmse", False):
-        detectors.append("lmmse")
-    cross = {f.name: settings.pop(f.name) for f in fields(CrossConfig) if f.name in settings}
-    return SimConfig(scenario=settings.pop("command"), detectors=tuple(detectors),
-                     cross=CrossConfig(**cross), **settings)
 
 
 def _run_ranks(args, parser: argparse.ArgumentParser) -> int:
@@ -242,12 +194,10 @@ def main(argv=None) -> int:
     if args.command == "ranks":
         return _run_ranks(args, commands["ranks"])
     sweep_parser = commands[args.command]
-    if "config" in args:
-        # the file's values become defaults, so that any flag given wins
-        sweep_parser.set_defaults(**_config_defaults(sweep_parser, args.config))
-        args = parser.parse_args(argv)
+    settings = vars(args)
+    cross = {f.name: settings.pop(f.name) for f in fields(CrossConfig) if f.name in settings}
     try:
-        cfg = _sim_config(vars(args))
+        cfg = SimConfig(scenario=settings.pop("command"), cross=CrossConfig(**cross), **settings)
     except ValueError as err:
         sweep_parser.error(str(err))
     try:

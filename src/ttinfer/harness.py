@@ -82,7 +82,6 @@ class SimConfig:
     nt_complex: int = 4
     qam: int = 4
     taylor_max_rank: int = 10
-    realized_snr: bool = False
     # decoding model
     code_path: str | None = None
     schedule: tuple[int, ...] = (10,)
@@ -308,12 +307,7 @@ def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> list[t
     sigma2 = noise_variance_for_snr(h_c, const.energy_complex, snr_db)
     ch = ChannelRealization.from_complex(h_c, sigma2)
     x = const.alphabet[rng.integers(0, const.size_real, size=ch.nt)]
-    noise = np.sqrt(sigma2) * rng.standard_normal(ch.nt)
-    signal = ch.h @ x
-    if cfg.realized_snr:
-        target = np.dot(signal, signal) * 10.0 ** (-snr_db / 10.0) / cfg.nt_complex
-        noise *= np.sqrt(target / np.dot(noise, noise))
-    y = signal + noise
+    y = ch.h @ x + np.sqrt(sigma2) * rng.standard_normal(ch.nt)
 
     def detect(det):
         if det == "oracle":

@@ -172,9 +172,11 @@ def _check_pipeline_args(taylor_p: int, taylor_max_rank: int, variant: str,
 
 
 def _check_observation(y, n: int, what: str) -> np.ndarray:
-    """``y`` as a float64 vector; raises ValueError unless its shape is
-    (n,), with ``what`` naming where n comes from, and every entry is
-    finite.  Every detector and metric builder checks its observation here."""
+    """``y`` as a float64 vector; raises ValueError unless it is real, its
+    shape is (n,), with ``what`` naming where n comes from, and every entry
+    is finite.  Every detector and metric builder checks its observation here."""
+    if np.iscomplexobj(y):
+        raise ValueError("observation must be real")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise ValueError(f"observation shape {y.shape} does not match {what}")

@@ -1,21 +1,22 @@
 """Tests of the command-line entry point: each subcommand runs in process,
-exits with 0 and writes CSVs with the expected headers and row counts, the
-sweep subcommands carry every flag and config-file key into the SimConfig
-and take every other setting from SimConfig's defaults, and out-of-range
-values, malformed code files, unreadable config files and unwritable
+exits with 0 and writes CSVs with the expected headers and row counts, every
+sweep flag sets exactly one SimConfig or CrossConfig field, flags typed and
+flags read from an ``@FILE`` run file reach the SimConfig (later ones win),
+every other setting comes from SimConfig's defaults, and out-of-range values,
+unknown detectors, malformed code files, unusable run files and unwritable
 output paths exit with a usage error before any trial runs; ``ranks`` prints
 its summary line and writes its histogram, and exits with a message on an
 unusable input or output path, an input without rank records or a rank that
 is not a finite number."""
 
 import csv
-import json
+from dataclasses import fields
 from operator import attrgetter
 
 import pytest
 
-from ttinfer import SimConfig, builtin_code_path
-from ttinfer.cli import main
+from ttinfer import CrossConfig, SimConfig, builtin_code_path
+from ttinfer.cli import _build_parser, main
 
 SWEEP_HEADER = [
     "detector", "snr_db", "trials", "sym_errors", "blk_errors", "rate",
@@ -30,11 +31,18 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def run_file(tmp_path, lines):
+    """The ``@FILE`` argument of a run file holding ``lines``, one a line."""
+    path = tmp_path / "run.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    return f"@{path}"
+
+
 def test_mimo_sweep_and_ranks(tmp_path):
     out, dump, hist = tmp_path / "mimo.csv", tmp_path / "trials.csv", tmp_path / "ranks.csv"
     code = main([
         "mimo", "--qam", "4", "--nt", "2", "--snr", "10", "--max-trials", "3",
-        "--with-oracle", "--trial-dump", str(dump), "--out", str(out),
+        "--detectors", "oracle,sample", "--trial-dump", str(dump), "--out", str(out),
     ])
     assert code == 0
     header, rows = read_csv(out)
@@ -58,7 +66,7 @@ def test_decode_sweep(tmp_path):
     out = tmp_path / "decode.csv"
     code = main([
         "decode", "--code", "hamming_7_4", "--ebn0", "4", "--max-trials", "3",
-        "--with-oracle", "--out", str(out),
+        "--detectors", "oracle,sample", "--out", str(out),
     ])
     assert code == 0
     header, rows = read_csv(out)
@@ -67,7 +75,18 @@ def test_decode_sweep(tmp_path):
     assert all(r[2] == "3" for r in rows)
 
 
+@pytest.mark.parametrize("scenario", ["mimo", "decode"])
+def test_every_sweep_flag_sets_one_config_field(scenario):
+    """No flag is synthesized into a field, and no field has two flags."""
+    _, commands = _build_parser()
+    dests = [action.dest for action in commands[scenario]._actions if action.dest != "help"]
+    config_fields = {f.name for f in fields(SimConfig)} | {f.name for f in fields(CrossConfig)}
+    assert set(dests) <= config_fields
+    assert len(dests) == len(set(dests))
+
+
 SHARED_FLAGS = [
+    ("--detectors", "sweep,sample", "detectors", ("sweep", "sample")),
     ("--taylor-p", "3", "taylor_p", 3),
     ("--tol", "1e-9", "trunc_tol", 1e-9),
     ("--seed", "17", "master_seed", 17),
@@ -95,6 +114,10 @@ def captured_config(monkeypatch, argv):
     return cfg
 
 
+def no_sweep(monkeypatch):
+    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+
+
 @pytest.mark.parametrize("scenario", ["mimo", "decode"])
 def test_shared_flags_reach_sim_config(monkeypatch, scenario):
     argv = [scenario, *SCENARIO_ARGS[scenario]]
@@ -112,14 +135,14 @@ SCENARIO_FLAGS = {
         (["--qam", "16"], "qam", 16),
         (["--snr", "5:5:15"], "snr_grid", (5.0, 10.0, 15.0)),
         (["--rmax", "7"], "taylor_max_rank", 7),
-        (["--realized-snr"], "realized_snr", True),
-        (["--with-oracle", "--with-lmmse"], "detectors", ("oracle", "sample", "lmmse")),
+        (["--detectors", "oracle,sample,sweep,lmmse"], "detectors",
+         ("oracle", "sample", "sweep", "lmmse")),
     ],
     "decode": [
         (["--code", "bch_15_7"], "code_path", str(builtin_code_path("bch_15_7"))),
         (["--ebn0", "2,3.5"], "snr_grid", (2.0, 3.5)),
         (["--schedule", "4,10"], "schedule", (4, 10)),
-        (["--with-oracle"], "detectors", ("oracle", "sample")),
+        (["--detectors", "oracle,sample,sweep"], "detectors", ("oracle", "sample", "sweep")),
     ],
 }
 
@@ -135,24 +158,38 @@ def test_scenario_flags_reach_sim_config(monkeypatch, scenario):
 
 
 def test_unset_flags_take_sim_config_defaults(monkeypatch):
-    cfg = captured_config(monkeypatch, ["mimo", "--out", "s.csv"])
-    assert cfg == SimConfig(scenario="mimo", snr_grid=(0.0,), detectors=("sample",),
+    cfg = captured_config(monkeypatch, ["mimo", "--detectors", "sweep", "--out", "s.csv"])
+    assert cfg == SimConfig(scenario="mimo", snr_grid=(0.0,), detectors=("sweep",),
                             out_path="s.csv")
-    cfg = captured_config(monkeypatch, ["decode", "--code", "hamming_7_4", "--out", "s.csv"])
-    assert cfg == SimConfig(scenario="decode", snr_grid=(4.0,), detectors=("sample",),
+    cfg = captured_config(monkeypatch, ["decode", "--code", "hamming_7_4", "--detectors", "sweep",
+                                        "--out", "s.csv"])
+    assert cfg == SimConfig(scenario="decode", snr_grid=(4.0,), detectors=("sweep",),
                             code_path=str(builtin_code_path("hamming_7_4")), out_path="s.csv")
 
 
 @pytest.mark.parametrize("scenario", ["mimo", "decode"])
+def test_detectors_flag_is_required(monkeypatch, capsys, scenario):
+    no_sweep(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([scenario, *SCENARIO_ARGS[scenario], "--out", "s.csv"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --detectors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["mimo", "decode"])
 def test_config_file_applies_and_flags_win(monkeypatch, tmp_path, scenario):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"cross_sweeps": 3, "seed": 5, "variant": "both"}))
-    argv = [scenario, *SCENARIO_ARGS[scenario], "--config", str(config), "--seed", "9",
-            "--out", "sweep.csv"]
+    """A run file's arguments apply where it stands: a flag after it wins,
+    and the file wins over a flag before it."""
+    file_arg = run_file(tmp_path, ["--cross-sweeps=3", "--seed=5", "--detectors=sample,sweep"])
+    argv = [scenario, *SCENARIO_ARGS[scenario], file_arg, "--seed", "9", "--out", "sweep.csv"]
     cfg = captured_config(monkeypatch, argv)
     assert cfg.cross.n_sweeps == 3
     assert cfg.detectors == ("sample", "sweep")
     assert cfg.master_seed == 9
+    argv = [scenario, *SCENARIO_ARGS[scenario], "--seed", "9", "--detectors", "oracle", file_arg,
+            "--out", "sweep.csv"]
+    cfg = captured_config(monkeypatch, argv)
+    assert (cfg.master_seed, cfg.detectors) == (5, ("sample", "sweep"))
 
 
 @pytest.mark.parametrize("flags", [
@@ -162,9 +199,8 @@ def test_config_file_applies_and_flags_win(monkeypatch, tmp_path, scenario):
 ])
 @pytest.mark.parametrize("scenario", ["mimo", "decode"])
 def test_flags_win_over_config_in_any_spelling(monkeypatch, tmp_path, scenario, flags):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"cross_sweeps": 3, "seed": 5}))
-    argv = [scenario, *SCENARIO_ARGS[scenario], "--config", str(config), *flags,
+    file_arg = run_file(tmp_path, ["--cross-sw", "3", "--seed=5"])
+    argv = [scenario, *SCENARIO_ARGS[scenario], "--detectors", "sample", file_arg, *flags,
             "--out", "sweep.csv"]
     cfg = captured_config(monkeypatch, argv)
     assert cfg.cross.n_sweeps == 7
@@ -172,64 +208,61 @@ def test_flags_win_over_config_in_any_spelling(monkeypatch, tmp_path, scenario, 
 
 
 @pytest.mark.parametrize("overrides, field, value", [
-    ({"snr": 10}, "snr_grid", (10.0,)),
-    ({"snr": [10, "15"]}, "snr_grid", (10.0, 15.0)),
-    ({"workers": "2"}, "workers", 2),
-    ({"with_oracle": True}, "detectors", ("oracle", "sample")),
+    (["--snr=10"], "snr_grid", (10.0,)),
+    (["--snr", "10,15"], "snr_grid", (10.0, 15.0)),
+    (["--workers=2"], "workers", 2),
+    (["--detectors=oracle,sample"], "detectors", ("oracle", "sample")),
 ])
 def test_config_values_pass_through_flag_types(monkeypatch, tmp_path, overrides, field, value):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps(overrides))
-    cfg = captured_config(monkeypatch, ["mimo", "--config", str(config), "--out", "s.csv"])
+    argv = ["mimo", "--detectors", "sweep", run_file(tmp_path, overrides), "--out", "s.csv"]
+    cfg = captured_config(monkeypatch, argv)
     assert getattr(cfg, field) == value
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"variant": "bogus"}, "invalid choice 'bogus'"),
-    ({"workers": "two"}, "invalid value 'two'"),
-    ({"with_oracle": "yes"}, "expected true or false"),
-    ({"no_such_flag": 1}, "unknown config key 'no_such_flag'"),
-    ([1, 2], "must hold a JSON object, got list"),
-])
+    (["--detectors=oracle,bogus"], "ttinfer decode: error: detector 'bogus' not available"),
+    (["--detectors=lmmse"], "ttinfer decode: error: detector 'lmmse' not available for decode"),
+    (["--detectors=sweep,sweep"], "ttinfer decode: error: detector 'sweep' is listed more than"),
+    (["--workers=two"], "argument --workers: invalid int value: 'two'"),
+    (["--no-such-flag=1"], "ttinfer: error: unrecognized arguments: --no-such-flag=1"),
+    (["--seed 3"], "ttinfer: error: unrecognized arguments: --seed 3"),
+], ids=["unknown-detector", "wrong-scenario-detector", "repeated-detector", "bad-int",
+        "unknown-flag", "two-arguments-on-one-line"])
 def test_bad_config_values_exit_with_usage_error(monkeypatch, tmp_path, capsys, overrides, message):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps(overrides))
-    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+    no_sweep(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        main(["decode", "--code", "hamming_7_4", "--config", str(config), "--out", "s.csv"])
+        main(["decode", "--code", "hamming_7_4", "--detectors", "sample",
+              run_file(tmp_path, overrides), "--out", "s.csv"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "ttinfer decode" in err and message in err
+    assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, message", [
-    (None, "cannot read config file"),
-    ("{bad", "is not valid JSON"),
-    ("", "is not valid JSON"),
+@pytest.mark.parametrize("lines, message", [
+    (None, "No such file or directory"),
+    (["{bad"], "unrecognized arguments: {bad"),
+    (["--seed=3", "", "--workers=1"], "unrecognized arguments: \n"),
 ], ids=["missing", "malformed", "empty"])
-def test_unreadable_config_exits_with_usage_error(monkeypatch, tmp_path, capsys, text, message):
-    config = tmp_path / "run.json"
-    if text is not None:
-        config.write_text(text)
-    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+def test_unreadable_config_exits_with_usage_error(monkeypatch, tmp_path, capsys, lines, message):
+    """A run file must exist and hold one argument per line: a line that is
+    no argument, or an empty line, is an unrecognized argument."""
+    file_arg = run_file(tmp_path, lines) if lines is not None else f"@{tmp_path / 'run.txt'}"
+    no_sweep(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        main(["mimo", "--config", str(config), "--out", "s.csv"])
+        main(["mimo", "--detectors", "sample", file_arg, "--out", "s.csv"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "ttinfer mimo: error" in err and message in err
+    assert "ttinfer: error" in err and message in err
 
 
 @pytest.mark.parametrize("schedule", ["10,4", ","])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_bad_schedule_exits_with_usage_error(monkeypatch, tmp_path, capsys, schedule, source):
-    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
-    argv = ["decode", "--code", "hamming_7_4", "--out", "s.csv"]
+    no_sweep(monkeypatch)
+    argv = ["decode", "--code", "hamming_7_4", "--detectors", "sample", "--out", "s.csv"]
     if source == "flag":
         argv += ["--schedule", schedule]
     else:
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"schedule": schedule}))
-        argv += ["--config", str(config)]
+        argv.append(run_file(tmp_path, ["--schedule", schedule]))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -250,7 +283,10 @@ SHARED_OUT_OF_RANGE = [
     ("--workers", 0),
     ("--workers", -3),
 ]
-REQUIRED_ARGS = {"mimo": [], "decode": ["--code", "hamming_7_4"]}
+REQUIRED_ARGS = {
+    "mimo": ["--detectors", "sample"],
+    "decode": ["--code", "hamming_7_4", "--detectors", "sample"],
+}
 OUT_OF_RANGE = [
     *((scenario, flag, value) for scenario in REQUIRED_ARGS for flag, value in SHARED_OUT_OF_RANGE),
     ("mimo", "--rmax", 0),
@@ -265,14 +301,12 @@ OUT_OF_RANGE = [
 @pytest.mark.parametrize("scenario, flag, value", OUT_OF_RANGE)
 def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys, scenario,
                                                    flag, value, source):
-    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+    no_sweep(monkeypatch)
     argv = [scenario, *REQUIRED_ARGS[scenario], "--out", "s.csv"]
     if source == "flag":
         argv += [flag, str(value)]
     else:
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
-        argv += ["--config", str(config)]
+        argv.append(run_file(tmp_path, [f"{flag}={value}"]))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -291,9 +325,9 @@ def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys
     (["mimo", "--snr", "0:1:inf"], "argument --snr: '0:1:inf': grid bounds and step must be finite"),
 ])
 def test_malformed_values_exit_with_usage_error(monkeypatch, capsys, argv, message):
-    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
+    no_sweep(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", "s.csv"])
+        main([*argv, "--detectors", "sample", "--out", "s.csv"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err
@@ -301,14 +335,13 @@ def test_malformed_values_exit_with_usage_error(monkeypatch, capsys, argv, messa
 
 
 def test_unknown_code_in_config_exits_with_usage_error(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr("ttinfer.cli.run_sweep", lambda cfg, log=None: pytest.fail("sweep ran"))
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"code": "nosuch"}))
+    no_sweep(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        main(["decode", "--code", "hamming_7_4", "--config", str(config), "--out", "s.csv"])
+        main(["decode", "--code", "hamming_7_4", "--detectors", "sample",
+              run_file(tmp_path, ["--code=nosuch"]), "--out", "s.csv"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "config key 'code'" in err and "neither a file nor a packaged code" in err
+    assert "ttinfer decode: error: argument --code: 'nosuch' is neither a file nor a packaged" in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -316,14 +349,11 @@ def test_malformed_code_file_exits_with_usage_error(monkeypatch, tmp_path, capsy
     monkeypatch.setattr("ttinfer.harness._run_trial", lambda args: pytest.fail("trial ran"))
     bad = tmp_path / "bad.txt"
     bad.write_text("garbage\n")
-    argv = ["decode", "--code", str(bad), "--out", str(tmp_path / "s.csv")]
+    code_args = ["--code", str(bad)]
     if source == "config":
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"code": str(bad)}))
-        argv = ["decode", "--code", "hamming_7_4", "--config", str(config),
-                "--out", str(tmp_path / "s.csv")]
+        code_args = ["--code", "hamming_7_4", run_file(tmp_path, code_args)]
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["decode", *code_args, "--detectors", "sample", "--out", str(tmp_path / "s.csv")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "ttinfer decode: error:" in err
@@ -337,7 +367,8 @@ def test_unwritable_output_exits_with_usage_error_before_any_trial(monkeypatch, 
     paths = {"--out": str(tmp_path / "s.csv"), "--trial-dump": str(tmp_path / "t.csv")}
     paths[flag] = str(tmp_path / "missing" / "x.csv")
     with pytest.raises(SystemExit) as exc:
-        main(["mimo", "--max-trials", "1", *(arg for item in paths.items() for arg in item)])
+        main(["mimo", "--max-trials", "1", "--detectors", "sample",
+              *(arg for item in paths.items() for arg in item)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "ttinfer mimo: error: cannot write" in err and "x.csv" in err

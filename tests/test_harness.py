@@ -1,9 +1,9 @@
 """Tests of the Monte Carlo harness: the split-half exact oracles against
 brute-force enumeration, their input checks, cached tables and enumeration
 limit, the configuration checks, the per-trial records of
-failed inferences and their count in the sweep log, the realized-SNR noise
-scaling, and the worker-count independence of ``run_sweep`` and its
-failure on an unwritable output path before any trial runs."""
+failed inferences and their count in the sweep log, and the worker-count
+independence of ``run_sweep`` and its failure on an unwritable output path
+before any trial runs."""
 
 import itertools
 from dataclasses import replace
@@ -383,32 +383,3 @@ class TestTrialRecords:
                 if det != "oracle":
                     assert (early, rmax == 0, failed) == (int(certified), certified, 0), trial
 
-
-class TestRealizedSnr:
-    @pytest.mark.parametrize("snr_db", [0.0, 12.5])
-    def test_noise_hits_the_realized_snr(self, monkeypatch, snr_db):
-        seen = []
-
-        def capture(y, ch, alphabet):
-            seen.append((y, ch.h))
-            return np.zeros(ch.nt)
-
-        truths = []
-        score = harness._trial_records
-
-        def records(cfg, trial, truth, detect):
-            truths.append(truth)
-            return score(cfg, trial, truth, detect)
-
-        monkeypatch.setattr(harness, "lmmse_detect", capture)
-        monkeypatch.setattr(harness, "_trial_records", records)
-        cfg = SimConfig(scenario="mimo", snr_grid=(snr_db,), detectors=("lmmse",),
-                        nt_complex=3, qam=16, realized_snr=True)
-        for trial in range(4):
-            harness._mimo_trial(cfg, snr_db, 0, trial)
-        assert len(seen) == len(truths) == 4
-        for (y, h), x in zip(seen, truths):
-            signal = h @ x
-            noise = y - signal
-            ratio = np.dot(signal, signal) / (cfg.nt_complex * np.dot(noise, noise))
-            assert ratio == pytest.approx(10.0 ** (snr_db / 10.0), rel=1e-12, abs=0)

@@ -223,15 +223,16 @@ class TestNormalizationKillsConstant:
         assert np.abs(t1.probs - t2.probs).max() <= 1e-8
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "column"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "column", "complex"])
 @pytest.mark.parametrize("entry", [
     "ttdet", "build_quadratic_metric", "mimo_exact_marginals", "lmmse_detect",
     "ttdec", "build_code_logapp_tt", "code_exact_bitwise_map",
 ])
 def test_every_entry_point_rejects_a_bad_observation(entry, bad):
     """Every function that takes an observation checks it through
-    ``posterior._check_observation``: a NaN or infinite entry and a column
-    vector raise ValueError, where a good observation passes."""
+    ``posterior._check_observation``: a NaN or infinite entry, a column
+    vector and a complex vector raise ValueError, where a good observation
+    passes."""
     const, ch, y, _ = perfbench_mimo16_inputs(7, 0)
     code, a = load_code(builtin_code_path("hamming_7_4")), const.alphabet
     call = {
@@ -248,6 +249,8 @@ def test_every_entry_point_rejects_a_bad_observation(entry, bad):
     call(y)
     if bad == "column":
         y, match = y[:, None], "does not match"
+    elif bad == "complex":
+        y, match = y + 1j, "observation must be real"
     else:
         y, match = y.copy(), "observation must be finite"
         y[3] = float(bad)
