@@ -4,7 +4,6 @@ Subcommands:
 
 * ``ttinfer mimo``   -- SER sweep of the TT MIMO detector against oracles.
 * ``ttinfer decode`` -- BER sweep of the adaptive TT decoder for a code file.
-* ``ttinfer ranks``  -- histogram + mean/median of a per-trial rank dump.
 
 Each sweep flag sets one ``SimConfig`` (or ``CrossConfig``) field, and
 ``--detectors`` lists the detectors to run on every trial, e.g.
@@ -15,26 +14,29 @@ with no blank lines; later arguments win, so a flag given after ``@FILE``
 overrides the file's.  Every sweep setting left unset takes its default from
 ``SimConfig``, which also checks it: an out-of-range value, typed or in a run
 file, is a usage error (exit status 2) and no trial runs.  So are an unknown
-detector, a code file that ``load_code`` rejects, a run file that cannot be
-read, and an output path that cannot be written.
+detector, an oracle over more assignments than the enumeration limit, a code
+file that ``load_code`` rejects, a run file that cannot be read, and an output
+path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .chancode import _builtin_code_names, builtin_code_path, load_code
 from .cross import CrossConfig
 from .harness import DECODE_DETECTORS, MIMO_DETECTORS, SimConfig, run_sweep
+from .posterior import EnumerationLimitError
 
 __all__ = ["main"]
+
+# A start:step:stop grid with more points than this is a typo (a step of
+# 1e-20, say), not a sweep.
+MAX_GRID_POINTS = 10_000
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -51,12 +53,13 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"{text!r}: grid bounds and step must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
-    values = []
-    v = start
-    while v <= stop + 1e-9:
-        values.append(round(v, 9))
-        v += step
-    return tuple(values)
+    span = (stop - start + 1e-9) / step
+    if not span < MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"{text!r}: a grid has at most {MAX_GRID_POINTS} points")
+    values = tuple(round(start + i * step, 9) for i in range(math.floor(span) + 1))
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"{text!r}: grid step does not advance")
+    return values
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
@@ -111,7 +114,8 @@ def _add_common(parser: argparse.ArgumentParser, detectors: tuple[str, ...]) -> 
     parser.add_argument("--cross-sweeps", dest="n_sweeps", type=int)
     parser.add_argument("--cross-oversample", dest="sample_oversample", type=int)
     parser.add_argument("--cross-conv-tol", dest="conv_tol", type=float)
-    parser.add_argument("--trial-dump", help="optional per-trial CSV (feeds `ttinfer ranks`)")
+    parser.add_argument("--trial-dump", help="optional per-trial CSV with columns "
+                        "detector,snr_db,trial,errors,rmax,early")
     parser.add_argument("--out", dest="out_path", required=True, help="output CSV path")
 
 
@@ -144,55 +148,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                         help="comma list of Taylor-init ranks for the adaptive loop")
     _add_common(decode, DECODE_DETECTORS)
 
-    ranks = sub.add_parser("ranks", help="histogram of a per-trial rank dump")
-    ranks.add_argument("--in", dest="infile", required=True, help="per-trial CSV with an rmax column")
-    ranks.add_argument("--detector", help="only rows of this detector")
-    ranks.add_argument("--out", required=True, help="output histogram CSV (rmax,count)")
     return parser, sub.choices
-
-
-def _run_ranks(args, parser: argparse.ArgumentParser) -> int:
-    values = []
-    try:
-        with open(args.infile, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                if "rmax" not in row:
-                    raise SystemExit("input CSV has no rmax column")
-                if args.detector and row.get("detector") != args.detector:
-                    continue
-                try:
-                    value = float(row["rmax"])
-                    values.append(int(value))
-                except (TypeError, ValueError, OverflowError):  # missing, not a number, inf
-                    raise SystemExit(f"{args.infile}, line {reader.line_num}: rmax {row['rmax']!r} "
-                                     "is not a finite number") from None
-                if values[-1] != value:
-                    raise SystemExit(f"{args.infile}, line {reader.line_num}: rmax {row['rmax']!r} "
-                                     "is not an integer")
-    except OSError as err:
-        parser.error(f"cannot read {args.infile!r}: {err.strerror}")
-    if not values:
-        of_detector = f" of detector {args.detector!r}" if args.detector else ""
-        raise SystemExit(f"{args.infile} has no rank records{of_detector}")
-    ranks, counts = np.unique(values, return_counts=True)
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rmax", "count"])
-            writer.writerows(zip(ranks.tolist(), counts.tolist()))
-    except OSError as err:
-        parser.error(f"cannot write {args.out!r}: {err.strerror}")
-    print(f"records={len(values)} mean={np.mean(values):.6g} median={np.median(values):.6g}")
-    print(f"wrote {args.out}")
-    return 0
 
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "ranks":
-        return _run_ranks(args, commands["ranks"])
     sweep_parser = commands[args.command]
     settings = vars(args)
     cross = {f.name: settings.pop(f.name) for f in fields(CrossConfig) if f.name in settings}
@@ -202,6 +163,8 @@ def main(argv=None) -> int:
         sweep_parser.error(str(err))
     try:
         run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
+    except EnumerationLimitError as err:  # a code too large for the oracle
+        sweep_parser.error(str(err))
     except OSError as err:
         if err.filename not in (cfg.out_path, cfg.trial_dump):
             raise

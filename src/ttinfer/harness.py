@@ -71,8 +71,9 @@ class SimConfig:
     ``min_block_errors`` block errors, or at ``max_trials``.
 
     Each sweep setting gets its one default here, and building a config
-    with an out-of-range field raises ValueError.  ``cross`` holds the
-    cross settings; ``cross_config`` gives each trial its own seed.
+    with an out-of-range field, or a MIMO oracle past the enumeration
+    limit, raises ValueError.  ``cross`` holds the cross settings;
+    ``cross_config`` gives each trial its own seed.
     """
 
     scenario: str
@@ -114,7 +115,9 @@ class SimConfig:
                 raise ValueError(f"detector {det!r} is listed more than once")
         if self.scenario == "decode" and self.code_path is None:
             raise ValueError("decoding sweeps need a code file")
-        QamConstellation.from_order(self.qam)
+        const = QamConstellation.from_order(self.qam)
+        if self.scenario == "mimo" and "oracle" in self.detectors:
+            _check_enumeration(2 * self.nt_complex, const.size_real)
         _rank_schedule(self.schedule)
         if not self.trunc_tol >= 0:
             raise ValueError("trunc_tol must be >= 0")
@@ -376,9 +379,12 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
     detector sees the same realizations.  Returns the aggregated result;
     writes ``cfg.out_path`` (sweep CSV) and ``cfg.trial_dump`` (per-trial
     CSV) when set.  An output path that cannot be opened for writing raises
-    OSError before the first trial.
+    OSError, and a code too large for the oracle EnumerationLimitError,
+    before the first trial.
     """
     code = load_code(cfg.code_path) if cfg.scenario == "decode" else None
+    if code and "oracle" in cfg.detectors:
+        _check_enumeration(code.k, 2)
     for path in (cfg.out_path, cfg.trial_dump):
         if path:
             open(path, "a").close()  # append mode leaves an existing file as it is

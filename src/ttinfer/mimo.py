@@ -3,13 +3,13 @@ decomposition, QAM alphabets, the terms of the Gaussian log-likelihood
 -||y - H x||^2 / (2 sigma^2) for the exact sum-of-products TT builder of
 the tt module, a list sphere decoder, and the TT detector.
 
-The list sphere decoder is an exact breadth-first search in two stages: a
-beam pass whose list is returned when no dropped partial metric could lead
-below its last entry (the certificate), else a pass that keeps every node
-within that entry's metric.  The detector returns the sphere list's own
-marginals, without building any TT, when a bound shows that the list holds
-all but at most ``LIST_EXIT_TOL`` of the posterior mass (as a share of the
-list's mass).
+The list sphere decoder is a breadth-first search in two stages: a beam
+pass whose list is returned when no dropped partial metric could lead below
+its last entry (the certificate), else a pass that keeps the nodes within
+that entry's metric, up to a node budget.  The detector returns the sphere
+list's own marginals, without building any TT, when the list is exact and a
+bound shows that it holds all but at most ``LIST_EXIT_TOL`` of the
+posterior mass (as a share of the list's mass).
 
 The complex model y~ = H~ x~ + n~ with M-QAM symbols is rewritten as the real
 model y = H x + n with H = [[Re, -Im], [Im, Re]], stacked (Re; Im) vectors,
@@ -59,6 +59,11 @@ LIST_EXIT_TOL = 1e-9
 # certified exact on 219 at 2 and on 289 at 4 (K = 16), and the median
 # ``ttdet`` time was the same within the run-to-run spread.
 SPHERE_BEAM_FACTOR = 4
+
+# ``_sphere_list``'s radius pass gives up at a level with more nodes than
+# this, which bounds its memory and time.  On 300 benchmark 16-QAM inputs
+# at each of 5, 10 and 15 dB (seed 7) it peaked at 1,588 nodes.
+SPHERE_RADIUS_BUDGET = 4096
 
 
 class DegenerateChannelError(ValueError):
@@ -239,8 +244,11 @@ def _sphere_pass(z: np.ndarray, r: np.ndarray, symbols: np.ndarray, beam: int,
     Each node carries its running centers z - R[:, >l] x_{>l}, and one
     broadcast per level expands every node by all symbols.  Without a
     ``radius`` the pass keeps the ``beam`` smallest partial metrics per
-    level; with one it keeps every node whose partial metric is at most it.
-    Levels with no row of R (a wide H) add 0.
+    level.  With one it keeps every node whose partial metric is at most
+    it; at a level with more than ``beam`` such nodes it stops and returns
+    no leaves and the smallest metric past the ``beam`` smallest, since no
+    list it could go on to find would be certified.  Levels with no row of
+    R (a wide H) add 0.
     """
     n_sym, n = symbols.size, r.shape[1]
     dist, idx, centers = np.zeros(1), np.zeros((1, n), dtype=np.int64), z[None, :]
@@ -253,6 +261,8 @@ def _sphere_pass(z: np.ndarray, r: np.ndarray, symbols: np.ndarray, beam: int,
         d = (dist[:, None] + step).ravel()
         if radius is not None:
             keep = np.flatnonzero(d <= radius)
+            if keep.size > beam:
+                return dist[:0], idx[:0], float(np.partition(d[keep], beam)[beam])
         elif d.size > beam:
             keep = np.argpartition(d, beam)
             dropped = min(dropped, float(d[keep[beam]]))
@@ -267,30 +277,36 @@ def _sphere_pass(z: np.ndarray, r: np.ndarray, symbols: np.ndarray, beam: int,
     return dist, idx, dropped
 
 
-def _sphere_list(y: np.ndarray, h: np.ndarray, alphabet, size: int = SEED_LIST_SIZE) -> np.ndarray:
-    """Alphabet indices of the ``size`` hypotheses x with the smallest
-    ||y - H x||^2, best first and ties by index tuple (all of them when there
-    are fewer).
+def _sphere_list(y: np.ndarray, h: np.ndarray, alphabet,
+                 size: int = SEED_LIST_SIZE) -> tuple[np.ndarray, bool]:
+    """Alphabet indices of ``size`` hypotheses x with small ||y - H x||^2,
+    best first and ties by index tuple, and whether they are exactly the
+    ``size`` smallest (all hypotheses when there are fewer).
 
-    Exact list sphere decoder (Hochwald & ten Brink, IEEE T-Com 2003) as a
+    List sphere decoder (Hochwald & ten Brink, IEEE T-Com 2003) as a
     breadth-first search on H = Q R, which leaves ||Q^T y - R x||^2 plus a
     constant.  Stage 1 is a beam pass that keeps the ``SPHERE_BEAM_FACTOR *
     size`` best nodes per level (``_sphere_pass``).  Partial metrics only
-    grow along a path, so when the size-th best leaf lies below every
-    dropped partial metric, the beam's best are the exact list
-    (the certificate).  Otherwise stage 2 runs the pass again and keeps
-    every node within the size-th beam leaf's metric: each of the true best
-    paths stays within it at every level, and at least ``size`` leaves do.
+    grow along a path, so when the size-th best leaf (the radius) lies
+    below every dropped partial metric, the beam's best are the exact list
+    (the certificate).  Otherwise stage 2 runs the pass again and keeps the
+    nodes within the radius: each of the true best paths stays within it at
+    every level, and at least ``size`` leaves do.  Past
+    ``SPHERE_RADIUS_BUDGET`` such nodes at one level stage 2 stops, and the
+    beam's list is returned as not exact.
     """
     q, r = np.linalg.qr(h)
     z, symbols = q.T @ y, np.asarray(alphabet, dtype=np.float64)
-    beam = SPHERE_BEAM_FACTOR * size
-    dist, idx, dropped = _sphere_pass(z, r, symbols, beam)
+    dist, idx, dropped = _sphere_pass(z, r, symbols, SPHERE_BEAM_FACTOR * size)
     top = np.lexsort((*idx.T[::-1], dist))[:size]
-    if dropped <= dist[top[-1]]:
-        dist, idx, _ = _sphere_pass(z, r, symbols, beam, radius=dist[top[-1]])
-        top = np.lexsort((*idx.T[::-1], dist))[:size]
-    return idx[top]
+    radius = dist[top[-1]]
+    if dropped <= radius:
+        wide_dist, wide_idx, dropped = _sphere_pass(z, r, symbols, SPHERE_RADIUS_BUDGET,
+                                                    radius=radius)
+        if dropped > radius:
+            dist, idx = wide_dist, wide_idx
+            top = np.lexsort((*idx.T[::-1], dist))[:size]
+    return idx[top], dropped > radius
 
 
 def _log_outside_bound(log_weights: np.ndarray, n_hypotheses: int) -> float:
@@ -334,10 +350,11 @@ def ttdet(
     """TT-based symbol-wise MAP detection of one transmission.
 
     First runs the sphere decoder for the list of the ``SEED_LIST_SIZE``
-    most likely hypotheses.  When ``_log_outside_bound`` shows that the
-    posterior mass outside the list is at most ``LIST_EXIT_TOL`` of the
-    list's, the list's own normalized marginals are returned as certified,
-    with no TT built and a recorded rank of 0.  Otherwise it builds the
+    most likely hypotheses.  When the list is exact and
+    ``_log_outside_bound`` shows that the posterior mass outside it is at
+    most ``LIST_EXIT_TOL`` of the list's, its own normalized marginals are
+    returned as certified, with no TT built and a recorded rank of 0.
+    Otherwise (an inexact list seeds the cross all the same) it builds the
     log-likelihood -||y - H x||^2 / (2 sigma^2) as one exact TT of ranks
     min(b, N - b) + 2 (the uniform prior is omitted), rounds it by
     ``tt_truncate`` only when ``trunc_tol`` is positive (the default 0 keeps
@@ -351,11 +368,11 @@ def ttdet(
     _check_pipeline_args(taylor_p, taylor_max_rank, variant, trunc_tol)
     y = _check_observation(y, ch.nr, f"channel shape {ch.h.shape}")
     alphabet = np.asarray(alphabet, dtype=np.float64)
-    seeds = _sphere_list(y, ch.h, alphabet)
+    seeds, exact = _sphere_list(y, ch.h, alphabet)
     residual = y - alphabet[seeds] @ ch.h.T
     log_weights = np.einsum("ij,ij->i", residual, residual) / (-2.0 * ch.sigma2)
-    certified = (_log_outside_bound(log_weights, alphabet.size**ch.nt)
-                 < math.log(LIST_EXIT_TOL))
+    certified = exact and (_log_outside_bound(log_weights, alphabet.size**ch.nt)
+                           < math.log(LIST_EXIT_TOL))
     if certified:
         marginals, max_rank = _list_marginals(seeds, log_weights, alphabet.size), 0
     else:

@@ -67,11 +67,18 @@ class InferenceFailureError(RuntimeError):
     """Marginalization produced no usable mass; retry with larger ranks."""
 
 
+class EnumerationLimitError(ValueError):
+    """An exact enumeration would visit more than ``ASSIGNMENT_LIMIT``
+    assignments."""
+
+
 def _check_enumeration(n_modes: int, base: int) -> None:
-    """Raise ValueError when base^n_modes exceeds ``ASSIGNMENT_LIMIT``."""
+    """Raise EnumerationLimitError when base^n_modes exceeds
+    ``ASSIGNMENT_LIMIT``."""
     total = base**n_modes
     if total > ASSIGNMENT_LIMIT:
-        raise ValueError(f"{total} assignments exceed the enumeration limit {ASSIGNMENT_LIMIT}")
+        raise EnumerationLimitError(
+            f"{total} assignments exceed the enumeration limit {ASSIGNMENT_LIMIT}")
 
 
 @lru_cache(maxsize=4)

@@ -2,12 +2,11 @@
 exits with 0 and writes CSVs with the expected headers and row counts, every
 sweep flag sets exactly one SimConfig or CrossConfig field, flags typed and
 flags read from an ``@FILE`` run file reach the SimConfig (later ones win),
-every other setting comes from SimConfig's defaults, and out-of-range values,
-unknown detectors, malformed code files, unusable run files and unwritable
-output paths exit with a usage error before any trial runs; ``ranks`` prints
-its summary line and writes its histogram, and exits with a message on an
-unusable input or output path, an input without rank records or a rank that
-is not a finite number."""
+every other setting comes from SimConfig's defaults, grids parse to the same
+points as ever, and out-of-range values, grids with too many points, unknown
+detectors, oracles past the enumeration limit, malformed code files,
+unusable run files and unwritable output paths exit with a usage error
+before any trial runs."""
 
 import csv
 from dataclasses import fields
@@ -16,7 +15,7 @@ from operator import attrgetter
 import pytest
 
 from ttinfer import CrossConfig, SimConfig, builtin_code_path
-from ttinfer.cli import _build_parser, main
+from ttinfer.cli import _build_parser, _parse_grid, main
 
 SWEEP_HEADER = [
     "detector", "snr_db", "trials", "sym_errors", "blk_errors", "rate",
@@ -38,8 +37,8 @@ def run_file(tmp_path, lines):
     return f"@{path}"
 
 
-def test_mimo_sweep_and_ranks(tmp_path):
-    out, dump, hist = tmp_path / "mimo.csv", tmp_path / "trials.csv", tmp_path / "ranks.csv"
+def test_mimo_sweep(tmp_path):
+    out, dump = tmp_path / "mimo.csv", tmp_path / "trials.csv"
     code = main([
         "mimo", "--qam", "4", "--nt", "2", "--snr", "10", "--max-trials", "3",
         "--detectors", "oracle,sample", "--trial-dump", str(dump), "--out", str(out),
@@ -52,14 +51,6 @@ def test_mimo_sweep_and_ranks(tmp_path):
     header, rows = read_csv(dump)
     assert header == TRIAL_HEADER
     assert len(rows) == 6
-
-    assert main(["ranks", "--in", str(dump), "--out", str(hist)]) == 0
-    header, rows = read_csv(hist)
-    assert header == ["rmax", "count"]
-    assert sum(int(r[1]) for r in rows) == 6
-    assert main(["ranks", "--in", str(dump), "--detector", "sample", "--out", str(hist)]) == 0
-    _, rows = read_csv(hist)
-    assert sum(int(r[1]) for r in rows) == 3
 
 
 def test_decode_sweep(tmp_path):
@@ -323,6 +314,8 @@ def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys
      "argument --code: 'nosuch' is neither a file nor a packaged code "
      "(bch_15_7, bch_31_16, bch_63_30, hamming_7_4)"),
     (["mimo", "--snr", "0:1:inf"], "argument --snr: '0:1:inf': grid bounds and step must be finite"),
+    (["mimo", "--snr", "1:1e-20:2"], "'1:1e-20:2': a grid has at most 10000 points"),
+    (["mimo", "--snr", "0:1e-12:1e-9"], "'0:1e-12:1e-9': grid step does not advance"),
 ])
 def test_malformed_values_exit_with_usage_error(monkeypatch, capsys, argv, message):
     no_sweep(monkeypatch)
@@ -332,6 +325,40 @@ def test_malformed_values_exit_with_usage_error(monkeypatch, capsys, argv, messa
     err = capsys.readouterr().err
     assert message in err
     assert "_parse" not in err and "_code_path" not in err
+
+
+@pytest.mark.parametrize("text, points", [
+    ("0:2.5:10", (0.0, 2.5, 5.0, 7.5, 10.0)),
+    ("5:5:15", (5.0, 10.0, 15.0)),
+    ("0:0.1:3", tuple(i / 10 for i in range(31))),
+    ("-2:0.5:0", (-2.0, -1.5, -1.0, -0.5, 0.0)),
+    ("3:1:2", ()),
+    ("10", (10.0,)),
+    ("3,4", (3.0, 4.0)),
+    ("2,3.5", (2.0, 3.5)),
+])
+def test_grids_parse_to_their_points(text, points):
+    """A start:step:stop grid includes its stop, with each point start +
+    i * step rounded to 9 decimals."""
+    assert _parse_grid(text) == points
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mimo", "--nt", "8", "--qam", "16"],
+     "ttinfer mimo: error: 4294967296 assignments exceed the enumeration limit 1048576"),
+    (["decode", "--code", "bch_63_30"],
+     "ttinfer decode: error: 1073741824 assignments exceed the enumeration limit 1048576"),
+], ids=["mimo", "decode"])
+def test_oracle_past_enumeration_limit_exits_before_any_trial(monkeypatch, tmp_path, capsys,
+                                                              argv, message):
+    monkeypatch.setattr("ttinfer.harness._run_trial", lambda args: pytest.fail("trial ran"))
+    out, dump = tmp_path / "s.csv", tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--detectors", "oracle,sweep", "--max-trials", "1",
+              "--trial-dump", str(dump), "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not dump.exists()
 
 
 def test_unknown_code_in_config_exits_with_usage_error(monkeypatch, tmp_path, capsys):
@@ -372,58 +399,3 @@ def test_unwritable_output_exits_with_usage_error_before_any_trial(monkeypatch, 
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "ttinfer mimo: error: cannot write" in err and "x.csv" in err
-
-
-def test_ranks_prints_summary_and_writes_histogram(tmp_path, capsys):
-    dump, hist = tmp_path / "trials.csv", tmp_path / "r.csv"
-    rows = [("sample", 1), ("sweep", 2), ("sample", 2), ("sweep", 5)]
-    dump.write_text(",".join(TRIAL_HEADER) + "\n"
-                    + "".join(f"{det},10,{t},0,{rmax},0\n" for t, (det, rmax) in enumerate(rows)))
-    assert main(["ranks", "--in", str(dump), "--out", str(hist)]) == 0
-    assert capsys.readouterr().out == f"records=4 mean=2.5 median=2\nwrote {hist}\n"
-    assert read_csv(hist) == (["rmax", "count"], [["1", "1"], ["2", "2"], ["5", "1"]])
-    assert main(["ranks", "--in", str(dump), "--detector", "sweep", "--out", str(hist)]) == 0
-    assert capsys.readouterr().out == f"records=2 mean=3.5 median=3.5\nwrote {hist}\n"
-    assert read_csv(hist) == (["rmax", "count"], [["2", "1"], ["5", "1"]])
-
-
-@pytest.mark.parametrize("missing, message", [
-    ("--in", "ttinfer ranks: error: cannot read"),
-    ("--out", "ttinfer ranks: error: cannot write"),
-])
-def test_ranks_unusable_path_exits_with_usage_error(tmp_path, capsys, missing, message):
-    dump = tmp_path / "trials.csv"
-    dump.write_text(",".join(TRIAL_HEADER) + "\nsample,10,0,0,1,0\n")
-    paths = {"--in": str(dump), "--out": str(tmp_path / "r.csv")}
-    paths[missing] = str(tmp_path / "missing" / "x.csv")
-    with pytest.raises(SystemExit) as exc:
-        main(["ranks", *(arg for item in paths.items() for arg in item)])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("text, detector, message", [
-    ("", None, "has no rank records"),
-    (",".join(TRIAL_HEADER) + "\n", None, "has no rank records"),
-    (",".join(TRIAL_HEADER) + "\nsample,10,0,0,1,0\n", "nosuch",
-     "has no rank records of detector 'nosuch'"),
-    (",".join(TRIAL_HEADER) + "\nsample,10,0,0,1,0\nsample,10,1,0,abc,0\n", None,
-     "trials.csv, line 3: rmax 'abc' is not a finite number"),
-    (",".join(TRIAL_HEADER) + "\nsample,10,0,0,nan,0\n", None,
-     "trials.csv, line 2: rmax 'nan' is not a finite number"),
-    (",".join(TRIAL_HEADER) + "\nsample,10,0,0\n", None,
-     "trials.csv, line 2: rmax None is not a finite number"),
-    (",".join(TRIAL_HEADER) + "\nsample,10,0,0,1.7,0\nsample,10,1,0,2,0\n", None,
-     "trials.csv, line 2: rmax '1.7' is not an integer"),
-], ids=["empty-file", "header-only", "unknown-detector", "non-numeric-rmax", "nan-rmax",
-        "short-row", "fractional-rmax"])
-def test_ranks_without_records_exits_with_message(tmp_path, text, detector, message):
-    dump, hist = tmp_path / "trials.csv", tmp_path / "r.csv"
-    dump.write_text(text)
-    argv = ["ranks", "--in", str(dump), "--out", str(hist)]
-    if detector:
-        argv += ["--detector", detector]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert message in str(exc.value.code)
-    assert not hist.exists()

@@ -717,7 +717,7 @@ def pipeline_crosses(calls, variant, engine=None, **cfg):
                 lp = LogPosterior(build_quadratic_metric(y, ch.h, ch.sigma2, const.alphabet),
                                   const.alphabet)
                 infer_marginals(lp, cross_cfg, 0, 10, variant,
-                                seeds=_sphere_list(y, ch.h, const.alphabet))
+                                seeds=_sphere_list(y, ch.h, const.alphabet)[0])
             else:
                 n0 = n0_from_ebn0(db, code.rate)
                 y, seeds = perfbench_bch31_inputs(code, n0, 7, index)

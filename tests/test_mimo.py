@@ -246,7 +246,7 @@ def cross_path(y, ch, alphabet, cfg, taylor_p, taylor_max_rank, variant="sample"
     cross seeded with the list."""
     lp = LogPosterior(build_quadratic_metric(y, ch.h, ch.sigma2, alphabet), alphabet)
     return infer_marginals(lp, cfg, taylor_p, taylor_max_rank, variant,
-                           seeds=_sphere_list(y, ch.h, alphabet))[0]
+                           seeds=_sphere_list(y, ch.h, alphabet)[0])[0]
 
 
 class TestDetector:
@@ -374,13 +374,14 @@ class TestSphereList:
             xs, digits = assignments(nt, alphabet)
             metric = np.sum((y[None, :] - xs @ h.T) ** 2, axis=1)
             expect = digits[np.argsort(metric, kind="stable")[:list_size]]
-            np.testing.assert_array_equal(_sphere_list(y, h, alphabet, list_size), expect)
+            np.testing.assert_array_equal(_sphere_list(y, h, alphabet, list_size)[0], expect)
 
     @pytest.mark.parametrize("nr, nt, size, list_size", SPHERE_SHAPES)
     def test_equals_depth_first_reference(self, nr, nt, size, list_size):
         for y, h, alphabet in sphere_shape_inputs(nr, nt, size):
-            np.testing.assert_array_equal(_sphere_list(y, h, alphabet, list_size),
-                                          reference_sphere_list(y, h, alphabet, list_size))
+            listed, exact = _sphere_list(y, h, alphabet, list_size)
+            np.testing.assert_array_equal(listed, reference_sphere_list(y, h, alphabet, list_size))
+            assert exact
 
     @pytest.mark.parametrize("snr_db, radius_calls", [(5.0, 6), (10.0, 5), (15.0, 5), (20.0, 3)])
     def test_benchmark_inputs_equal_depth_first_reference(self, radius_passes, snr_db,
@@ -389,9 +390,11 @@ class TestSphereList:
         both stages covered."""
         for index in range(50):
             const, ch, y, _ = perfbench_mimo16_inputs(7, index, snr_db=snr_db)
-            np.testing.assert_array_equal(_sphere_list(y, ch.h, const.alphabet),
+            listed, exact = _sphere_list(y, ch.h, const.alphabet)
+            np.testing.assert_array_equal(listed,
                                           reference_sphere_list(y, ch.h, const.alphabet, 16),
                                           err_msg=f"trial {index}")
+            assert exact, index
         assert (radius_passes.count(False), radius_passes.count(True)) == (50, radius_calls)
 
     @pytest.mark.parametrize("nt_complex, qam, snr_db, radius_calls", [
@@ -408,10 +411,33 @@ class TestSphereList:
             noise = math.sqrt(noise_variance_for_snr(hc, const.energy_complex, snr_db))
             h = realify_channel(hc)
             y = noisy_observation(h, const.alphabet, rng, noise)
-            np.testing.assert_array_equal(_sphere_list(y, h, const.alphabet),
-                                          reference_sphere_list(y, h, const.alphabet, 16),
+            listed, exact = _sphere_list(y, h, const.alphabet)
+            np.testing.assert_array_equal(listed, reference_sphere_list(y, h, const.alphabet, 16),
                                           err_msg=f"trial {trial}")
+            assert exact, trial
         assert (radius_passes.count(False), radius_passes.count(True)) == (3, radius_calls)
+
+    def test_radius_budget_leaves_the_beam_list_inexact(self, radius_passes, monkeypatch):
+        """8x8 16-QAM at 0 dB, input 8 of ``default_rng([7, i])``: more
+        nodes of one level lie within the radius than
+        ``SPHERE_RADIUS_BUDGET``.  The beam's list comes back marked inexact,
+        ``ttdet`` skips the list exit and runs the cross, and its decision
+        is valid; with no budget, the same list search is exact."""
+        rng = np.random.default_rng([7, 8])
+        const = QamConstellation.from_order(16)
+        hc = sample_channel(8, 8, rng)
+        sigma2 = noise_variance_for_snr(hc, const.energy_complex, 0.0)
+        ch = ChannelRealization.from_complex(hc, sigma2)
+        y = noisy_observation(ch.h, const.alphabet, rng, math.sqrt(sigma2))
+        listed, exact = _sphere_list(y, ch.h, const.alphabet)
+        assert not exact and radius_passes == [False, True]
+        assert len({tuple(row) for row in listed}) == 16
+        trial = ttdet(y, ch, const.alphabet, CrossConfig(rng_seed=1), variant="sample")
+        assert not trial.certified and trial.max_rank_observed > 0
+        assert trial.x_hat.shape == (16,) and np.isin(trial.x_hat, const.alphabet).all()
+        np.testing.assert_allclose(trial.marginals.probs.sum(axis=1), 1.0)
+        monkeypatch.setattr(mimo, "SPHERE_RADIUS_BUDGET", const.size_real ** ch.nt)
+        assert _sphere_list(y, ch.h, const.alphabet)[1]
 
 
 def assert_ttdet_agrees_with_exact_marginals(indices, snr_db, variant, bound):
@@ -513,7 +539,7 @@ class TestListExit:
         const, ch, y, _ = perfbench_mimo16_inputs(seed, index, snr_db=snr_db)
         xs, _ = assignments(ch.nt, const.alphabet)
         everything = -np.sum((y - xs @ ch.h.T) ** 2, axis=1) / (2.0 * ch.sigma2)
-        listed = _sphere_list(y, ch.h, const.alphabet)
+        listed, _ = _sphere_list(y, ch.h, const.alphabet)
         rows = listed @ const.size_real ** np.arange(ch.nt - 1, -1, -1)
         return const, ch, y, everything, rows
 
