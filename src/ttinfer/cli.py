@@ -7,16 +7,19 @@ Subcommands:
 
 Each sweep flag sets one ``SimConfig`` (or ``CrossConfig``) field, and
 ``--detectors`` lists the detectors to run on every trial, e.g.
-``--detectors oracle,sweep``.  Grids accept ``start:step:stop`` (inclusive)
-or comma lists.  An argument ``@FILE`` reads more arguments from a run file,
-one argument per line (``--seed=3``, or ``--seed`` and ``3`` on two lines)
-with no blank lines; later arguments win, so a flag given after ``@FILE``
-overrides the file's.  Every sweep setting left unset takes its default from
-``SimConfig``, which also checks it: an out-of-range value, typed or in a run
-file, is a usage error (exit status 2) and no trial runs.  So are an unknown
-detector, an oracle over more assignments than the enumeration limit, a code
-file that ``load_code`` rejects, a run file that cannot be read, and an output
-path that cannot be written.
+``--detectors oracle,sweep``.  The detectors run at their defaults: the
+Taylor init, metric rounding and rank schedule are arguments of ``ttdet``
+and ``ttdec`` in the Python API, not sweep settings.  Grids accept
+``start:step:stop`` (inclusive) or comma lists.  An argument ``@FILE`` reads
+more arguments from a run file, one argument per line (``--seed=3``, or
+``--seed`` and ``3`` on two lines) with no blank lines; later arguments win,
+so a flag given after ``@FILE`` overrides the file's.  Every sweep setting
+left unset takes its default from ``SimConfig``, which also checks it: an
+out-of-range value, typed or in a run file, is a usage error (exit status 2)
+and no trial runs.  So are an unknown detector, an oracle over more
+assignments than the enumeration limit, a code file that ``load_code``
+rejects, a run file that cannot be read, an output path that cannot be
+written, and a ``--trial-dump`` that is the ``--out`` file.
 """
 
 from __future__ import annotations
@@ -62,14 +65,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_schedule(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: a schedule is a comma list of increasing integer ranks, e.g. 4,10") from None
-
-
 def _code_path(text: str) -> str:
     """A generator matrix file that ``load_code`` accepts, else the packaged
     code of that name."""
@@ -101,11 +96,6 @@ def _add_common(parser: argparse.ArgumentParser, detectors: tuple[str, ...]) -> 
                         help=f"comma list of detectors run on every trial, from "
                              f"{','.join(detectors)}; the oracle if listed, else the first, "
                              "counts the block errors that end a grid point")
-    parser.add_argument("--taylor-p", type=int,
-                        help="Taylor degree of the exp init (0: all ones; 10: the paper's init)")
-    parser.add_argument("--tol", dest="trunc_tol", type=float,
-                        help="relative tolerance of a TT rounding of the exact metric "
-                             "(default 0: no rounding)")
     parser.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     parser.add_argument("--min-block-errors", type=int)
     parser.add_argument("--max-trials", type=int)
@@ -135,7 +125,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     mimo.add_argument("--qam", type=int, help="QAM order (square)")
     mimo.add_argument("--snr", dest="snr_grid", type=_parse_grid, default=(0.0,),
                       help="SNR grid in dB, per transmit stream")
-    mimo.add_argument("--rmax", dest="taylor_max_rank", type=int, help="Taylor-init max rank")
     _add_common(mimo, MIMO_DETECTORS)
 
     decode = sub.add_parser("decode", help="linear-code BER sweep", formatter_class=_HelpFormatter,
@@ -144,8 +133,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                         help="generator matrix file, or a packaged name like bch_63_30")
     decode.add_argument("--ebn0", dest="snr_grid", type=_parse_grid, default=(4.0,),
                         help="Eb/N0 grid in dB")
-    decode.add_argument("--schedule", type=_parse_schedule,
-                        help="comma list of Taylor-init ranks for the adaptive loop")
     _add_common(decode, DECODE_DETECTORS)
 
     return parser, sub.choices

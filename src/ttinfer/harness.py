@@ -12,14 +12,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .chancode import LinearCode, _half_codebooks, _rank_schedule, load_code, n0_from_ebn0, ttdec
+from .chancode import LinearCode, _half_codebooks, load_code, n0_from_ebn0, ttdec
 from .cross import CrossConfig
 from .mimo import (
     ChannelRealization,
@@ -29,6 +31,7 @@ from .mimo import (
     ttdet,
 )
 from .posterior import (
+    EnumerationLimitError,
     InferenceFailureError,
     MarginalTable,
     _assignment_digits,
@@ -56,8 +59,19 @@ MIMO_DETECTORS = ("oracle", "sample", "sweep", "lmmse")
 DECODE_DETECTORS = ("oracle", "sample", "sweep")
 TT_DETECTORS = ("sample", "sweep")
 
-# Trials per batch; a sweep point checks its stopping rule after each batch.
+# Trials per batch; a sweep point checks its stopping rule after each batch,
+# so no more than this many workers are ever busy at once.
 BATCH_SIZE = 32
+
+
+def _check_oracle(n_modes: int, base: int) -> None:
+    """Raise EnumerationLimitError, naming the oracle detector, when its
+    enumeration of base^n_modes assignments is past the limit."""
+    try:
+        _check_enumeration(n_modes, base)
+    except EnumerationLimitError as err:
+        raise EnumerationLimitError(
+            f"the oracle detector cannot run: {err}; drop it from the detectors") from None
 
 
 @dataclass(frozen=True)
@@ -71,10 +85,20 @@ class SimConfig:
     ``min_block_errors`` block errors, or at ``max_trials``.
 
     Each sweep setting gets its one default here, and building a config
-    with an out-of-range field, or a MIMO oracle past the enumeration
-    limit, raises ValueError.  ``cross`` holds the cross settings;
-    ``cross_config`` gives each trial its own seed.
+    with an out-of-range field (``workers`` above ``BATCH_SIZE`` among
+    them), a MIMO oracle past the enumeration limit, or an ``out_path``
+    and a ``trial_dump`` that name the same file raises ValueError.
+    ``cross`` holds the cross settings; ``cross_config`` gives each trial
+    its own seed.  Every sweep runs ``ttdet`` and ``ttdec`` at their
+    defaults: no Taylor init, no rounding of the exact metric, and a
+    one-step rank schedule.
     """
+
+    # perfbench reads these four; ROADMAP items 1 and 2 delete them.
+    taylor_p: ClassVar[int] = 0
+    taylor_max_rank: ClassVar[int] = 10
+    trunc_tol: ClassVar[float] = 0.0
+    schedule: ClassVar[tuple[int, ...]] = (10,)
 
     scenario: str
     snr_grid: tuple[float, ...]
@@ -82,13 +106,8 @@ class SimConfig:
     # MIMO model
     nt_complex: int = 4
     qam: int = 4
-    taylor_max_rank: int = 10
     # decoding model
     code_path: str | None = None
-    schedule: tuple[int, ...] = (10,)
-    # shared pipeline knobs
-    taylor_p: int = 0
-    trunc_tol: float = 0.0
     cross: CrossConfig = CrossConfig()
     # run control
     min_block_errors: int = 100
@@ -117,15 +136,16 @@ class SimConfig:
             raise ValueError("decoding sweeps need a code file")
         const = QamConstellation.from_order(self.qam)
         if self.scenario == "mimo" and "oracle" in self.detectors:
-            _check_enumeration(2 * self.nt_complex, const.size_real)
-        _rank_schedule(self.schedule)
-        if not self.trunc_tol >= 0:
-            raise ValueError("trunc_tol must be >= 0")
-        for name, low in (("taylor_p", 0), ("master_seed", 0), ("taylor_max_rank", 1),
-                          ("nt_complex", 1), ("workers", 1), ("min_block_errors", 1),
-                          ("max_trials", 1)):
+            _check_oracle(2 * self.nt_complex, const.size_real)
+        for name, low in (("master_seed", 0), ("nt_complex", 1), ("workers", 1),
+                          ("min_block_errors", 1), ("max_trials", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        if self.workers > BATCH_SIZE:
+            raise ValueError(f"workers must be <= {BATCH_SIZE}, the trials in one batch")
+        if (self.out_path and self.trial_dump
+                and os.path.realpath(self.out_path) == os.path.realpath(self.trial_dump)):
+            raise ValueError(f"out_path and trial_dump name the same file {self.out_path!r}")
 
     def cross_config(self, seed: int) -> CrossConfig:
         return replace(self.cross, rng_seed=seed)
@@ -136,8 +156,8 @@ class SweepRow:
     """Aggregated results of one detector at one grid point.
 
     ``early_stop_rate`` is the share of trials whose call ended early: for
-    a decode TT row, the stopping rule cut the rank schedule; for a MIMO TT
-    row, the sphere list certified the posterior and no cross ran (those
+    a decode TT row, the decided word passed the distance test; for a MIMO
+    TT row, the sphere list certified the posterior and no cross ran (those
     calls count rank 0).  It is 0 for the oracle and LMMSE rows.
     """
 
@@ -289,9 +309,9 @@ def _trial_records(cfg: SimConfig, trial: int, truth: np.ndarray, detect) -> lis
     """Score every enabled detector on one trial: one row
     (detector, trial, errors, rmax, early, failed) per detector.
     ``detect(det)`` returns (decisions, max rank, early), where early is 1
-    for a ``ttdec`` call that stopped its schedule early or a ``ttdet`` call
-    that the sphere list certified, else 0; a detector whose inference
-    fails counts as failed with every symbol wrong."""
+    for a ``ttdec`` call whose decided word passed the distance test or a
+    ``ttdet`` call that the sphere list certified, else 0; a detector whose
+    inference fails counts as failed with every symbol wrong."""
     rows = []
     for det in cfg.detectors:
         try:
@@ -318,16 +338,7 @@ def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> list[t
             return map_decision(marg, const.alphabet), 0, 0
         if det == "lmmse":
             return lmmse_detect(y, ch, const.alphabet), 0, 0
-        res = ttdet(
-            y,
-            ch,
-            const.alphabet,
-            cfg.cross_config(seeds[det]),
-            taylor_p=cfg.taylor_p,
-            taylor_max_rank=cfg.taylor_max_rank,
-            variant=det,
-            trunc_tol=cfg.trunc_tol,
-        )
+        res = ttdet(y, ch, const.alphabet, cfg.cross_config(seeds[det]), variant=det)
         return res.x_hat, res.max_rank_observed, int(res.certified)
 
     return _trial_records(cfg, trial, x, detect)
@@ -344,16 +355,7 @@ def _decode_trial(cfg: SimConfig, code: LinearCode, ebn0_db: float, point: int,
     def detect(det):
         if det == "oracle":
             return code_exact_bitwise_map(y, code, n0)[0], 0, 0
-        res = ttdec(
-            y,
-            code,
-            n0,
-            cfg.schedule,
-            cfg.cross_config(seeds[det]),
-            taylor_p=cfg.taylor_p,
-            variant=det,
-            trunc_tol=cfg.trunc_tol,
-        )
+        res = ttdec(y, code, n0, cfg.schedule, cfg.cross_config(seeds[det]), variant=det)
         return res.u_hat, res.max_rank_observed, int(res.early_stop)
 
     return _trial_records(cfg, trial, u, detect)
@@ -384,7 +386,7 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
     """
     code = load_code(cfg.code_path) if cfg.scenario == "decode" else None
     if code and "oracle" in cfg.detectors:
-        _check_enumeration(code.k, 2)
+        _check_oracle(code.k, 2)
     for path in (cfg.out_path, cfg.trial_dump):
         if path:
             open(path, "a").close()  # append mode leaves an existing file as it is

@@ -148,12 +148,16 @@ def test_default_ttdec_never_rounds(monkeypatch):
     ttdec(y, code, n0, (10,), CrossConfig(rng_seed=1))
 
 
-@pytest.mark.parametrize("variant", ["sample", "sweep"])
-def test_ttdec_rounded_metric_keeps_decisions(variant):
-    code = load_code(builtin_code_path("bch_31_16"))
+@pytest.mark.parametrize("variant, name, trials", [
+    *(pytest.param(variant, "bch_31_16", 5, id=variant) for variant in ("sample", "sweep")),
+    *(pytest.param(variant, "bch_63_30", 1, id=f"{variant}-bch_63_30")
+      for variant in ("sample", "sweep")),
+])
+def test_ttdec_rounded_metric_keeps_decisions(variant, name, trials):
+    code = load_code(builtin_code_path(name))
     n0 = n0_from_ebn0(3.0, code.rate)
     rng = np.random.default_rng(41)
-    for trial in range(5):
+    for trial in range(trials):
         y = 1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))
         y = y + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
         cfg = CrossConfig(rng_seed=trial)

@@ -5,8 +5,9 @@ flags read from an ``@FILE`` run file reach the SimConfig (later ones win),
 every other setting comes from SimConfig's defaults, grids parse to the same
 points as ever, and out-of-range values, grids with too many points, unknown
 detectors, oracles past the enumeration limit, malformed code files,
-unusable run files and unwritable output paths exit with a usage error
-before any trial runs."""
+unusable run files, unwritable output paths and a trial dump that is the
+sweep CSV exit with a usage error before any trial runs, and so do the
+removed Taylor-init, rounding and rank-schedule flags."""
 
 import csv
 from dataclasses import fields
@@ -78,8 +79,6 @@ def test_every_sweep_flag_sets_one_config_field(scenario):
 
 SHARED_FLAGS = [
     ("--detectors", "sweep,sample", "detectors", ("sweep", "sample")),
-    ("--taylor-p", "3", "taylor_p", 3),
-    ("--tol", "1e-9", "trunc_tol", 1e-9),
     ("--seed", "17", "master_seed", 17),
     ("--min-block-errors", "7", "min_block_errors", 7),
     ("--max-trials", "11", "max_trials", 11),
@@ -125,14 +124,12 @@ SCENARIO_FLAGS = {
         (["--nt", "3"], "nt_complex", 3),
         (["--qam", "16"], "qam", 16),
         (["--snr", "5:5:15"], "snr_grid", (5.0, 10.0, 15.0)),
-        (["--rmax", "7"], "taylor_max_rank", 7),
         (["--detectors", "oracle,sample,sweep,lmmse"], "detectors",
          ("oracle", "sample", "sweep", "lmmse")),
     ],
     "decode": [
         (["--code", "bch_15_7"], "code_path", str(builtin_code_path("bch_15_7"))),
         (["--ebn0", "2,3.5"], "snr_grid", (2.0, 3.5)),
-        (["--schedule", "4,10"], "schedule", (4, 10)),
         (["--detectors", "oracle,sample,sweep"], "detectors", ("oracle", "sample", "sweep")),
     ],
 }
@@ -245,34 +242,17 @@ def test_unreadable_config_exits_with_usage_error(monkeypatch, tmp_path, capsys,
     assert "ttinfer: error" in err and message in err
 
 
-@pytest.mark.parametrize("schedule", ["10,4", ","])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_bad_schedule_exits_with_usage_error(monkeypatch, tmp_path, capsys, schedule, source):
-    no_sweep(monkeypatch)
-    argv = ["decode", "--code", "hamming_7_4", "--detectors", "sample", "--out", "s.csv"]
-    if source == "flag":
-        argv += ["--schedule", schedule]
-    else:
-        argv.append(run_file(tmp_path, ["--schedule", schedule]))
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "ttinfer decode" in err and "strictly increasing" in err
-
-
 SHARED_OUT_OF_RANGE = [
     ("--cross-max-rank", 0),
     ("--cross-sweeps", 0),
     ("--cross-oversample", -1),
     ("--cross-conv-tol", 0),
-    ("--taylor-p", -1),
-    ("--tol", -1),
     ("--seed", -1),
     ("--min-block-errors", 0),
     ("--max-trials", 0),
     ("--workers", 0),
     ("--workers", -3),
+    ("--workers", 33),
 ]
 REQUIRED_ARGS = {
     "mimo": ["--detectors", "sample"],
@@ -280,7 +260,6 @@ REQUIRED_ARGS = {
 }
 OUT_OF_RANGE = [
     *((scenario, flag, value) for scenario in REQUIRED_ARGS for flag, value in SHARED_OUT_OF_RANGE),
-    ("mimo", "--rmax", 0),
     ("mimo", "--qam", 5),
     ("mimo", "--nt", 0),
     ("mimo", "--snr", "nan"),
@@ -304,12 +283,30 @@ def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys
     assert f"ttinfer {scenario}: error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, flag, value", [
+    ("mimo", "--taylor-p", "3"),
+    ("mimo", "--tol", "1e-9"),
+    ("mimo", "--rmax", "7"),
+    ("decode", "--taylor-p", "3"),
+    ("decode", "--tol", "1e-9"),
+    ("decode", "--schedule", "4,10"),
+])
+def test_removed_flags_are_unrecognized(monkeypatch, capsys, scenario, flag, value):
+    """Sweeps run the detectors at their defaults, so the Taylor init,
+    metric rounding and rank schedule have no flags."""
+    no_sweep(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([scenario, *REQUIRED_ARGS[scenario], flag, value, "--out", "s.csv"])
+    assert exc.value.code == 2
+    assert f"ttinfer: error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["mimo", "--snr", "abc"], "argument --snr: 'abc': a grid is start:step:stop"),
     (["mimo", "--snr", "0:5"], "argument --snr: '0:5': a grid is start:step:stop"),
     (["decode", "--code", "hamming_7_4", "--ebn0", "3,x"], "argument --ebn0: '3,x': a grid is"),
-    (["decode", "--code", "hamming_7_4", "--schedule", "x"],
-     "argument --schedule: 'x': a schedule is a comma list of increasing integer ranks"),
+    (["decode", "--code", "hamming_7_4", "--ebn0", "3:0:4"],
+     "argument --ebn0: grid step must be positive"),
     (["decode", "--code", "nosuch"],
      "argument --code: 'nosuch' is neither a file nor a packaged code "
      "(bch_15_7, bch_31_16, bch_63_30, hamming_7_4)"),
@@ -345,9 +342,11 @@ def test_grids_parse_to_their_points(text, points):
 
 @pytest.mark.parametrize("argv, message", [
     (["mimo", "--nt", "8", "--qam", "16"],
-     "ttinfer mimo: error: 4294967296 assignments exceed the enumeration limit 1048576"),
+     "ttinfer mimo: error: the oracle detector cannot run: 4294967296 assignments exceed the "
+     "enumeration limit 1048576; drop it from the detectors"),
     (["decode", "--code", "bch_63_30"],
-     "ttinfer decode: error: 1073741824 assignments exceed the enumeration limit 1048576"),
+     "ttinfer decode: error: the oracle detector cannot run: 1073741824 assignments exceed the "
+     "enumeration limit 1048576; drop it from the detectors"),
 ], ids=["mimo", "decode"])
 def test_oracle_past_enumeration_limit_exits_before_any_trial(monkeypatch, tmp_path, capsys,
                                                               argv, message):
@@ -399,3 +398,16 @@ def test_unwritable_output_exits_with_usage_error_before_any_trial(monkeypatch, 
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "ttinfer mimo: error: cannot write" in err and "x.csv" in err
+
+
+def test_trial_dump_onto_sweep_csv_exits_before_any_trial(monkeypatch, tmp_path, capsys):
+    """The dump, written last, would replace the sweep CSV."""
+    monkeypatch.setattr("ttinfer.harness._run_trial", lambda args: pytest.fail("trial ran"))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--code", "hamming_7_4", "--detectors", "sweep", "--max-trials", "1",
+              "--out", "s.csv", "--trial-dump", "./s.csv"])
+    assert exc.value.code == 2
+    assert "ttinfer decode: error: out_path and trial_dump name the same file" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()

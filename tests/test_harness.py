@@ -1,10 +1,12 @@
 """Tests of the Monte Carlo harness: the split-half exact oracles against
 brute-force enumeration, their input checks, cached tables and enumeration
-limit, the configuration checks, the per-trial records of
+limit, the configuration checks and the detector defaults that every
+sweep runs at, the per-trial records of
 failed inferences and their count in the sweep log, and the worker-count
 independence of ``run_sweep`` and its failure on an unwritable output path
 before any trial runs."""
 
+import inspect
 import itertools
 from dataclasses import replace
 
@@ -28,6 +30,8 @@ from ttinfer import (
     posterior,
     run_sweep,
     sample_channel,
+    ttdec,
+    ttdet,
 )
 
 
@@ -347,6 +351,32 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="detector 'sample' is listed more than once"):
             SimConfig(scenario="decode", snr_grid=(1.0,), detectors=("oracle", "sample", "sample"),
                       code_path=str(builtin_code_path("hamming_7_4")))
+
+    def test_rejects_more_workers_than_a_batch_holds(self, tmp_path, monkeypatch):
+        """No more than one batch of trials is ever in flight, and a pool
+        starts every worker it is given."""
+        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: pytest.fail("pool started"))
+        cfg = hamming_sweep(tmp_path, harness.BATCH_SIZE)
+        with pytest.raises(ValueError, match=f"workers must be <= {harness.BATCH_SIZE}"):
+            replace(cfg, workers=harness.BATCH_SIZE + 1)
+
+    @pytest.mark.parametrize("dump", ["sweep.csv", "./sweep.csv", "link.csv"])
+    def test_rejects_trial_dump_onto_sweep_csv(self, tmp_path, monkeypatch, dump):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "sweep.csv")
+        with pytest.raises(ValueError, match="out_path and trial_dump name the same file"):
+            replace(hamming_sweep(tmp_path, 1), out_path="sweep.csv", trial_dump=dump)
+
+    def test_sweeps_run_the_detectors_at_their_defaults(self):
+        """perfbench passes these constants to ttdet and ttdec, so it
+        measures the calls that a sweep makes."""
+        for detector, names in ((ttdet, ("taylor_p", "taylor_max_rank", "trunc_tol")),
+                                (ttdec, ("taylor_p", "trunc_tol"))):
+            params = inspect.signature(detector).parameters
+            for name in names:
+                assert getattr(SimConfig, name) == params[name].default, (detector, name)
+        assert SimConfig.schedule == (10,)
 
 
 class TestTrialRecords:
