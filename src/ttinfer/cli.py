@@ -17,9 +17,9 @@ so a flag given after ``@FILE`` overrides the file's.  Every sweep setting
 left unset takes its default from ``SimConfig``, which also checks it: an
 out-of-range value, typed or in a run file, is a usage error (exit status 2)
 and no trial runs.  So are an unknown detector, an oracle over more
-assignments than the enumeration limit, a code file that ``load_code``
-rejects, a run file that cannot be read, an output path that cannot be
-written, and a ``--trial-dump`` that is the ``--out`` file.
+assignments than the enumeration limit, a code file that ``SimConfig``'s
+``load_code`` rejects, a run file that cannot be read, an output path that
+cannot be written, and a ``--trial-dump`` that is the ``--out`` file.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ import os
 import sys
 from dataclasses import fields
 
-from .chancode import _builtin_code_names, builtin_code_path, load_code
+from .chancode import _builtin_code_names, builtin_code_path
 from .cross import CrossConfig
 from .harness import DECODE_DETECTORS, MIMO_DETECTORS, SimConfig, run_sweep
-from .posterior import EnumerationLimitError
 
 __all__ = ["main"]
 
@@ -66,13 +65,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _code_path(text: str) -> str:
-    """A generator matrix file that ``load_code`` accepts, else the packaged
-    code of that name."""
+    """An existing file, else the packaged code of that name."""
     if os.path.isfile(text):
-        try:
-            load_code(text)
-        except ValueError as err:
-            raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
         return text
     path = builtin_code_path(text)
     if not path.is_file():
@@ -100,7 +94,9 @@ def _add_common(parser: argparse.ArgumentParser, detectors: tuple[str, ...]) -> 
     parser.add_argument("--min-block-errors", type=int)
     parser.add_argument("--max-trials", type=int)
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--cross-max-rank", dest="max_rank", type=int)
+    parser.add_argument("--cross-max-rank", dest="max_rank", type=int,
+                        help="rank cap of the cross, which bounds the time per TT call at low "
+                             "SNR or large N; a max_rmax equal to it means the cap was binding")
     parser.add_argument("--cross-sweeps", dest="n_sweeps", type=int)
     parser.add_argument("--cross-oversample", dest="sample_oversample", type=int)
     parser.add_argument("--cross-conv-tol", dest="conv_tol", type=float)
@@ -150,8 +146,6 @@ def main(argv=None) -> int:
         sweep_parser.error(str(err))
     try:
         run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
-    except EnumerationLimitError as err:  # a code too large for the oracle
-        sweep_parser.error(str(err))
     except OSError as err:
         if err.filename not in (cfg.out_path, cfg.trial_dump):
             raise

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -63,15 +62,10 @@ TT_DETECTORS = ("sample", "sweep")
 # so no more than this many workers are ever busy at once.
 BATCH_SIZE = 32
 
-
-def _check_oracle(n_modes: int, base: int) -> None:
-    """Raise EnumerationLimitError, naming the oracle detector, when its
-    enumeration of base^n_modes assignments is past the limit."""
-    try:
-        _check_enumeration(n_modes, base)
-    except EnumerationLimitError as err:
-        raise EnumerationLimitError(
-            f"the oracle detector cannot run: {err}; drop it from the detectors") from None
+# Largest |grid value| in dB: past about 3000 dB the noise level 10^(-v/10)
+# overflows or underflows to zero and a trial fails mid-sweep, while at
+# 1000 dB it and its square are still normal floats.
+SNR_LIMIT_DB = 1000.0
 
 
 @dataclass(frozen=True)
@@ -84,10 +78,12 @@ class SimConfig:
     enabled, else the first listed detector) has accumulated
     ``min_block_errors`` block errors, or at ``max_trials``.
 
-    Each sweep setting gets its one default here, and building a config
-    with an out-of-range field (``workers`` above ``BATCH_SIZE`` among
-    them), a MIMO oracle past the enumeration limit, or an ``out_path``
-    and a ``trial_dump`` that name the same file raises ValueError.
+    Each sweep setting gets its one default here.  A decode config loads its
+    code into ``code`` (None for MIMO), and a config with an out-of-range
+    field (``workers`` above ``BATCH_SIZE`` or grid values past
+    ``SNR_LIMIT_DB`` among them), a code file that ``load_code`` rejects, an
+    oracle past the enumeration limit, or an ``out_path`` and a
+    ``trial_dump`` that name the same file raises ValueError.
     ``cross`` holds the cross settings; ``cross_config`` gives each trial
     its own seed.  Every sweep runs ``ttdet`` and ``ttdec`` at their
     defaults: no Taylor init, no rounding of the exact metric, and a
@@ -116,14 +112,16 @@ class SimConfig:
     workers: int = 1
     out_path: str | None = None
     trial_dump: str | None = None
+    code: LinearCode | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scenario not in ("mimo", "decode"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not self.snr_grid:
             raise ValueError("SNR grid must be nonempty")
-        if not all(math.isfinite(v) for v in self.snr_grid):
-            raise ValueError(f"SNR grid values must be finite, got {list(self.snr_grid)}")
+        if not all(abs(v) <= SNR_LIMIT_DB for v in self.snr_grid):  # False for nan too
+            raise ValueError(f"SNR grid values must be finite and within "
+                             f"[-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}] dB, got {list(self.snr_grid)}")
         if not self.detectors:
             raise ValueError("need at least one detector")
         allowed = MIMO_DETECTORS if self.scenario == "mimo" else DECODE_DETECTORS
@@ -134,9 +132,19 @@ class SimConfig:
                 raise ValueError(f"detector {det!r} is listed more than once")
         if self.scenario == "decode" and self.code_path is None:
             raise ValueError("decoding sweeps need a code file")
+        try:
+            code = load_code(self.code_path) if self.scenario == "decode" else None
+        except ValueError as err:
+            raise ValueError(f"{self.code_path!r}: {err}") from None
+        object.__setattr__(self, "code", code)
         const = QamConstellation.from_order(self.qam)
-        if self.scenario == "mimo" and "oracle" in self.detectors:
-            _check_oracle(2 * self.nt_complex, const.size_real)
+        if "oracle" in self.detectors:  # it enumerates 2^k words or |A|^(2 N_T) vectors
+            modes, base = (code.k, 2) if code else (2 * self.nt_complex, const.size_real)
+            try:
+                _check_enumeration(modes, base)
+            except EnumerationLimitError as err:
+                raise EnumerationLimitError(
+                    f"the oracle detector cannot run: {err}; drop it from the detectors") from None
         for name, low in (("master_seed", 0), ("nt_complex", 1), ("workers", 1),
                           ("min_block_errors", 1), ("max_trials", 1)):
             if getattr(self, name) < low:
@@ -344,8 +352,8 @@ def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> list[t
     return _trial_records(cfg, trial, x, detect)
 
 
-def _decode_trial(cfg: SimConfig, code: LinearCode, ebn0_db: float, point: int,
-                  trial: int) -> list[tuple]:
+def _decode_trial(cfg: SimConfig, ebn0_db: float, point: int, trial: int) -> list[tuple]:
+    code = cfg.code
     n0 = n0_from_ebn0(ebn0_db, code.rate)
     rng, seeds = _trial_streams(cfg.master_seed, point, trial)
     u = rng.integers(0, 2, size=code.k)
@@ -362,10 +370,7 @@ def _decode_trial(cfg: SimConfig, code: LinearCode, ebn0_db: float, point: int,
 
 
 def _run_trial(args):
-    cfg, code, snr_db, point, trial = args
-    if cfg.scenario == "mimo":
-        return _mimo_trial(cfg, snr_db, point, trial)
-    return _decode_trial(cfg, code, snr_db, point, trial)
+    return (_mimo_trial if args[0].scenario == "mimo" else _decode_trial)(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +386,14 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
     detector sees the same realizations.  Returns the aggregated result;
     writes ``cfg.out_path`` (sweep CSV) and ``cfg.trial_dump`` (per-trial
     CSV) when set.  An output path that cannot be opened for writing raises
-    OSError, and a code too large for the oracle EnumerationLimitError,
-    before the first trial.
+    OSError before the first trial; the code and the oracle's enumeration
+    limit were checked when ``cfg`` was built.
     """
-    code = load_code(cfg.code_path) if cfg.scenario == "decode" else None
-    if code and "oracle" in cfg.detectors:
-        _check_oracle(code.k, 2)
     for path in (cfg.out_path, cfg.trial_dump):
         if path:
             open(path, "a").close()  # append mode leaves an existing file as it is
     reference = "oracle" if "oracle" in cfg.detectors else cfg.detectors[0]
-    symbols_per_trial = 2 * cfg.nt_complex if cfg.scenario == "mimo" else (code.k if code else 0)
+    symbols_per_trial = 2 * cfg.nt_complex if cfg.scenario == "mimo" else cfg.code.k
     result = SweepResult()
     dump: list[tuple[float, list[tuple]]] = []  # (snr_db, trial rows) per grid point
     # One pool for the whole sweep: starting workers for every batch made
@@ -405,7 +407,7 @@ def run_sweep(cfg: SimConfig, log=None) -> SweepResult:
             trials_done = ref_blocks = 0
             while trials_done < cfg.max_trials:
                 batch = min(BATCH_SIZE, cfg.max_trials - trials_done)
-                jobs = [(cfg, code, snr_db, point, trials_done + i) for i in range(batch)]
+                jobs = [(cfg, snr_db, point, trials_done + i) for i in range(batch)]
                 for records in run_jobs(_run_trial, jobs):
                     rows.extend(records)
                     ref_blocks += sum(det == reference and errors > 0

@@ -264,6 +264,12 @@ OUT_OF_RANGE = [
     ("mimo", "--nt", 0),
     ("mimo", "--snr", "nan"),
     ("decode", "--ebn0", "inf"),
+    ("mimo", "--snr", "4000"),
+    ("mimo", "--snr", "-4000"),
+    ("mimo", "--snr", "1000.5"),
+    ("decode", "--ebn0", "4000"),
+    ("decode", "--ebn0", "-4000"),
+    ("decode", "--ebn0", "-1000.5"),
 ]
 
 

@@ -1,13 +1,15 @@
 """Tests of the Monte Carlo harness: the split-half exact oracles against
 brute-force enumeration, their input checks, cached tables and enumeration
-limit, the configuration checks and the detector defaults that every
-sweep runs at, the per-trial records of
+limit, the configuration checks (among them the code file, both oracles'
+enumeration limit and the SNR bound), the one code load per config, the
+detector defaults that every sweep runs at, the per-trial records of
 failed inferences and their count in the sweep log, and the worker-count
 independence of ``run_sweep`` and its failure on an unwritable output path
 before any trial runs."""
 
 import inspect
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -368,6 +370,49 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="out_path and trial_dump name the same file"):
             replace(hamming_sweep(tmp_path, 1), out_path="sweep.csv", trial_dump=dump)
 
+    def test_rejects_decode_oracle_past_enumeration_limit(self):
+        with pytest.raises(posterior.EnumerationLimitError,
+                           match="the oracle detector cannot run: 1073741824 assignments"):
+            SimConfig(scenario="decode", snr_grid=(4.0,), detectors=("oracle", "sweep"),
+                      code_path=str(builtin_code_path("bch_63_30")))
+
+    def test_rejects_malformed_code_file(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("garbage\n")
+        with pytest.raises(ValueError, match=re.escape(f"{str(bad)!r}: malformed header 'garbage'")):
+            SimConfig(scenario="decode", snr_grid=(4.0,), detectors=("sample",),
+                      code_path=str(bad))
+
+    @pytest.mark.parametrize("scenario", ["mimo", "decode"])
+    def test_rejects_grid_values_past_the_snr_limit(self, scenario):
+        """Past about 3000 dB the noise level leaves the float range; the
+        limit itself is a valid grid value."""
+        limit = harness.SNR_LIMIT_DB
+        cfg = SimConfig(scenario=scenario, snr_grid=(-limit, limit), detectors=("sample",),
+                        code_path=str(builtin_code_path("hamming_7_4")))
+        for value in (limit + 0.5, -limit - 0.5):
+            with pytest.raises(ValueError, match="SNR grid values must be finite and within"):
+                replace(cfg, snr_grid=(0.0, value))
+
+    def test_code_is_loaded_once_when_the_config_is_built(self, tmp_path, monkeypatch):
+        """``SimConfig`` loads the code, ``run_sweep`` and its trials read
+        ``cfg.code``, and ``replace`` loads it again for the new config."""
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_code(path)
+
+        monkeypatch.setattr(harness, "load_code", counting_load)
+        cfg = hamming_sweep(tmp_path, 1, max_trials=2)
+        assert len(calls) == 1 and cfg.code.k == 4
+        run_sweep(cfg)
+        assert len(calls) == 1
+        again = replace(cfg, workers=2)
+        assert len(calls) == 2 and again.code.k == 4
+        mimo = SimConfig(scenario="mimo", snr_grid=(4.0,), detectors=("sample",))
+        assert mimo.code is None and len(calls) == 2
+
     def test_sweeps_run_the_detectors_at_their_defaults(self):
         """perfbench passes these constants to ttdet and ttdec, so it
         measures the calls that a sweep makes."""
@@ -386,7 +431,6 @@ class TestTrialRecords:
             raise InferenceFailureError("no usable mass")
 
         monkeypatch.setattr(harness, "ttdet" if scenario == "mimo" else "ttdec", fail)
-        code = load_code(builtin_code_path("hamming_7_4")) if scenario == "decode" else None
         cfg = SimConfig(
             scenario=scenario,
             snr_grid=(4.0,),
@@ -394,8 +438,8 @@ class TestTrialRecords:
             nt_complex=2,
             code_path=str(builtin_code_path("hamming_7_4")),
         )
-        oracle, sample = harness._run_trial((cfg, code, 4.0, 0, 3))
-        symbols = 4 if scenario == "mimo" else code.k
+        oracle, sample = harness._run_trial((cfg, 4.0, 0, 3))
+        symbols = 4 if scenario == "mimo" else cfg.code.k
         # (detector, trial, errors, rmax, early, failed)
         assert sample == ("sample", 3, symbols, 0, 0, 1)
         assert oracle[:2] == ("oracle", 3) and oracle[5] == 0
@@ -409,7 +453,7 @@ class TestTrialRecords:
         cfg = SimConfig(scenario="mimo", snr_grid=(snr_db,), detectors=("oracle", "sample", "sweep"),
                         nt_complex=2, qam=qam)
         for trial in range(3):
-            for det, _, _, rmax, early, failed in harness._run_trial((cfg, None, snr_db, 0, trial)):
+            for det, _, _, rmax, early, failed in harness._run_trial((cfg, snr_db, 0, trial)):
                 if det != "oracle":
                     assert (early, rmax == 0, failed) == (int(certified), certified, 0), trial
 
