@@ -203,18 +203,27 @@ def load_code(path) -> LinearCode:
     """Read a generator matrix file: first line ``n k d_min``, then n lines
     of k space-separated bits (rows of G).
 
+    ``path`` is a file or a packaged resource; a string that names no
+    existing file may also name a packaged code, e.g. ``bch_63_30``.  The
+    error messages leave the path out, for the caller to name it.
+
     The generator must have full column rank over GF(2); when the 2^k words
     are within the enumeration limit (k <= 20) the stated minimum distance
     is verified by enumerating every codeword weight (``_min_distance``),
     otherwise it is trusted and flagged unverified.
     """
+    if isinstance(path, str) and not Path(path).is_file():
+        path = builtin_code_path(path)
+        if not path.is_file():
+            raise ValueError("neither a file nor a packaged code "
+                             f"({', '.join(_builtin_code_names())})")
     try:
         text = path.read_text() if hasattr(path, "read_text") else Path(path).read_text()
     except OSError as err:
-        raise ValueError(f"cannot read code file {path}: {err}") from err
+        raise ValueError(f"cannot read code file: {err.strerror}") from err
     lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     if not lines:
-        raise ValueError(f"empty code file {path}")
+        raise ValueError("empty code file")
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError(f"malformed header {lines[0]!r}; expected 'n k d_min'")

@@ -5,11 +5,12 @@ Subcommands:
 * ``ttinfer mimo``   -- SER sweep of the TT MIMO detector against oracles.
 * ``ttinfer decode`` -- BER sweep of the adaptive TT decoder for a code file.
 
-Each sweep flag sets one ``SimConfig`` (or ``CrossConfig``) field, and
-``--detectors`` lists the detectors to run on every trial, e.g.
-``--detectors oracle,sweep``.  The detectors run at their defaults: the
-Taylor init, metric rounding and rank schedule are arguments of ``ttdet``
-and ``ttdec`` in the Python API, not sweep settings.  Grids accept
+Each sweep flag sets one ``SimConfig`` field, and ``--detectors`` lists the
+detectors to run on every trial, e.g. ``--detectors oracle,sweep``.  The
+detectors run at their defaults: the Taylor init, metric rounding and rank
+schedule are arguments of ``ttdet`` and ``ttdec`` in the Python API, and of
+the cross settings only the rank cap ``--cross-max-rank`` is a sweep
+setting; the others are ``CrossConfig`` arguments.  Grids accept
 ``start:step:stop`` (inclusive) or comma lists.  An argument ``@FILE`` reads
 more arguments from a run file, one argument per line (``--seed=3``, or
 ``--seed`` and ``3`` on two lines) with no blank lines; later arguments win,
@@ -17,21 +18,18 @@ so a flag given after ``@FILE`` overrides the file's.  Every sweep setting
 left unset takes its default from ``SimConfig``, which also checks it: an
 out-of-range value, typed or in a run file, is a usage error (exit status 2)
 and no trial runs.  So are an unknown detector, an oracle over more
-assignments than the enumeration limit, a code file that ``SimConfig``'s
-``load_code`` rejects, a run file that cannot be read, an output path that
-cannot be written, and a ``--trial-dump`` that is the ``--out`` file.
+assignments than the enumeration limit, a code file or name that
+``SimConfig``'s ``load_code`` rejects, a run file that cannot be read, an
+output path that cannot be written, and a ``--trial-dump`` that is the
+``--out`` file.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import fields
 
-from .chancode import _builtin_code_names, builtin_code_path
-from .cross import CrossConfig
 from .harness import DECODE_DETECTORS, MIMO_DETECTORS, SimConfig, run_sweep
 
 __all__ = ["main"]
@@ -64,17 +62,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-def _code_path(text: str) -> str:
-    """An existing file, else the packaged code of that name."""
-    if os.path.isfile(text):
-        return text
-    path = builtin_code_path(text)
-    if not path.is_file():
-        raise argparse.ArgumentTypeError(f"{text!r} is neither a file nor a packaged code "
-                                         f"({', '.join(_builtin_code_names())})")
-    return str(path)
-
-
 class _HelpFormatter(argparse.HelpFormatter):
     """Names a flag's value after the flag rather than after its ``dest``."""
 
@@ -82,9 +69,9 @@ class _HelpFormatter(argparse.HelpFormatter):
         return action.option_strings[0].lstrip("-").replace("-", "_").upper()
 
 
-# Each sweep flag sets exactly one SimConfig (or CrossConfig) field: it
-# stores under the field's name and has no default of its own, so only the
-# flags given reach SimConfig, which supplies the rest.
+# Each sweep flag sets exactly one SimConfig field: it stores under the
+# field's name and has no default of its own, so only the flags given reach
+# SimConfig, which supplies the rest.
 def _add_common(parser: argparse.ArgumentParser, detectors: tuple[str, ...]) -> None:
     parser.add_argument("--detectors", type=lambda text: tuple(text.split(",")), required=True,
                         help=f"comma list of detectors run on every trial, from "
@@ -94,12 +81,9 @@ def _add_common(parser: argparse.ArgumentParser, detectors: tuple[str, ...]) -> 
     parser.add_argument("--min-block-errors", type=int)
     parser.add_argument("--max-trials", type=int)
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--cross-max-rank", dest="max_rank", type=int,
+    parser.add_argument("--cross-max-rank", dest="cross_max_rank", type=int,
                         help="rank cap of the cross, which bounds the time per TT call at low "
                              "SNR or large N; a max_rmax equal to it means the cap was binding")
-    parser.add_argument("--cross-sweeps", dest="n_sweeps", type=int)
-    parser.add_argument("--cross-oversample", dest="sample_oversample", type=int)
-    parser.add_argument("--cross-conv-tol", dest="conv_tol", type=float)
     parser.add_argument("--trial-dump", help="optional per-trial CSV with columns "
                         "detector,snr_db,trial,errors,rmax,early")
     parser.add_argument("--out", dest="out_path", required=True, help="output CSV path")
@@ -125,7 +109,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     decode = sub.add_parser("decode", help="linear-code BER sweep", formatter_class=_HelpFormatter,
                             argument_default=argparse.SUPPRESS, epilog=RUN_FILE_HELP)
-    decode.add_argument("--code", dest="code_path", type=_code_path, required=True,
+    decode.add_argument("--code", dest="code_path", required=True,
                         help="generator matrix file, or a packaged name like bch_63_30")
     decode.add_argument("--ebn0", dest="snr_grid", type=_parse_grid, default=(4.0,),
                         help="Eb/N0 grid in dB")
@@ -139,9 +123,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sweep_parser = commands[args.command]
     settings = vars(args)
-    cross = {f.name: settings.pop(f.name) for f in fields(CrossConfig) if f.name in settings}
     try:
-        cfg = SimConfig(scenario=settings.pop("command"), cross=CrossConfig(**cross), **settings)
+        cfg = SimConfig(scenario=settings.pop("command"), **settings)
     except ValueError as err:
         sweep_parser.error(str(err))
     try:

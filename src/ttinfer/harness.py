@@ -15,7 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -79,15 +79,16 @@ class SimConfig:
     ``min_block_errors`` block errors, or at ``max_trials``.
 
     Each sweep setting gets its one default here.  A decode config loads its
-    code into ``code`` (None for MIMO), and a config with an out-of-range
-    field (``workers`` above ``BATCH_SIZE`` or grid values past
-    ``SNR_LIMIT_DB`` among them), a code file that ``load_code`` rejects, an
-    oracle past the enumeration limit, or an ``out_path`` and a
-    ``trial_dump`` that name the same file raises ValueError.
-    ``cross`` holds the cross settings; ``cross_config`` gives each trial
-    its own seed.  Every sweep runs ``ttdet`` and ``ttdec`` at their
+    code (``code_path``, a file or a packaged code name) into ``code`` (None
+    for MIMO), and a config with an out-of-range field (``workers`` above
+    ``BATCH_SIZE`` or grid values past ``SNR_LIMIT_DB`` among them), a
+    ``code_path`` that ``load_code`` rejects, an oracle past the enumeration
+    limit, or an ``out_path`` and a ``trial_dump`` that name the same file
+    raises ValueError.  Every sweep runs ``ttdet`` and ``ttdec`` at their
     defaults: no Taylor init, no rounding of the exact metric, and a
-    one-step rank schedule.
+    one-step rank schedule.  Of the cross settings only the rank cap
+    ``cross_max_rank`` is a sweep setting; ``cross_config`` gives each
+    trial its own seed and leaves the others at ``CrossConfig``'s defaults.
     """
 
     # perfbench reads these four; ROADMAP items 1 and 2 delete them.
@@ -104,7 +105,8 @@ class SimConfig:
     qam: int = 4
     # decoding model
     code_path: str | None = None
-    cross: CrossConfig = CrossConfig()
+    # cross
+    cross_max_rank: int = CrossConfig.max_rank
     # run control
     min_block_errors: int = 100
     max_trials: int = 10_000
@@ -145,8 +147,8 @@ class SimConfig:
             except EnumerationLimitError as err:
                 raise EnumerationLimitError(
                     f"the oracle detector cannot run: {err}; drop it from the detectors") from None
-        for name, low in (("master_seed", 0), ("nt_complex", 1), ("workers", 1),
-                          ("min_block_errors", 1), ("max_trials", 1)):
+        for name, low in (("master_seed", 0), ("nt_complex", 1), ("cross_max_rank", 1),
+                          ("workers", 1), ("min_block_errors", 1), ("max_trials", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.workers > BATCH_SIZE:
@@ -156,7 +158,7 @@ class SimConfig:
             raise ValueError(f"out_path and trial_dump name the same file {self.out_path!r}")
 
     def cross_config(self, seed: int) -> CrossConfig:
-        return replace(self.cross, rng_seed=seed)
+        return CrossConfig(max_rank=self.cross_max_rank, rng_seed=seed)
 
 
 @dataclass

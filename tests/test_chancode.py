@@ -274,6 +274,20 @@ class TestLoadCode:
         code = load_code(path)
         assert (code.n, code.k, code.d_min, code.d_min_verified) == (7, 4, 3, True)
 
+    def test_resolves_packaged_code_names(self, tmp_path, monkeypatch):
+        """A string that names no file names a packaged code; an existing
+        file of that name wins."""
+        assert load_code("bch_15_7") == load_code(builtin_code_path("bch_15_7"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bch_15_7").write_text("\n".join(["7 4 3", *HAMMING_ROWS]) + "\n")
+        assert load_code("bch_15_7").n == 7
+        with pytest.raises(ValueError, match=r"^neither a file nor a packaged code \(bch_15_7, "):
+            load_code("nosuch")
+
+    def test_unreadable_file_error_leaves_the_path_out(self, tmp_path):
+        with pytest.raises(ValueError, match="^cannot read code file: Is a directory$"):
+            load_code(tmp_path)
+
     def test_codes_compare_and_hash_by_value(self):
         path = builtin_code_path("bch_15_7")
         code, again = load_code(path), load_code(path)

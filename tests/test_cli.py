@@ -1,21 +1,21 @@
 """Tests of the command-line entry point: each subcommand runs in process,
 exits with 0 and writes CSVs with the expected headers and row counts, every
-sweep flag sets exactly one SimConfig or CrossConfig field, flags typed and
-flags read from an ``@FILE`` run file reach the SimConfig (later ones win),
-every other setting comes from SimConfig's defaults, grids parse to the same
-points as ever, and out-of-range values, grids with too many points, unknown
-detectors, oracles past the enumeration limit, malformed code files,
-unusable run files, unwritable output paths and a trial dump that is the
-sweep CSV exit with a usage error before any trial runs, and so do the
-removed Taylor-init, rounding and rank-schedule flags."""
+sweep flag sets exactly one SimConfig field, flags typed and flags read from
+an ``@FILE`` run file reach the SimConfig (later ones win), every other
+setting comes from SimConfig's defaults, grids parse to the same points as
+ever, and out-of-range values (each with SimConfig's message), grids with
+too many points, unknown detectors, oracles past the enumeration limit,
+malformed code files, unknown code names, unusable run files, unwritable
+output paths and a trial dump that is the sweep CSV exit with a usage error
+before any trial runs, and so do the removed Taylor-init, rounding,
+rank-schedule and cross flags (all but the rank cap)."""
 
 import csv
 from dataclasses import fields
-from operator import attrgetter
 
 import pytest
 
-from ttinfer import CrossConfig, SimConfig, builtin_code_path
+from ttinfer import SimConfig
 from ttinfer.cli import _build_parser, _parse_grid, main
 
 SWEEP_HEADER = [
@@ -72,8 +72,7 @@ def test_every_sweep_flag_sets_one_config_field(scenario):
     """No flag is synthesized into a field, and no field has two flags."""
     _, commands = _build_parser()
     dests = [action.dest for action in commands[scenario]._actions if action.dest != "help"]
-    config_fields = {f.name for f in fields(SimConfig)} | {f.name for f in fields(CrossConfig)}
-    assert set(dests) <= config_fields
+    assert set(dests) <= {f.name for f in fields(SimConfig)}
     assert len(dests) == len(set(dests))
 
 
@@ -83,10 +82,7 @@ SHARED_FLAGS = [
     ("--min-block-errors", "7", "min_block_errors", 7),
     ("--max-trials", "11", "max_trials", 11),
     ("--workers", "2", "workers", 2),
-    ("--cross-max-rank", "33", "cross.max_rank", 33),
-    ("--cross-sweeps", "5", "cross.n_sweeps", 5),
-    ("--cross-oversample", "2", "cross.sample_oversample", 2),
-    ("--cross-conv-tol", "1e-4", "cross.conv_tol", 1e-4),
+    ("--cross-max-rank", "33", "cross_max_rank", 33),
     ("--trial-dump", "trials.csv", "trial_dump", "trials.csv"),
     ("--out", "sweep.csv", "out_path", "sweep.csv"),
 ]
@@ -116,7 +112,7 @@ def test_shared_flags_reach_sim_config(monkeypatch, scenario):
     cfg = captured_config(monkeypatch, argv)
     assert cfg.scenario == scenario
     for flag, _, field, value in SHARED_FLAGS:
-        assert attrgetter(field)(cfg) == value, flag
+        assert getattr(cfg, field) == value, flag
 
 
 SCENARIO_FLAGS = {
@@ -128,7 +124,7 @@ SCENARIO_FLAGS = {
          ("oracle", "sample", "sweep", "lmmse")),
     ],
     "decode": [
-        (["--code", "bch_15_7"], "code_path", str(builtin_code_path("bch_15_7"))),
+        (["--code", "bch_15_7"], "code_path", "bch_15_7"),
         (["--ebn0", "2,3.5"], "snr_grid", (2.0, 3.5)),
         (["--detectors", "oracle,sample,sweep"], "detectors", ("oracle", "sample", "sweep")),
     ],
@@ -152,7 +148,7 @@ def test_unset_flags_take_sim_config_defaults(monkeypatch):
     cfg = captured_config(monkeypatch, ["decode", "--code", "hamming_7_4", "--detectors", "sweep",
                                         "--out", "s.csv"])
     assert cfg == SimConfig(scenario="decode", snr_grid=(4.0,), detectors=("sweep",),
-                            code_path=str(builtin_code_path("hamming_7_4")), out_path="s.csv")
+                            code_path="hamming_7_4", out_path="s.csv")
 
 
 @pytest.mark.parametrize("scenario", ["mimo", "decode"])
@@ -168,10 +164,10 @@ def test_detectors_flag_is_required(monkeypatch, capsys, scenario):
 def test_config_file_applies_and_flags_win(monkeypatch, tmp_path, scenario):
     """A run file's arguments apply where it stands: a flag after it wins,
     and the file wins over a flag before it."""
-    file_arg = run_file(tmp_path, ["--cross-sweeps=3", "--seed=5", "--detectors=sample,sweep"])
+    file_arg = run_file(tmp_path, ["--cross-max-rank=3", "--seed=5", "--detectors=sample,sweep"])
     argv = [scenario, *SCENARIO_ARGS[scenario], file_arg, "--seed", "9", "--out", "sweep.csv"]
     cfg = captured_config(monkeypatch, argv)
-    assert cfg.cross.n_sweeps == 3
+    assert cfg.cross_max_rank == 3
     assert cfg.detectors == ("sample", "sweep")
     assert cfg.master_seed == 9
     argv = [scenario, *SCENARIO_ARGS[scenario], "--seed", "9", "--detectors", "oracle", file_arg,
@@ -181,17 +177,17 @@ def test_config_file_applies_and_flags_win(monkeypatch, tmp_path, scenario):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--cross-sw", "7", "--se", "9"],
-    ["--cross-sweeps=7", "--seed=9"],
-    ["--cross-sw=7", "--se=9"],
+    ["--cross-max", "7", "--se", "9"],
+    ["--cross-max-rank=7", "--seed=9"],
+    ["--cross-max=7", "--se=9"],
 ])
 @pytest.mark.parametrize("scenario", ["mimo", "decode"])
 def test_flags_win_over_config_in_any_spelling(monkeypatch, tmp_path, scenario, flags):
-    file_arg = run_file(tmp_path, ["--cross-sw", "3", "--seed=5"])
+    file_arg = run_file(tmp_path, ["--cross-max", "3", "--seed=5"])
     argv = [scenario, *SCENARIO_ARGS[scenario], "--detectors", "sample", file_arg, *flags,
             "--out", "sweep.csv"]
     cfg = captured_config(monkeypatch, argv)
-    assert cfg.cross.n_sweeps == 7
+    assert cfg.cross_max_rank == 7
     assert cfg.master_seed == 9
 
 
@@ -242,41 +238,42 @@ def test_unreadable_config_exits_with_usage_error(monkeypatch, tmp_path, capsys,
     assert "ttinfer: error" in err and message in err
 
 
+# (flag, value, SimConfig's message)
 SHARED_OUT_OF_RANGE = [
-    ("--cross-max-rank", 0),
-    ("--cross-sweeps", 0),
-    ("--cross-oversample", -1),
-    ("--cross-conv-tol", 0),
-    ("--seed", -1),
-    ("--min-block-errors", 0),
-    ("--max-trials", 0),
-    ("--workers", 0),
-    ("--workers", -3),
-    ("--workers", 33),
+    ("--cross-max-rank", 0, "cross_max_rank must be >= 1"),
+    ("--seed", -1, "master_seed must be >= 0"),
+    ("--min-block-errors", 0, "min_block_errors must be >= 1"),
+    ("--max-trials", 0, "max_trials must be >= 1"),
+    ("--workers", 0, "workers must be >= 1"),
+    ("--workers", -3, "workers must be >= 1"),
+    ("--workers", 33, "workers must be <= 32, the trials in one batch"),
 ]
 REQUIRED_ARGS = {
     "mimo": ["--detectors", "sample"],
     "decode": ["--code", "hamming_7_4", "--detectors", "sample"],
 }
+SNR_RANGE = "SNR grid values must be finite and within [-1000, 1000] dB"
 OUT_OF_RANGE = [
-    *((scenario, flag, value) for scenario in REQUIRED_ARGS for flag, value in SHARED_OUT_OF_RANGE),
-    ("mimo", "--qam", 5),
-    ("mimo", "--nt", 0),
-    ("mimo", "--snr", "nan"),
-    ("decode", "--ebn0", "inf"),
-    ("mimo", "--snr", "4000"),
-    ("mimo", "--snr", "-4000"),
-    ("mimo", "--snr", "1000.5"),
-    ("decode", "--ebn0", "4000"),
-    ("decode", "--ebn0", "-4000"),
-    ("decode", "--ebn0", "-1000.5"),
+    *((scenario, *case) for scenario in REQUIRED_ARGS for case in SHARED_OUT_OF_RANGE),
+    ("mimo", "--qam", 5, "5-QAM is not square"),
+    ("mimo", "--nt", 0, "nt_complex must be >= 1"),
+    ("mimo", "--snr", "nan", SNR_RANGE),
+    ("decode", "--ebn0", "inf", SNR_RANGE),
+    ("mimo", "--snr", "4000", SNR_RANGE),
+    ("mimo", "--snr", "-4000", SNR_RANGE),
+    ("mimo", "--snr", "1000.5", SNR_RANGE),
+    ("decode", "--ebn0", "4000", SNR_RANGE),
+    ("decode", "--ebn0", "-4000", SNR_RANGE),
+    ("decode", "--ebn0", "-1000.5", SNR_RANGE),
 ]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("scenario, flag, value", OUT_OF_RANGE)
+@pytest.mark.parametrize("scenario, flag, value, message", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[2]}") for case in OUT_OF_RANGE])
 def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys, scenario,
-                                                   flag, value, source):
+                                                   flag, value, message, source):
+    """Each value gets past argparse and is rejected by SimConfig."""
     no_sweep(monkeypatch)
     argv = [scenario, *REQUIRED_ARGS[scenario], "--out", "s.csv"]
     if source == "flag":
@@ -286,7 +283,7 @@ def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"ttinfer {scenario}: error" in capsys.readouterr().err
+    assert f"ttinfer {scenario}: error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario, flag, value", [
@@ -296,10 +293,13 @@ def test_out_of_range_values_exit_with_usage_error(monkeypatch, tmp_path, capsys
     ("decode", "--taylor-p", "3"),
     ("decode", "--tol", "1e-9"),
     ("decode", "--schedule", "4,10"),
+    *((scenario, flag, value) for scenario in ("mimo", "decode") for flag, value in (
+        ("--cross-sweeps", "4"), ("--cross-oversample", "2"), ("--cross-conv-tol", "1e-4"))),
 ])
 def test_removed_flags_are_unrecognized(monkeypatch, capsys, scenario, flag, value):
     """Sweeps run the detectors at their defaults, so the Taylor init,
-    metric rounding and rank schedule have no flags."""
+    metric rounding, rank schedule and every cross setting but the rank cap
+    have no flags."""
     no_sweep(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main([scenario, *REQUIRED_ARGS[scenario], flag, value, "--out", "s.csv"])
@@ -313,9 +313,9 @@ def test_removed_flags_are_unrecognized(monkeypatch, capsys, scenario, flag, val
     (["decode", "--code", "hamming_7_4", "--ebn0", "3,x"], "argument --ebn0: '3,x': a grid is"),
     (["decode", "--code", "hamming_7_4", "--ebn0", "3:0:4"],
      "argument --ebn0: grid step must be positive"),
-    (["decode", "--code", "nosuch"],
-     "argument --code: 'nosuch' is neither a file nor a packaged code "
-     "(bch_15_7, bch_31_16, bch_63_30, hamming_7_4)"),
+    pytest.param(["decode", "--code", "nosuch"],
+                 "ttinfer decode: error: 'nosuch': neither a file nor a packaged code "
+                 "(bch_15_7, bch_31_16, bch_63_30, hamming_7_4)", id="unknown-code"),
     (["mimo", "--snr", "0:1:inf"], "argument --snr: '0:1:inf': grid bounds and step must be finite"),
     (["mimo", "--snr", "1:1e-20:2"], "'1:1e-20:2': a grid has at most 10000 points"),
     (["mimo", "--snr", "0:1e-12:1e-9"], "'0:1e-12:1e-9': grid step does not advance"),
@@ -327,7 +327,7 @@ def test_malformed_values_exit_with_usage_error(monkeypatch, capsys, argv, messa
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err
-    assert "_parse" not in err and "_code_path" not in err
+    assert "_parse" not in err
 
 
 @pytest.mark.parametrize("text, points", [
@@ -373,7 +373,7 @@ def test_unknown_code_in_config_exits_with_usage_error(monkeypatch, tmp_path, ca
               run_file(tmp_path, ["--code=nosuch"]), "--out", "s.csv"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "ttinfer decode: error: argument --code: 'nosuch' is neither a file nor a packaged" in err
+    assert "ttinfer decode: error: 'nosuch': neither a file nor a packaged code" in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -18,6 +18,7 @@ from scipy.special import logsumexp
 
 from ttinfer import (
     ChannelRealization,
+    CrossConfig,
     InferenceFailureError,
     QamConstellation,
     SimConfig,
@@ -382,6 +383,30 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=re.escape(f"{str(bad)!r}: malformed header 'garbage'")):
             SimConfig(scenario="decode", snr_grid=(4.0,), detectors=("sample",),
                       code_path=str(bad))
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "neither a file nor a packaged code"),
+        ("", "empty code file"),
+        ("garbage\n", "malformed header 'garbage'"),
+        ("nosuch", "neither a file nor a packaged code (bch_15_7, "),
+    ], ids=["missing", "empty", "malformed", "unknown-name"])
+    def test_code_errors_name_the_path_once(self, tmp_path, content, message):
+        """``SimConfig``'s prefix is the one place that names the path."""
+        code_path = str(tmp_path / "code.txt")
+        if content == "nosuch":
+            code_path = content
+        elif content is not None:
+            (tmp_path / "code.txt").write_text(content)
+        with pytest.raises(ValueError, match=re.escape(f"{code_path!r}: {message}")) as exc:
+            SimConfig(scenario="decode", snr_grid=(4.0,), detectors=("sample",),
+                      code_path=code_path)
+        assert str(exc.value).count(code_path) == 1
+
+    def test_cross_config_sets_the_rank_cap_and_seed(self):
+        cfg = SimConfig(scenario="mimo", snr_grid=(4.0,), detectors=("sweep",), cross_max_rank=7)
+        assert cfg.cross_config(11) == CrossConfig(max_rank=7, rng_seed=11)
+        with pytest.raises(ValueError, match="cross_max_rank must be >= 1"):
+            replace(cfg, cross_max_rank=0)
 
     @pytest.mark.parametrize("scenario", ["mimo", "decode"])
     def test_rejects_grid_values_past_the_snr_limit(self, scenario):
