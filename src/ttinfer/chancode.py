@@ -200,8 +200,8 @@ def _builtin_code_names() -> list[str]:
 
 
 def load_code(path) -> LinearCode:
-    """Read a generator matrix file: first line ``n k d_min``, then n lines
-    of k space-separated bits (rows of G).
+    """Read a generator matrix file: first line ``n k d_min``, integers with
+    n >= k >= 1, then n lines of k space-separated bits (rows of G).
 
     ``path`` is a file or a packaged resource; a string that names no
     existing file may also name a packaged code, e.g. ``bch_63_30``.  The
@@ -224,10 +224,12 @@ def load_code(path) -> LinearCode:
     lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     if not lines:
         raise ValueError("empty code file")
-    header = lines[0].split()
-    if len(header) != 3:
+    try:
+        n, k, d_min = (int(v) for v in lines[0].split())
+    except ValueError:
+        n = k = 0
+    if not n >= k >= 1:
         raise ValueError(f"malformed header {lines[0]!r}; expected 'n k d_min'")
-    n, k, d_min = (int(v) for v in header)
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} generator rows, found {len(lines) - 1}")
     rows = []

@@ -30,7 +30,7 @@ import argparse
 import math
 import sys
 
-from .harness import DECODE_DETECTORS, MIMO_DETECTORS, SimConfig, run_sweep
+from .harness import DETECTORS, SimConfig, run_sweep
 
 __all__ = ["main"]
 
@@ -72,11 +72,11 @@ class _HelpFormatter(argparse.HelpFormatter):
 # Each sweep flag sets exactly one SimConfig field: it stores under the
 # field's name and has no default of its own, so only the flags given reach
 # SimConfig, which supplies the rest.
-def _add_common(parser: argparse.ArgumentParser, detectors: tuple[str, ...]) -> None:
+def _add_common(parser: argparse.ArgumentParser, scenario: str) -> None:
     parser.add_argument("--detectors", type=lambda text: tuple(text.split(",")), required=True,
                         help=f"comma list of detectors run on every trial, from "
-                             f"{','.join(detectors)}; the oracle if listed, else the first, "
-                             "counts the block errors that end a grid point")
+                             f"{','.join(DETECTORS[scenario])}; the oracle if listed, else "
+                             "the first, counts the block errors that end a grid point")
     parser.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     parser.add_argument("--min-block-errors", type=int)
     parser.add_argument("--max-trials", type=int)
@@ -105,7 +105,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     mimo.add_argument("--qam", type=int, help="QAM order (square)")
     mimo.add_argument("--snr", dest="snr_grid", type=_parse_grid, default=(0.0,),
                       help="SNR grid in dB, per transmit stream")
-    _add_common(mimo, MIMO_DETECTORS)
+    _add_common(mimo, "mimo")
 
     decode = sub.add_parser("decode", help="linear-code BER sweep", formatter_class=_HelpFormatter,
                             argument_default=argparse.SUPPRESS, epilog=RUN_FILE_HELP)
@@ -113,7 +113,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                         help="generator matrix file, or a packaged name like bch_63_30")
     decode.add_argument("--ebn0", dest="snr_grid", type=_parse_grid, default=(4.0,),
                         help="Eb/N0 grid in dB")
-    _add_common(decode, DECODE_DETECTORS)
+    _add_common(decode, "decode")
 
     return parser, sub.choices
 

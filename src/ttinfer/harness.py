@@ -54,8 +54,8 @@ CSV_HEADER = (
     "mean_rmax,median_rmax,max_rmax,early_stop_rate,wall_ms"
 )
 
-MIMO_DETECTORS = ("oracle", "sample", "sweep", "lmmse")
-DECODE_DETECTORS = ("oracle", "sample", "sweep")
+# The detectors of each scenario; TT_DETECTORS fixes the order of the cross seeds.
+DETECTORS = {"mimo": ("oracle", "sample", "sweep", "lmmse"), "decode": ("oracle", "sample", "sweep")}
 TT_DETECTORS = ("sample", "sweep")
 
 # Trials per batch; a sweep point checks its stopping rule after each batch,
@@ -117,7 +117,7 @@ class SimConfig:
     code: LinearCode | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.scenario not in ("mimo", "decode"):
+        if self.scenario not in DETECTORS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not self.snr_grid:
             raise ValueError("SNR grid must be nonempty")
@@ -126,9 +126,8 @@ class SimConfig:
                              f"[-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}] dB, got {list(self.snr_grid)}")
         if not self.detectors:
             raise ValueError("need at least one detector")
-        allowed = MIMO_DETECTORS if self.scenario == "mimo" else DECODE_DETECTORS
         for i, det in enumerate(self.detectors):
-            if det not in allowed:
+            if det not in DETECTORS[self.scenario]:
                 raise ValueError(f"detector {det!r} not available for {self.scenario}")
             if det in self.detectors[:i]:
                 raise ValueError(f"detector {det!r} is listed more than once")
@@ -308,71 +307,63 @@ def lmmse_detect(y: np.ndarray, ch: ChannelRealization, alphabet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _trial_streams(master_seed: int, point: int, trial: int):
-    root = np.random.SeedSequence(entropy=(master_seed, point, trial))
+def _run_trial(args) -> list[tuple]:
+    """Run every enabled detector on one realization: one row
+    (detector, trial, errors, rmax, early, failed) per detector, in
+    ``cfg.detectors`` order, for ``args = (cfg, snr_db, point, trial)``.
+
+    ``SeedSequence((master_seed, point, trial))`` spawns the data stream
+    and then one cross seed per ``TT_DETECTORS`` entry, so a detector's
+    seed does not depend on which others run.  ``early`` is 1 for a
+    ``ttdec`` call whose decided word passed the distance test or a
+    ``ttdet`` call that the sphere list certified, else 0; a detector whose
+    inference fails counts as failed with every symbol wrong.
+
+    perfbench swaps ``ttdec`` and ``code_exact_bitwise_map`` for timed
+    wrappers, and its tracer wraps this function, ``ttdet``, ``ttdec``, both
+    oracles and ``lmmse_detect``.  So each is looked up as a module global
+    at call time, the decode oracle is called as ``(y, code, n0)``, and
+    ``variant=`` is passed to the TT calls as a keyword.
+    """
+    cfg, snr_db, point, trial = args
+    root = np.random.SeedSequence(entropy=(cfg.master_seed, point, trial))
     data_seq, *cross_seqs = root.spawn(1 + len(TT_DETECTORS))
     seeds = {det: int(seq.generate_state(1)[0]) for det, seq in zip(TT_DETECTORS, cross_seqs)}
-    return np.random.default_rng(data_seq), seeds
-
-
-def _trial_records(cfg: SimConfig, trial: int, truth: np.ndarray, detect) -> list[tuple]:
-    """Score every enabled detector on one trial: one row
-    (detector, trial, errors, rmax, early, failed) per detector.
-    ``detect(det)`` returns (decisions, max rank, early), where early is 1
-    for a ``ttdec`` call whose decided word passed the distance test or a
-    ``ttdet`` call that the sphere list certified, else 0; a detector whose
-    inference fails counts as failed with every symbol wrong."""
+    rng = np.random.default_rng(data_seq)
+    if cfg.scenario == "mimo":
+        const = QamConstellation.from_order(cfg.qam)
+        h_c = sample_channel(cfg.nt_complex, cfg.nt_complex, rng)
+        sigma2 = noise_variance_for_snr(h_c, const.energy_complex, snr_db)
+        ch = ChannelRealization.from_complex(h_c, sigma2)
+        truth = const.alphabet[rng.integers(0, const.size_real, size=ch.nt)]
+        y = ch.h @ truth + np.sqrt(sigma2) * rng.standard_normal(ch.nt)
+    else:
+        code = cfg.code
+        n0 = n0_from_ebn0(snr_db, code.rate)
+        truth = rng.integers(0, 2, size=code.k)
+        y = 1.0 - 2.0 * code.encode(truth) + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
     rows = []
     for det in cfg.detectors:
+        rmax = early = 0
         try:
-            decisions, rmax, early = detect(det)
+            if det == "oracle" and cfg.scenario == "mimo":
+                marg = mimo_exact_marginals(y, ch.h, sigma2, const.alphabet)
+                decisions = map_decision(marg, const.alphabet)
+            elif det == "oracle":
+                decisions = code_exact_bitwise_map(y, code, n0)[0]
+            elif det == "lmmse":
+                decisions = lmmse_detect(y, ch, const.alphabet)
+            elif cfg.scenario == "mimo":
+                res = ttdet(y, ch, const.alphabet, cfg.cross_config(seeds[det]), variant=det)
+                decisions, rmax, early = res.x_hat, res.max_rank_observed, int(res.certified)
+            else:
+                res = ttdec(y, code, n0, cfg.schedule, cfg.cross_config(seeds[det]), variant=det)
+                decisions, rmax, early = res.u_hat, res.max_rank_observed, int(res.early_stop)
         except InferenceFailureError:
             rows.append((det, trial, truth.size, 0, 0, 1))
         else:
             rows.append((det, trial, int(np.count_nonzero(decisions != truth)), rmax, early, 0))
     return rows
-
-
-def _mimo_trial(cfg: SimConfig, snr_db: float, point: int, trial: int) -> list[tuple]:
-    const = QamConstellation.from_order(cfg.qam)
-    rng, seeds = _trial_streams(cfg.master_seed, point, trial)
-    h_c = sample_channel(cfg.nt_complex, cfg.nt_complex, rng)
-    sigma2 = noise_variance_for_snr(h_c, const.energy_complex, snr_db)
-    ch = ChannelRealization.from_complex(h_c, sigma2)
-    x = const.alphabet[rng.integers(0, const.size_real, size=ch.nt)]
-    y = ch.h @ x + np.sqrt(sigma2) * rng.standard_normal(ch.nt)
-
-    def detect(det):
-        if det == "oracle":
-            marg = mimo_exact_marginals(y, ch.h, sigma2, const.alphabet)
-            return map_decision(marg, const.alphabet), 0, 0
-        if det == "lmmse":
-            return lmmse_detect(y, ch, const.alphabet), 0, 0
-        res = ttdet(y, ch, const.alphabet, cfg.cross_config(seeds[det]), variant=det)
-        return res.x_hat, res.max_rank_observed, int(res.certified)
-
-    return _trial_records(cfg, trial, x, detect)
-
-
-def _decode_trial(cfg: SimConfig, ebn0_db: float, point: int, trial: int) -> list[tuple]:
-    code = cfg.code
-    n0 = n0_from_ebn0(ebn0_db, code.rate)
-    rng, seeds = _trial_streams(cfg.master_seed, point, trial)
-    u = rng.integers(0, 2, size=code.k)
-    x = 1.0 - 2.0 * code.encode(u)
-    y = x + np.sqrt(n0 / 2.0) * rng.standard_normal(code.n)
-
-    def detect(det):
-        if det == "oracle":
-            return code_exact_bitwise_map(y, code, n0)[0], 0, 0
-        res = ttdec(y, code, n0, cfg.schedule, cfg.cross_config(seeds[det]), variant=det)
-        return res.u_hat, res.max_rank_observed, int(res.early_stop)
-
-    return _trial_records(cfg, trial, u, detect)
-
-
-def _run_trial(args):
-    return (_mimo_trial if args[0].scenario == "mimo" else _decode_trial)(*args)
 
 
 # ---------------------------------------------------------------------------

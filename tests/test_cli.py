@@ -2,20 +2,21 @@
 exits with 0 and writes CSVs with the expected headers and row counts, every
 sweep flag sets exactly one SimConfig field, flags typed and flags read from
 an ``@FILE`` run file reach the SimConfig (later ones win), every other
-setting comes from SimConfig's defaults, grids parse to the same points as
-ever, and out-of-range values (each with SimConfig's message), grids with
-too many points, unknown detectors, oracles past the enumeration limit,
-malformed code files, unknown code names, unusable run files, unwritable
-output paths and a trial dump that is the sweep CSV exit with a usage error
-before any trial runs, and so do the removed Taylor-init, rounding,
-rank-schedule and cross flags (all but the rank cap)."""
+setting comes from SimConfig's defaults, the ``--detectors`` help lists the
+harness's detector table, grids parse to the same points as ever, and
+out-of-range values (each with SimConfig's message), grids with too many
+points, unknown detectors, oracles past the enumeration limit, malformed
+code files and code headers, unknown code names, unusable run files,
+unwritable output paths and a trial dump that is the sweep CSV exit with a
+usage error before any trial runs, and so do the removed Taylor-init,
+rounding, rank-schedule and cross flags (all but the rank cap)."""
 
 import csv
 from dataclasses import fields
 
 import pytest
 
-from ttinfer import SimConfig
+from ttinfer import SimConfig, harness
 from ttinfer.cli import _build_parser, _parse_grid, main
 
 SWEEP_HEADER = [
@@ -390,6 +391,36 @@ def test_malformed_code_file_exits_with_usage_error(monkeypatch, tmp_path, capsy
     err = capsys.readouterr().err
     assert "ttinfer decode: error:" in err
     assert "malformed header 'garbage'; expected 'n k d_min'" in err
+
+
+@pytest.mark.parametrize("header", ["7 4 x", "-1 4 3", "0 0 1", "4 7 3"],
+                         ids=["not-int", "negative-n", "zero-k", "k-above-n"])
+def test_malformed_code_header_exits_with_usage_error(monkeypatch, tmp_path, capsys, header):
+    monkeypatch.setattr("ttinfer.harness._run_trial", lambda args: pytest.fail("trial ran"))
+    bad, out = tmp_path / "bad.txt", tmp_path / "s.csv"
+    bad.write_text(f"{header}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--code", str(bad), "--detectors", "sample", "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"ttinfer decode: error: {str(bad)!r}: malformed header {header!r}; "
+            "expected 'n k d_min'") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["mimo", "decode"])
+def test_detector_table_is_the_one_source_of_names(scenario):
+    """The ``--detectors`` help, ``SimConfig`` and ``_run_trial`` all take
+    their detector names from ``harness.DETECTORS``."""
+    _, commands = _build_parser()
+    assert set(commands) == set(harness.DETECTORS)
+    names = harness.DETECTORS[scenario]
+    (action,) = (a for a in commands[scenario]._actions if a.dest == "detectors")
+    assert action.help.split(" from ")[1].split(";")[0] == ",".join(names)
+    settings = dict(scenario=scenario, snr_grid=(4.0,), nt_complex=2, code_path="hamming_7_4")
+    for name in names:
+        SimConfig(**settings, detectors=(name,))
+    rows = harness._run_trial((SimConfig(**settings, detectors=names), 4.0, 0, 0))
+    assert [row[0] for row in rows] == list(names)
 
 
 @pytest.mark.parametrize("flag", ["--out", "--trial-dump"])

@@ -3,9 +3,9 @@ brute-force enumeration, their input checks, cached tables and enumeration
 limit, the configuration checks (among them the code file, both oracles'
 enumeration limit and the SNR bound), the one code load per config, the
 detector defaults that every sweep runs at, the per-trial records of
-failed inferences and their count in the sweep log, and the worker-count
-independence of ``run_sweep`` and its failure on an unwritable output path
-before any trial runs."""
+failed inferences and their count in the sweep log, the early flags of
+MIMO and decode rows, and the worker-count independence of ``run_sweep``
+and its failure on an unwritable output path before any trial runs."""
 
 import inspect
 import itertools
@@ -389,7 +389,11 @@ class TestSimConfig:
         ("", "empty code file"),
         ("garbage\n", "malformed header 'garbage'"),
         ("nosuch", "neither a file nor a packaged code (bch_15_7, "),
-    ], ids=["missing", "empty", "malformed", "unknown-name"])
+        # a header needs three integers n >= k >= 1
+        *((f"{header}\n", f"malformed header {header!r}; expected 'n k d_min'")
+          for header in ("7 4 x", "-1 4 3", "0 0 1", "4 7 3")),
+    ], ids=["missing", "empty", "malformed", "unknown-name",
+            "header-not-int", "header-negative-n", "header-zero-k", "header-k-above-n"])
     def test_code_errors_name_the_path_once(self, tmp_path, content, message):
         """``SimConfig``'s prefix is the one place that names the path."""
         code_path = str(tmp_path / "code.txt")
@@ -482,3 +486,26 @@ class TestTrialRecords:
                 if det != "oracle":
                     assert (early, rmax == 0, failed) == (int(certified), certified, 0), trial
 
+    def test_decode_rows_report_early_stops(self, monkeypatch):
+        """A decode TT row's ``early`` is the ``early_stop`` of its ``ttdec``
+        call on the same trial; ``hamming_7_4`` at 3-4 dB stops early on
+        some trials and not on others."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(ttdec(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(harness, "ttdec", spy)
+        cfg = SimConfig(scenario="decode", snr_grid=(3.0, 4.0),
+                        detectors=("oracle", "sample", "sweep"), code_path="hamming_7_4",
+                        master_seed=11)
+        early_seen = set()
+        for point, snr_db in enumerate(cfg.snr_grid):
+            for trial in range(8):
+                calls.clear()
+                tt_rows = harness._run_trial((cfg, snr_db, point, trial))[1:]
+                assert [row[3:] for row in tt_rows] == [
+                    (res.max_rank_observed, int(res.early_stop), 0) for res in calls], trial
+                early_seen.update(row[4] for row in tt_rows)
+        assert early_seen == {0, 1}

@@ -4,6 +4,7 @@ certified list exit, and end-to-end detection against exhaustive
 enumeration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,19 +314,25 @@ class TestDetector:
         m2 = mimo_exact_marginals(scale * y, ch_s.h, ch_s.sigma2, const.alphabet)
         np.testing.assert_allclose(m2.probs, m1.probs, rtol=1e-9)
 
-    def test_score_counts_symbol_errors(self):
+    def test_score_counts_symbol_errors(self, monkeypatch):
         # the harness scores each detection against the transmitted symbols
-        rng = np.random.default_rng(75)
-        const, ch, x, y = desk_channel(rng, snr_db=5.0)
-        cfg = CrossConfig(max_rank=32, n_sweeps=8, sample_oversample=4, conv_tol=1e-10, rng_seed=2)
-        trial = ttdet(y, ch, const.alphabet, cfg, 10, 16)
-        assert trial.certified and trial.max_rank_observed == 0
         sim = SimConfig(scenario="mimo", snr_grid=(5.0,), detectors=("sample",), nt_complex=2)
+        # trial 0 of grid point 0, drawn from the data stream as the harness draws it
+        root = np.random.SeedSequence(entropy=(sim.master_seed, 0, 0))
+        data_seq = root.spawn(1 + len(harness.TT_DETECTORS))[0]
+        const, ch, x, y = desk_channel(np.random.default_rng(data_seq), snr_db=5.0)
+        trial = ttdet(y, ch, const.alphabet, sim.cross_config(0))
         for x_hat in (trial.x_hat, -x):
-            rows = harness._trial_records(sim, 0, x, lambda det: (x_hat, trial.max_rank_observed, 0))
+            def fake_ttdet(y_seen, *args, x_hat=x_hat, **kwargs):
+                np.testing.assert_array_equal(y_seen, y)
+                return replace(trial, x_hat=x_hat)
+
+            monkeypatch.setattr(harness, "ttdet", fake_ttdet)
+            rows = harness._run_trial((sim, 5.0, 0, 0))
             errors = int(np.count_nonzero(x_hat != x))
             # (detector, trial, errors, rmax, early, failed)
-            assert rows == [("sample", 0, errors, trial.max_rank_observed, 0, 0)]
+            assert rows == [("sample", 0, errors, trial.max_rank_observed,
+                             int(trial.certified), 0)]
 
 
 SPHERE_SHAPES = [
